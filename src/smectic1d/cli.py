@@ -85,8 +85,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(params=p, **kwargs)
 
 
-def _options(config: RunConfig, plain_gd: bool = False) -> MinimizeOptions:
-    return MinimizeOptions(tol_grad=config.tol_grad, max_iters=config.max_iters, plain_gd=plain_gd)
+def _options(config: RunConfig) -> MinimizeOptions:
+    return MinimizeOptions(tol_grad=config.tol_grad, max_iters=config.max_iters)
 
 
 # --- CSV helpers ----------------------------------------------------------------
@@ -296,18 +296,23 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_validate_params(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    p = config.params
-    if args.echo:
-        sys.stdout.write(format_config(config))
-        return 0
+def _print_thresholds(p: ModelParams1D) -> None:
+    """The closed-form layering threshold, its temperature, and t1, t2."""
     d0 = stability.d_critical(p)
     t1, t2 = stability.tilt_thresholds(p)
     print(f"d_critical = {_fmt(d0)}")
     print(f"T_critical = {_fmt(params_mod.temperature_from_d(d0, p))}")
     print(f"t1 = {_fmt(t1)}")
     print(f"t2 = {_fmt(t2)}")
+
+
+def _cmd_validate_params(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    p = config.params
+    if args.echo:
+        sys.stdout.write(format_config(config))
+        return 0
+    _print_thresholds(p)
     if args.A is not None or args.B is not None or args.C is not None:
         if None in (args.A, args.B, args.C):
             raise ValueError("--A, --B and --C must be given together")
@@ -330,7 +335,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     config = _load_config(args)
     p = config.params
     state0 = seed_state(args.seed, p, config.n_modes)
-    state, report = minimize_state(state0, p, _options(config, args.plain_gd))
+    state, report = minimize_state(state0, p, _options(config))
     print(f"converged = {report.converged}", file=sys.stderr)
     print(f"iterations = {report.iterations}", file=sys.stderr)
     print(f"grad_norm = {_fmt(report.final_grad_norm)}", file=sys.stderr)
@@ -370,14 +375,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    p = config.params
-    d0 = stability.d_critical(p)
-    t1, t2 = stability.tilt_thresholds(p)
-    print(f"d_critical = {_fmt(d0)}")
-    print(f"T_critical = {_fmt(params_mod.temperature_from_d(d0, p))}")
-    print(f"t1 = {_fmt(t1)}")
-    print(f"t2 = {_fmt(t2)}")
+    p = _load_config(args).params
+    _print_thresholds(p)
     if args.t is not None:
         print(f"theta_star({_fmt(args.t)}) = {_fmt(stability.theta_star(args.t, p))}")
     return 0
@@ -485,7 +484,6 @@ def _parser() -> _Parser:
     _add_common(sp)
     sp.add_argument("--seed", choices=SEED_KINDS, default="smectic-seed")
     sp.add_argument("--profile", help="write the relaxed profile CSV here")
-    sp.add_argument("--plain-gd", action="store_true", help="fixed-step gradient descent instead of BB steps")
     sp.set_defaults(func=_cmd_minimize)
 
     sp = subs.add_parser("spectrum", help="Hessian spectrum at a state")
@@ -541,10 +539,7 @@ def run(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ModelParams1D
-from .spectral import Grid, SpectralState, analyze, default_grid, quadrature, synthesize
+from .spectral import TWO_PI, Grid, SpectralState, _tables, analyze, default_grid, quadrature, synthesize
 
 __all__ = [
     "EnergyBreakdown",
@@ -69,9 +69,9 @@ def _chi_prime(theta: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndar
 class Evaluator:
     """Energy/gradient evaluator over packed coefficient vectors.
 
-    Precomputes the synthesis matrices for a fixed (N, grid) pair so that
-    repeated evaluations (line searches, sweeps, finite differences) cost a
-    handful of dense matrix-vector products each.
+    Reads the shared trig table (``spectral._tables``) for a fixed (N, grid)
+    pair so that repeated evaluations (line searches, sweeps, finite
+    differences) cost a handful of dense matrix-vector products each.
     """
 
     def __init__(self, n: int, params: ModelParams1D, grid: Grid | None = None):
@@ -85,54 +85,52 @@ class Evaluator:
         self.grid = grid
         self.weight = grid.h / grid.m
 
-        m = grid.m
-        k_theta = np.arange(n + 2)
-        k_rho = np.arange(1, n + 2)
-        ang = (2.0 * math.pi / m) * np.arange(m)[:, None]
-        self._cos = np.cos(ang * k_theta[None, :])
-        sin_all = np.sin(ang * np.arange(n + 2)[None, :])
-        self._sin_theta = sin_all
-        self._sin = sin_all[:, 1:]
-        self._cos_rho = self._cos[:, 1:]
-        w_t = (2.0 * math.pi / grid.h) * k_theta
-        w_r = (2.0 * math.pi / grid.h) * k_rho
-        self._w_theta = w_t
-        self._w_rho = w_r
+        self._cos, self._sin_theta = _tables(grid.m, n + 1)
+        self._sin = self._sin_theta[:, 1:]
         # synthesis of derivatives: theta' = -sin * (w c); rho'' = -sin * (w^2 r)
-        self._wt1 = w_t
-        self._wr2 = w_r**2
+        self._wt1 = (TWO_PI / grid.h) * np.arange(n + 2)
+        self._wr2 = self._wt1[1:] ** 2
+        self._q2 = params.q * params.q
+        self._cos2t0 = math.cos(params.theta0) ** 2
 
     # -- field synthesis -------------------------------------------------
 
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return vec[: self.n + 2], vec[self.n + 2 :]
-
     def fields(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Grid samples (theta, theta_z, rho, rho_zz)."""
-        tc, rs = self.split(vec)
+        tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
         theta = self._cos @ tc
         theta_z = -(self._sin_theta @ (self._wt1 * tc))
         rho = self._sin @ rs
         rho_zz = -(self._sin @ (self._wr2 * rs))
         return theta, theta_z, rho, rho_zz
 
+    def _pointwise(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Fields plus the pointwise terms shared by energy and gradient.
+
+        Returns (theta, theta_z, rho, rho_zz, sin^2 theta, rho^2, L, W) with
+        the layer term L = rho_zz + q^2 rho and the coupling term
+        W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  Powers are explicit
+        products: numpy's vectorized ** is not exactly even in its argument,
+        which would break the exact rho -> -rho energy symmetry.
+        """
+        theta, theta_z, rho, rho_zz = self.fields(vec)
+        sin_t = np.sin(theta)
+        sin2 = sin_t * sin_t
+        rho2 = rho * rho
+        lay = rho_zz + self._q2 * rho
+        cw = sin2 * rho_zz + self._q2 * self._cos2t0 * rho
+        return theta, theta_z, rho, rho_zz, sin2, rho2, lay, cw
+
     # -- energy ----------------------------------------------------------
 
     def breakdown(self, vec: np.ndarray) -> EnergyBreakdown:
         p = self.params
-        theta, theta_z, rho, rho_zz = self.fields(vec)
+        theta, theta_z, rho, _, _, rho2, lay, cw = self._pointwise(vec)
         w = self.weight
         elastic = w * float(np.sum(p.k1 * theta_z * theta_z))
         chiral = w * float(np.sum(_chi(theta, p.k2, p.k3, p.sigma)))
-        # powers by explicit products: numpy's vectorized ** is not exactly
-        # even in its argument, which would break the exact rho -> -rho
-        # energy symmetry
-        rho2 = rho * rho
         bulk = w * float(np.sum(0.5 * p.d * rho2 - (p.e / 3.0) * rho2 * rho + 0.25 * p.f * rho2 * rho2))
-        lay = rho_zz + p.q * p.q * rho
         layer = w * float(np.sum(p.lambda1 * lay * lay))
-        sin_t = np.sin(theta)
-        cw = sin_t * sin_t * rho_zz + p.q * p.q * math.cos(p.theta0) ** 2 * rho
         coupling = w * float(np.sum(p.lambda2 * cw * cw))
         total = elastic + chiral + bulk + layer + coupling
         return EnergyBreakdown(total, elastic, chiral, bulk, layer, coupling)
@@ -143,15 +141,9 @@ class Evaluator:
     def gradient(self, vec: np.ndarray) -> np.ndarray:
         """Exact gradient of the discretized energy with respect to the coefficients."""
         p = self.params
-        theta, theta_z, rho, rho_zz = self.fields(vec)
+        theta, theta_z, rho, rho_zz, sin2, rho2, lay, cw = self._pointwise(vec)
         w = self.weight
-        q2 = p.q * p.q
-        cos2t0 = math.cos(p.theta0) ** 2
-        sin_t = np.sin(theta)
-        sin2 = sin_t * sin_t
-        rho2 = rho * rho
-        lay = rho_zz + q2 * rho
-        cw = sin2 * rho_zz + q2 * cos2t0 * rho
+        q2, cos2t0 = self._q2, self._cos2t0
 
         dphi_dtheta = _chi_prime(theta, p.k2, p.k3, p.sigma) + 2.0 * p.lambda2 * cw * np.sin(2.0 * theta) * rho_zz
         dphi_dtheta_z = 2.0 * p.k1 * theta_z
@@ -161,9 +153,6 @@ class Evaluator:
         g_theta = self._cos.T @ (w * dphi_dtheta) - self._wt1 * (self._sin_theta.T @ (w * dphi_dtheta_z))
         g_rho = self._sin.T @ (w * dphi_drho) - self._wr2 * (self._sin.T @ (w * dphi_drho_zz))
         return np.concatenate([g_theta, g_rho])
-
-    def energy_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.energy(vec), self.gradient(vec)
 
 
 def _check_state(state: SpectralState, params: ModelParams1D) -> None:
@@ -246,11 +235,9 @@ def reconstruct_director(
     integrand = p.sigma * p.k2 / (p.k2 * c2 + p.k3 * s2)
     band = g.m // 2 - 1
     coeff = analyze(integrand, "cosine", g, band)
-    z = g.nodes
-    phi = coeff[0] * z
-    k = np.arange(1, band + 1)
     # antiderivative of cos(2 pi k z / h) is (h / 2 pi k) sin(2 pi k z / h)
-    phi = phi + np.sin(np.outer(z, 2.0 * math.pi * k / g.h)) @ (coeff[1:] * g.h / (2.0 * math.pi * k))
+    k = np.arange(1, band + 1)
+    phi = coeff[0] * g.nodes + synthesize(coeff[1:] * g.h / (TWO_PI * k), "sine", g)
     n1 = np.cos(phi) * np.cos(theta)
     n2 = np.sin(phi) * np.cos(theta)
     n3 = np.sin(theta)

@@ -10,10 +10,6 @@ gradient, which removes the ~1e5 curvature spread between high layer modes
 and the nearly flat pitchfork direction.  Without it a monotone line search
 stalls below the floating-point resolution of the energy long before the
 gradient tolerance is met.
-
-``plain_gd=True`` switches off both the preconditioner and the BB rule and
-proposes the fixed initial step every iteration (still backtracked), i.e.
-plain gradient descent.
 """
 
 from __future__ import annotations
@@ -36,35 +32,32 @@ class DivergenceError(RuntimeError):
     """Raised when the energy becomes non-finite at an accepted iterate."""
 
 
+# Step policy: the step tried when no BB step is usable (first iteration or
+# s.y <= 0), the backtracking factor, the Armijo sufficient-decrease
+# constant, and the BB step bounds (the line search gives up below STEP_MIN).
+STEP0 = 1e-2
+BACKTRACK = 0.5
+ARMIJO = 1e-4
+STEP_MIN = 1e-16
+STEP_MAX = 1e6
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Stopping and step-policy knobs.
+    """Stopping criteria.
 
-    ``tol_grad`` is a sup-norm threshold on the coefficient gradient.
-    ``step0`` seeds the line search; ``backtrack`` and ``armijo`` are the
-    backtracking factor and sufficient-decrease constant.
+    ``tol_grad`` is a sup-norm threshold on the coefficient gradient and
+    ``max_iters`` caps the number of accepted steps.
     """
 
     tol_grad: float = 1e-8
     max_iters: int = 1_000_000
-    step0: float = 1e-2
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    step_min: float = 1e-16
-    step_max: float = 1e6
-    plain_gd: bool = False
 
     def __post_init__(self) -> None:
         if not self.tol_grad > 0:
             raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.backtrack < 1:
-            raise ValueError(f"backtrack factor must lie in (0, 1), got {self.backtrack}")
-        if not 0 < self.armijo < 1:
-            raise ValueError(f"armijo constant must lie in (0, 1), got {self.armijo}")
-        if not 0 < self.step_min < self.step_max:
-            raise ValueError("need 0 < step_min < step_max")
 
 
 @dataclass(frozen=True)
@@ -162,11 +155,11 @@ def minimize(
         raise DivergenceError("non-finite energy at the starting state")
     g = ev.gradient(x)
 
-    dinv = None if opts.plain_gd else 1.0 / _precondition_diagonal(state0.n, params)
+    dinv = 1.0 / _precondition_diagonal(state0.n, params)
     s_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
     decreasing = True
-    step = opts.step0
+    step = STEP0
 
     iterations = 0
     for it in range(1, opts.max_iters + 1):
@@ -174,18 +167,16 @@ def minimize(
         if gnorm <= opts.tol_grad:
             return _result(ev, x, e, gnorm, it - 1, True, decreasing, state0)
 
-        direction = -g if dinv is None else -(dinv * g)
+        direction = -(dinv * g)
         slope = float(g @ direction)  # negative descent slope
 
-        if opts.plain_gd:
-            step = opts.step0
-        elif s_prev is not None:
+        if s_prev is not None:
             sy = float(s_prev @ y_prev)
             if sy > 0:
-                ss = float(s_prev @ (s_prev / dinv)) if dinv is not None else float(s_prev @ s_prev)
-                step = min(max(ss / sy, opts.step_min), opts.step_max)
+                ss = float(s_prev @ (s_prev / dinv))
+                step = min(max(ss / sy, STEP_MIN), STEP_MAX)
             else:
-                step = opts.step0
+                step = STEP0
 
         # a few ulps of slack: near convergence the true decrease per step
         # falls below the energy's floating-point resolution while the
@@ -194,13 +185,13 @@ def minimize(
         slack = 4.0 * np.finfo(float).eps * max(1.0, abs(e))
         alpha = step
         accepted = False
-        while alpha >= opts.step_min:
+        while alpha >= STEP_MIN:
             x_new = x + alpha * direction
             e_new = ev.energy(x_new)
-            if np.isfinite(e_new) and e_new <= e + opts.armijo * alpha * slope + slack:
+            if np.isfinite(e_new) and e_new <= e + ARMIJO * alpha * slope + slack:
                 accepted = True
                 break
-            alpha *= opts.backtrack
+            alpha *= BACKTRACK
         iterations = it
         if not accepted:
             # line search stalled even with slack: flat to working precision

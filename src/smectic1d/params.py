@@ -21,11 +21,6 @@ from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
-# Measured coefficients often quoted for the nematic material MBBA, kept only
-# as a documented reference point (N m^-2 for B and C, N for the one-constant
-# elastic modulus K).  They are not wired to any validated scenario.
-MBBA_CONSTANTS = {"B": 0.64e4, "C": 0.35e4, "K": 4e-11}
-
 #: Tolerance of the integer check in the layer-commensurability constraint.
 COMMENSURABILITY_TOL = 1e-9
 

@@ -56,14 +56,18 @@ def default_grid(n: int, h: float) -> Grid:
 def _tables(m: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosine/sine sample tables cos(2*pi*j*k/M), sin(2*pi*j*k/M), k = 0..kmax.
 
-    Angles are built from the exact rational j*k/M so the tables do not
-    depend on rounding of h.
+    This is the one trig table of the library: synthesis, analysis and the
+    energy evaluator all read it.  The angle is formed as ((2*pi/M)*j)*k.
+    That arithmetic is fixed, not a free choice: the exact product
+    (2*pi/M)*(j*k) rounds differently in the last bit, and the
+    Barzilai-Borwein iterations near a pitchfork amplify that into different
+    iteration counts and minimizers.  Any rewrite must keep every table
+    entry bit for bit.
     """
-    j = np.arange(m)[:, None]
+    ang = (TWO_PI / m) * np.arange(m)[:, None]
     k = np.arange(kmax + 1)[None, :]
-    ang = (TWO_PI / m) * (j * k)
-    cos_t = np.cos(ang)
-    sin_t = np.sin(ang)
+    cos_t = np.cos(ang * k)
+    sin_t = np.sin(ang * k)
     cos_t.setflags(write=False)
     sin_t.setflags(write=False)
     return cos_t, sin_t
@@ -82,21 +86,18 @@ def synthesize(coeffs: np.ndarray, basis: str, grid: Grid, order: int = 0) -> np
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError("coefficients must be one-dimensional")
-    if basis == "cosine":
-        k = np.arange(c.size)
-    elif basis == "sine":
-        k = np.arange(1, c.size + 1)
-    else:
+    if basis not in ("cosine", "sine"):
         raise ValueError(f"unknown basis {basis!r}")
-    kmax = int(k[-1]) if c.size else 0
-    cos_t, sin_t = _tables(grid.m, kmax)
-    omega = (TWO_PI / grid.h) * k
-    # even derivative orders keep the basis family, odd orders swap it
+    first = 0 if basis == "cosine" else 1
+    cos_t, sin_t = _tables(grid.m, c.size - 1 + first)
+    omega = (TWO_PI / grid.h) * np.arange(first, c.size + first)
+    # even derivative orders keep the basis family, odd orders swap it; the
+    # columns are basic slices so the product runs on the table's own layout
     if basis == "cosine":
-        cols = sin_t[:, k] if order == 1 else cos_t[:, k]
+        cols = sin_t if order == 1 else cos_t
         sign = {0: 1.0, 1: -1.0, 2: -1.0, 4: 1.0}[order]
     else:
-        cols = cos_t[:, k] if order == 1 else sin_t[:, k]
+        cols = (cos_t if order == 1 else sin_t)[:, 1:]
         sign = {0: 1.0, 1: 1.0, 2: -1.0, 4: 1.0}[order]
     return cols @ (sign * omega**order * c)
 

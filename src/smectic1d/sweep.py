@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy1d import Evaluator, mean_tilt
 from .minimize import MinimizeOptions, minimize, seed_state
-from .params import ModelParams1D, temperature_from_d
+from .params import ModelParams1D
 from .spectral import SpectralState, default_grid
 from .stability import spectrum
 
@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+#: Fresh seed kinds tried at every sweep temperature besides the warm start.
+SWEEP_SEEDS = ("smectic-seed",)
+#: Seed kinds of every elastic-sweep point (both branch signs are run).
+ELASTIC_SEEDS = ("smectic-seed", "conical-seed")
+#: A sweep aborts when more than this share of its points fail to converge.
+MAX_FAILURE_FRACTION = 0.2
+
+
 class SweepError(RuntimeError):
     """Raised when too many points of a sweep fail to converge."""
 
@@ -42,21 +50,19 @@ class SweepError(RuntimeError):
 class SweepConfig:
     """Temperature grid and solver policy for a sweep.
 
-    ``seeds`` lists the fresh seed kinds tried at every temperature in
-    addition to the warm start; both pitchfork branch signs are always run.
+    Every temperature relaxes the warm start (unless ``cold_start``) and the
+    fresh ``SWEEP_SEEDS``; both pitchfork branch signs are always run.
     ``eps_detect`` is the amplitude threshold separating phase labels.
     """
 
     t_start: float
     t_end: float
     dt: float
-    seeds: tuple[str, ...] = ("smectic-seed",)
     eps_detect: float = 1e-3
     record_morse: bool = False
     cold_start: bool = False
     n_modes: int = 64
     options: MinimizeOptions = MinimizeOptions()
-    max_failure_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         if self.dt == 0:
@@ -115,7 +121,7 @@ def _normalize_tilt_sign(state: SpectralState) -> SpectralState:
 def _relax(
     candidates: list[SpectralState],
     params: ModelParams1D,
-    config: SweepConfig,
+    options: MinimizeOptions,
     evaluator: Evaluator,
 ) -> tuple[SpectralState, float, bool]:
     """Minimize from every candidate; lowest-energy converged result wins.
@@ -125,7 +131,7 @@ def _relax(
     """
     best: tuple[bool, float, SpectralState] | None = None
     for cand in candidates:
-        state, report = minimize(cand, params, config.options, evaluator=evaluator)
+        state, report = minimize(cand, params, options, evaluator=evaluator)
         key = (report.converged, report.final_energy, state)
         if best is None:
             best = key
@@ -142,7 +148,7 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
 
     Returns records ordered as the temperature grid, one per (T, branch).
     Non-converged points are recorded with ``converged=False``; the sweep
-    aborts only when more than ``max_failure_fraction`` of all points fail.
+    aborts only when more than ``MAX_FAILURE_FRACTION`` of all points fail.
     """
     temps = config.temperatures()
     grid = default_grid(config.n_modes, params.h)
@@ -156,8 +162,8 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
             candidates: list[SpectralState] = []
             if not config.cold_start and warm[branch] is not None:
                 candidates.append(warm[branch])
-            candidates.extend(_signed_seed(kind, sign, params_t, config.n_modes) for kind in config.seeds)
-            state, energy_val, converged = _relax(candidates, params_t, config, evaluator)
+            candidates.extend(_signed_seed(kind, sign, params_t, config.n_modes) for kind in SWEEP_SEEDS)
+            state, energy_val, converged = _relax(candidates, params_t, config.options, evaluator)
             if converged:
                 warm[branch] = state
             else:
@@ -175,20 +181,26 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
                     converged=converged,
                 )
             )
-    if failures > config.max_failure_fraction * len(records):
+    if failures > MAX_FAILURE_FRACTION * len(records):
         raise SweepError(f"{failures} of {len(records)} sweep points failed to converge")
     return records
 
 
-def _refine_onset(seq: list[SweepRecord], amplitudes: list[float], idx: int) -> float:
-    """Zero crossing of the squared amplitude, linear in T (pitchfork normal form)."""
+def _onset(seq: list[SweepRecord], amplitudes: list[float], eps_detect: float) -> float | None:
+    """Bracketed onset: the first amplitude >= eps_detect after one below it.
+
+    The zero crossing is refined by linear interpolation of the squared
+    amplitude in T (pitchfork normal form).  None when no amplitude reaches
+    eps_detect or when the first record already does (onset not bracketed).
+    """
+    idx = next((i for i, a in enumerate(amplitudes) if a >= eps_detect), None)
+    if not idx:  # None: never reached; 0: not bracketed
+        return None
     t_i, a_i = seq[idx].T, amplitudes[idx]
     if idx + 1 < len(seq) and amplitudes[idx + 1] > a_i:
         t_j, a_j = seq[idx + 1].T, amplitudes[idx + 1]
         return t_i - a_i**2 * (t_j - t_i) / (a_j**2 - a_i**2)
-    if idx > 0:
-        return 0.5 * (seq[idx - 1].T + t_i)
-    return t_i
+    return 0.5 * (seq[idx - 1].T + t_i)
 
 
 def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[float | None, float | None]:
@@ -198,7 +210,9 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     with delta_rho_max >= eps_detect marks the layering transition; the
     first with theta_max >= eps_detect marks the tilt transition.  Both are
     refined by linear interpolation of the squared amplitude against T.
-    Returns None for a transition absent from the swept range.
+    A transition is reported only when the sweep brackets it: None when it
+    is absent from the swept range, and None when it is not bracketed
+    because the first record is already past the threshold.
     """
     if not records:
         return None, None
@@ -207,19 +221,8 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     temps = [r.T for r in seq]
     if any(t2 >= t1 for t1, t2 in zip(temps, temps[1:])):
         raise ValueError("records must be ordered by strictly decreasing T")
-
-    t_chs: float | None = None
-    t_hssc: float | None = None
-    rho_amp = [r.delta_rho_max for r in seq]
-    theta_amp = [r.theta_max for r in seq]
-    for idx, r in enumerate(seq):
-        if r.delta_rho_max >= eps_detect:
-            t_chs = _refine_onset(seq, rho_amp, idx)
-            break
-    for idx, r in enumerate(seq):
-        if r.theta_max >= eps_detect:
-            t_hssc = _refine_onset(seq, theta_amp, idx)
-            break
+    t_chs = _onset(seq, [r.delta_rho_max for r in seq], eps_detect)
+    t_hssc = _onset(seq, [r.theta_max for r in seq], eps_detect)
     return t_chs, t_hssc
 
 
@@ -258,8 +261,6 @@ def elastic_sweep(
     vary: str,
     n_modes: int = 64,
     options: MinimizeOptions = MinimizeOptions(),
-    seeds: tuple[str, ...] = ("smectic-seed", "conical-seed"),
-    max_failure_fraction: float = 0.2,
 ) -> list[ElasticRecord]:
     """Sweep the nematic (vary="k") or smectic (vary="lambda") elastic constants.
 
@@ -272,7 +273,6 @@ def elastic_sweep(
     records: list[ElasticRecord] = []
     failures = 0
     grid = default_grid(n_modes, params.h)
-    config = SweepConfig(t_start=0.0, t_end=0.0, dt=1.0, options=options, n_modes=n_modes)
     for v in values:
         if vary == "k":
             params_v = replace(params, k1=v, k2=v, k3=v)
@@ -280,9 +280,9 @@ def elastic_sweep(
             params_v = replace(params, lambda1=v, lambda2=v)
         evaluator = Evaluator(n_modes, params_v)
         candidates = [
-            _signed_seed(kind, sign, params_v, n_modes) for kind in seeds for sign in (1.0, -1.0)
+            _signed_seed(kind, sign, params_v, n_modes) for kind in ELASTIC_SEEDS for sign in (1.0, -1.0)
         ]
-        state, energy_val, converged = _relax(candidates, params_v, config, evaluator)
+        state, energy_val, converged = _relax(candidates, params_v, options, evaluator)
         if not converged:
             failures += 1
         records.append(
@@ -294,13 +294,7 @@ def elastic_sweep(
                 converged=converged,
             )
         )
-    if failures > max_failure_fraction * len(records):
+    if failures > MAX_FAILURE_FRACTION * len(records):
         raise SweepError(f"{failures} of {len(records)} elastic-sweep points failed to converge")
     return records
 
-
-def transition_temperature_analytic(params: ModelParams1D) -> float:
-    """Temperature at which the trivial state loses stability: T2star + d0/alpha2."""
-    from .stability import d_critical
-
-    return temperature_from_d(d_critical(params), params)

@@ -34,11 +34,11 @@ from smectic1d import (
     seed_state,
     spectrum,
     synthesize,
+    temperature_from_d,
     tensor,
     theta_star,
     tilt_thresholds,
 )
-from smectic1d.sweep import transition_temperature_analytic
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -53,7 +53,7 @@ def test_criterion_01_cholesteric_to_helical_smectic_temperature(fig3_params, fi
         t_chs, _ = detect_transitions(fig3_sweep, 1e-3)
         assert t_chs is not None, "no layering transition detected in the swept range"
         assert t_chs == pytest.approx(-10.40, abs=0.05)
-        analytic = transition_temperature_analytic(fig3_params)
+        analytic = temperature_from_d(d_critical(fig3_params), fig3_params)
         assert analytic == pytest.approx(-10.3992209, abs=1e-6)
         assert t_chs == pytest.approx(analytic, abs=2 * 0.02)
         ok = True

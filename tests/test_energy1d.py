@@ -14,6 +14,7 @@ from smectic1d import (
     minimize,
     reconstruct_director,
     seed_state,
+    synthesize,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -82,6 +83,22 @@ class TestEnergy:
         state = SpectralState.zeros(16, p.h)
         with pytest.raises(ValueError, match="too small"):
             energy(state, p, Grid(32, p.h))
+
+
+class TestFieldSynthesis:
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_fields_equal_synthesize_bit_for_bit(self, n):
+        # the evaluator and synthesize read the same trig table, so they
+        # must agree exactly, not just to rounding
+        p = ModelParams1D()
+        ev = Evaluator(n, p)
+        vec = np.random.default_rng(n).normal(size=2 * n + 3)
+        tc, rs = vec[: n + 2], vec[n + 2 :]
+        theta, theta_z, rho, rho_zz = ev.fields(vec)
+        assert np.array_equal(theta, synthesize(tc, "cosine", ev.grid, 0))
+        assert np.array_equal(theta_z, synthesize(tc, "cosine", ev.grid, 1))
+        assert np.array_equal(rho, synthesize(rs, "sine", ev.grid, 0))
+        assert np.array_equal(rho_zz, synthesize(rs, "sine", ev.grid, 2))
 
 
 class TestGradient:

@@ -110,17 +110,6 @@ class TestMinimize:
         with pytest.raises(DivergenceError):
             minimize(state, p)
 
-    def test_plain_gradient_descent_converges_loosely(self):
-        # fixed-step descent crawls at N = 64 (the layer stiffness spans five
-        # decades), so exercise it at a truncation where it is usable
-        p = ModelParams1D().with_d(-0.5)
-        opts = MinimizeOptions(plain_gd=True, tol_grad=1e-5, max_iters=50_000)
-        state, report = minimize(seed_state("smectic-seed", p, 16), p, opts)
-        assert report.converged
-        grid = default_grid(16, p.h)
-        oracle = math.sqrt(-4.0 * (p.d - d_critical(p)) / (3.0 * p.f))
-        assert float(np.max(state.rho_values(grid))) == pytest.approx(oracle, rel=0.05)
-
     def test_energy_never_increases_against_start(self):
         p = ModelParams1D().with_d(-0.8)
         rng = np.random.default_rng(33)
@@ -139,7 +128,3 @@ class TestOptions:
             MinimizeOptions(tol_grad=0.0)
         with pytest.raises(ValueError):
             MinimizeOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            MinimizeOptions(backtrack=1.0)
-        with pytest.raises(ValueError):
-            MinimizeOptions(armijo=0.0)

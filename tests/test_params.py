@@ -200,14 +200,6 @@ class TestModelParams1D:
             p.d = 1.0
 
 
-class TestPresets:
-    def test_mbba_constants_documented(self):
-        # reference values only; not wired to any validated scenario
-        assert pm.MBBA_CONSTANTS["B"] == 0.64e4
-        assert pm.MBBA_CONSTANTS["C"] == 0.35e4
-        assert pm.MBBA_CONSTANTS["K"] == 4e-11
-
-
 class TestConfig:
     def test_defaults_from_empty(self):
         config = pm.parse_config("")

@@ -9,12 +9,13 @@ from smectic1d import (
     SweepConfig,
     SweepError,
     SweepRecord,
+    d_critical,
     detect_transitions,
     elastic_sweep,
     pitchfork_exponent,
     sweep_temperature,
+    temperature_from_d,
 )
-from smectic1d.sweep import transition_temperature_analytic
 
 
 def _quick_config(**kw) -> SweepConfig:
@@ -49,7 +50,7 @@ class TestSweepTemperature:
             assert r.delta_rho_max >= 0.0
             assert math.isfinite(r.energy)
             # layering appears only below the critical temperature
-            layered = r.T < transition_temperature_analytic(fig3_params)
+            layered = r.T < temperature_from_d(d_critical(fig3_params), fig3_params)
             assert (r.delta_rho_max > 1e-3) == layered, r.T
 
     def test_branches_have_equal_energy(self, fig3_params):
@@ -110,7 +111,7 @@ class TestDetectTransitions:
     def test_layering_onset(self, fig3_params):
         records = sweep_temperature(fig3_params, _quick_config(dt=0.02))
         t_chs, t_hssc = detect_transitions(records, 1e-3)
-        assert t_chs == pytest.approx(transition_temperature_analytic(fig3_params), abs=0.02)
+        assert t_chs == pytest.approx(temperature_from_d(d_critical(fig3_params), fig3_params), abs=0.02)
         assert t_hssc is None
 
     def test_absent_when_out_of_range(self, fig3_params):
@@ -134,6 +135,16 @@ class TestDetectTransitions:
                                        energy=0.0, morse_index=None, converged=True))
         t_chs, _ = detect_transitions(records, 1e-3)
         assert t_chs == pytest.approx(t0, abs=1e-12)
+
+    def test_not_bracketed_when_first_record_is_past_threshold(self):
+        # the sweep starts inside the layered phase and with tilt already
+        # on, so neither onset is bracketed by the swept range
+        records = [
+            SweepRecord(T=-20.0 - 0.5 * i, d=-10.0 - 0.5 * i, branch="+", delta_rho_max=1.0 + 0.1 * i,
+                        theta_max=0.01 * (i + 1), energy=0.0, morse_index=None, converged=True)
+            for i in range(4)
+        ]
+        assert detect_transitions(records, 1e-3) == (None, None)
 
 
 class TestPitchforkExponent:
