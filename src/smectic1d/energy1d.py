@@ -50,20 +50,22 @@ class EnergyBreakdown(NamedTuple):
     coupling: float
 
 
-def _chi(theta: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
-    """Azimuth-eliminated chiral density -k2^2 sigma^2 cos^2 / (k2 cos^2 + k3 sin^2)."""
-    c = np.cos(theta)
-    s = np.sin(theta)
+def _chi(c: np.ndarray, s: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
+    """Azimuth-eliminated chiral density -k2^2 sigma^2 cos^2 / (k2 cos^2 + k3 sin^2).
+
+    Takes c = cos(theta) and s = sin(theta).
+    """
     c2 = c * c
     return -(k2 * k2 * sigma * sigma) * c2 / (k2 * c2 + k3 * s * s)
 
 
-def _chi_prime(theta: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
-    """d/dtheta of the chiral density: k2^2 k3 sigma^2 sin(2 theta) / (k2 cos^2 + k3 sin^2)^2."""
-    c = np.cos(theta)
-    s = np.sin(theta)
+def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
+    """d/dtheta of the chiral density: k2^2 k3 sigma^2 sin(2 theta) / (k2 cos^2 + k3 sin^2)^2.
+
+    Takes c = cos(theta), s = sin(theta) and sin_2t = sin(2 theta).
+    """
     den = k2 * c * c + k3 * s * s
-    return (k2 * k2 * k3 * sigma * sigma) * np.sin(2.0 * theta) / (den * den)
+    return (k2 * k2 * k3 * sigma * sigma) * sin_2t / (den * den)
 
 
 class Evaluator:
@@ -72,6 +74,13 @@ class Evaluator:
     Reads the shared trig table (``spectral._tables``) for a fixed (N, grid)
     pair so that repeated evaluations (line searches, sweeps, finite
     differences) cost a handful of dense matrix-vector products each.
+
+    The pointwise terms of the last vector evaluated are kept, so the
+    gradient at an accepted line-search point reuses the fields its energy
+    synthesized.  They are keyed on a private copy of that vector and
+    compared by value, not by identity: a caller may mutate the array it
+    passed, or pass an equal one built anew, and either way gets the result
+    of a fresh evaluation bit for bit.
     """
 
     def __init__(self, n: int, params: ModelParams1D, grid: Grid | None = None):
@@ -92,6 +101,10 @@ class Evaluator:
         self._wr2 = self._wt1[1:] ** 2
         self._q2 = params.q * params.q
         self._cos2t0 = math.cos(params.theta0) ** 2
+        # (private copy of the last vector, its pointwise terms), replaced as
+        # one object so that threads sharing an evaluator never pair the key
+        # of one evaluation with the terms of another
+        self._last: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
 
     # -- field synthesis -------------------------------------------------
 
@@ -107,31 +120,38 @@ class Evaluator:
     def _pointwise(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
         """Fields plus the pointwise terms shared by energy and gradient.
 
-        Returns (theta, theta_z, rho, rho_zz, sin^2 theta, rho^2, L, W) with
-        the layer term L = rho_zz + q^2 rho and the coupling term
-        W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  Powers are explicit
-        products: numpy's vectorized ** is not exactly even in its argument,
-        which would break the exact rho -> -rho energy symmetry.
+        Returns (theta, theta_z, rho, rho_zz, sin theta, cos theta,
+        sin^2 theta, rho^2, L, W) with the layer term L = rho_zz + q^2 rho
+        and the coupling term W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.
+        Powers are explicit products: numpy's vectorized ** is not exactly
+        even in its argument, which would break the exact rho -> -rho energy
+        symmetry.  Returns the kept terms when ``vec`` equals the last vector.
         """
+        last = self._last
+        if last is not None and np.array_equal(vec, last[0]):
+            return last[1]
         theta, theta_z, rho, rho_zz = self.fields(vec)
         sin_t = np.sin(theta)
+        cos_t = np.cos(theta)
         sin2 = sin_t * sin_t
         rho2 = rho * rho
         lay = rho_zz + self._q2 * rho
         cw = sin2 * rho_zz + self._q2 * self._cos2t0 * rho
-        return theta, theta_z, rho, rho_zz, sin2, rho2, lay, cw
+        terms = (theta, theta_z, rho, rho_zz, sin_t, cos_t, sin2, rho2, lay, cw)
+        self._last = (vec.copy(), terms)
+        return terms
 
     # -- energy ----------------------------------------------------------
 
     def breakdown(self, vec: np.ndarray) -> EnergyBreakdown:
         p = self.params
-        theta, theta_z, rho, _, _, rho2, lay, cw = self._pointwise(vec)
+        _, theta_z, rho, _, sin_t, cos_t, _, rho2, lay, cw = self._pointwise(vec)
         w = self.weight
-        elastic = w * float(np.sum(p.k1 * theta_z * theta_z))
-        chiral = w * float(np.sum(_chi(theta, p.k2, p.k3, p.sigma)))
-        bulk = w * float(np.sum(0.5 * p.d * rho2 - (p.e / 3.0) * rho2 * rho + 0.25 * p.f * rho2 * rho2))
-        layer = w * float(np.sum(p.lambda1 * lay * lay))
-        coupling = w * float(np.sum(p.lambda2 * cw * cw))
+        elastic = w * float((p.k1 * theta_z * theta_z).sum())
+        chiral = w * float(_chi(cos_t, sin_t, p.k2, p.k3, p.sigma).sum())
+        bulk = w * float((0.5 * p.d * rho2 - (p.e / 3.0) * rho2 * rho + 0.25 * p.f * rho2 * rho2).sum())
+        layer = w * float((p.lambda1 * lay * lay).sum())
+        coupling = w * float((p.lambda2 * cw * cw).sum())
         total = elastic + chiral + bulk + layer + coupling
         return EnergyBreakdown(total, elastic, chiral, bulk, layer, coupling)
 
@@ -141,11 +161,12 @@ class Evaluator:
     def gradient(self, vec: np.ndarray) -> np.ndarray:
         """Exact gradient of the discretized energy with respect to the coefficients."""
         p = self.params
-        theta, theta_z, rho, rho_zz, sin2, rho2, lay, cw = self._pointwise(vec)
+        theta, theta_z, rho, rho_zz, sin_t, cos_t, sin2, rho2, lay, cw = self._pointwise(vec)
         w = self.weight
         q2, cos2t0 = self._q2, self._cos2t0
 
-        dphi_dtheta = _chi_prime(theta, p.k2, p.k3, p.sigma) + 2.0 * p.lambda2 * cw * np.sin(2.0 * theta) * rho_zz
+        sin_2t = np.sin(2.0 * theta)
+        dphi_dtheta = _chi_prime(cos_t, sin_t, sin_2t, p.k2, p.k3, p.sigma) + 2.0 * p.lambda2 * cw * sin_2t * rho_zz
         dphi_dtheta_z = 2.0 * p.k1 * theta_z
         dphi_drho = p.d * rho - p.e * rho2 + p.f * rho2 * rho + 2.0 * p.lambda1 * lay * q2 + 2.0 * p.lambda2 * cw * q2 * cos2t0
         dphi_drho_zz = 2.0 * p.lambda1 * lay + 2.0 * p.lambda2 * cw * sin2
@@ -204,8 +225,9 @@ def el_residual(state: SpectralState, params: ModelParams1D, grid: Grid | None =
     sin2 = np.sin(theta) ** 2
     w_field = sin2 * rho_zz + q2 * cos2t0 * rho
 
-    r_theta = -2.0 * p.k1 * theta_zz + _chi_prime(theta, p.k2, p.k3, p.sigma) \
-        + 2.0 * p.lambda2 * w_field * np.sin(2.0 * theta) * rho_zz
+    sin_2t = np.sin(2.0 * theta)
+    r_theta = -2.0 * p.k1 * theta_zz + _chi_prime(np.cos(theta), np.sin(theta), sin_2t, p.k2, p.k3, p.sigma) \
+        + 2.0 * p.lambda2 * w_field * sin_2t * rho_zz
 
     band = g.m // 2 - 1
     prod = sin2 * w_field  # odd in z: sine series

@@ -40,6 +40,8 @@ BACKTRACK = 0.5
 ARMIJO = 1e-4
 STEP_MIN = 1e-16
 STEP_MAX = 1e6
+# Machine epsilon, the unit of the line search's floating-point slack.
+FLOAT_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def minimize(
     ev = evaluator if evaluator is not None else Evaluator(state0.n, params, grid)
     x = state0.pack()
     e = ev.energy(x)
-    if not np.isfinite(e):
+    if not math.isfinite(e):
         raise DivergenceError("non-finite energy at the starting state")
     g = ev.gradient(x)
 
@@ -163,7 +165,7 @@ def minimize(
 
     iterations = 0
     for it in range(1, opts.max_iters + 1):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         if gnorm <= opts.tol_grad:
             return _result(ev, x, e, gnorm, it - 1, True, decreasing, state0)
 
@@ -182,13 +184,13 @@ def minimize(
         # falls below the energy's floating-point resolution while the
         # analytic gradient stays accurate, and a zero-slack monotone test
         # deadlocks the line search
-        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(e))
+        slack = 4.0 * FLOAT_EPS * max(1.0, abs(e))
         alpha = step
         accepted = False
         while alpha >= STEP_MIN:
             x_new = x + alpha * direction
             e_new = ev.energy(x_new)
-            if np.isfinite(e_new) and e_new <= e + ARMIJO * alpha * slope + slack:
+            if math.isfinite(e_new) and e_new <= e + ARMIJO * alpha * slope + slack:
                 accepted = True
                 break
             alpha *= BACKTRACK
@@ -203,7 +205,7 @@ def minimize(
             decreasing = False
         x, e, g = x_new, e_new, g_new
 
-    gnorm = float(np.max(np.abs(g)))
+    gnorm = float(np.abs(g).max())
     return _result(ev, x, e, gnorm, iterations, gnorm <= opts.tol_grad, decreasing, state0)
 
 

@@ -2,8 +2,12 @@
 
 A temperature sweep walks a T grid (physically: cooling), sets
 d = alpha2*(T - T2star) at each point, minimizes from the previous converged
-state of each branch (warm start) plus fresh seeds, and keeps the
-lowest-energy converged result per branch.  Transitions are read off the
+state (warm start) plus fresh seeds, and keeps the lowest-energy converged
+result.  The sweep has two branches, the two signs of the layer pitchfork,
+rho and -rho.  The energy is even in rho: rho is a sine series, odd in z, so
+the cubic term e rho^3 integrates to zero over the cell and e breaks the
+symmetry by rounding only.  So only the "+" branch is relaxed, and the "-"
+branch is read off it as its mirror image.  Transitions are read off the
 amplitude records: the layering onset from delta_rho_max, the tilt onset
 from theta_max, both refined by linear interpolation of the squared
 amplitude (the pitchfork normal form makes amplitude^2 linear in T).
@@ -36,7 +40,8 @@ __all__ = [
 
 #: Fresh seed kinds tried at every sweep temperature besides the warm start.
 SWEEP_SEEDS = ("smectic-seed",)
-#: Seed kinds of every elastic-sweep point (both branch signs are run).
+#: Seed kinds of every elastic-sweep point, with the "+" layer sign only: a
+#: "-" seed relaxes to the mirror image of its "+" twin, at the same energy.
 ELASTIC_SEEDS = ("smectic-seed", "conical-seed")
 #: A sweep aborts when more than this share of its points fail to converge.
 MAX_FAILURE_FRACTION = 0.2
@@ -51,7 +56,8 @@ class SweepConfig:
     """Temperature grid and solver policy for a sweep.
 
     Every temperature relaxes the warm start (unless ``cold_start``) and the
-    fresh ``SWEEP_SEEDS``; both pitchfork branch signs are always run.
+    fresh ``SWEEP_SEEDS`` on the "+" pitchfork branch; the "-" branch is its
+    mirror image.
     ``eps_detect`` is the amplitude threshold separating phase labels.
     """
 
@@ -102,11 +108,6 @@ class ElasticRecord:
     converged: bool
 
 
-def _signed_seed(kind: str, sign: float, params: ModelParams1D, n: int) -> SpectralState:
-    base = seed_state(kind, params, n)
-    return SpectralState(n=n, h=base.h, theta_c=base.theta_c.copy(), rho_s=sign * base.rho_s)
-
-
 def _normalize_tilt_sign(state: SpectralState) -> SpectralState:
     """Flip theta -> -theta when the mean tilt is negative.
 
@@ -147,40 +148,44 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
     """Cooling sweep over both pitchfork branches.
 
     Returns records ordered as the temperature grid, one per (T, branch).
-    Non-converged points are recorded with ``converged=False``; the sweep
-    aborts only when more than ``MAX_FAILURE_FRACTION`` of all points fail.
+    Only the "+" branch is relaxed.  The "-" record is the "+" state with rho
+    negated: the same energy, convergence flag and Morse index (the Hessian
+    there is P H P with P = diag(+-1), which has the same spectrum), and
+    amplitudes read off the mirrored state.  Non-converged points are
+    recorded with ``converged=False``, the mirrored record too; the sweep
+    aborts only when more than ``MAX_FAILURE_FRACTION`` of all records
+    failed to converge.
     """
     temps = config.temperatures()
     grid = default_grid(config.n_modes, params.h)
     records: list[SweepRecord] = []
-    warm: dict[str, SpectralState | None] = {"+": None, "-": None}
-    failures = 0
+    warm: SpectralState | None = None
     for t_val in temps:
         params_t = params.at_temperature(float(t_val))
         evaluator = Evaluator(config.n_modes, params_t)
-        for branch, sign in (("+", 1.0), ("-", -1.0)):
-            candidates: list[SpectralState] = []
-            if not config.cold_start and warm[branch] is not None:
-                candidates.append(warm[branch])
-            candidates.extend(_signed_seed(kind, sign, params_t, config.n_modes) for kind in SWEEP_SEEDS)
-            state, energy_val, converged = _relax(candidates, params_t, config.options, evaluator)
-            if converged:
-                warm[branch] = state
-            else:
-                failures += 1
-            morse = spectrum(state, params_t).morse_index if config.record_morse else None
+        candidates: list[SpectralState] = []
+        if not config.cold_start and warm is not None:
+            candidates.append(warm)
+        candidates.extend(seed_state(kind, params_t, config.n_modes) for kind in SWEEP_SEEDS)
+        state, energy_val, converged = _relax(candidates, params_t, config.options, evaluator)
+        morse = spectrum(state, params_t).morse_index if config.record_morse else None
+        if converged:
+            warm = state
+        mirrored = SpectralState(n=state.n, h=state.h, theta_c=state.theta_c, rho_s=-state.rho_s)
+        for branch, branch_state in (("+", state), ("-", mirrored)):
             records.append(
                 SweepRecord(
                     T=float(t_val),
                     d=params_t.d,
                     branch=branch,
-                    delta_rho_max=float(np.max(state.rho_values(grid))),
-                    theta_max=float(np.max(state.theta_values(grid))),
+                    delta_rho_max=float(np.max(branch_state.rho_values(grid))),
+                    theta_max=float(np.max(branch_state.theta_values(grid))),
                     energy=energy_val,
                     morse_index=morse,
                     converged=converged,
                 )
             )
+    failures = sum(not r.converged for r in records)
     if failures > MAX_FAILURE_FRACTION * len(records):
         raise SweepError(f"{failures} of {len(records)} sweep points failed to converge")
     return records
@@ -265,13 +270,12 @@ def elastic_sweep(
     """Sweep the nematic (vary="k") or smectic (vary="lambda") elastic constants.
 
     Each point sets k1 = k2 = k3 = v (or lambda1 = lambda2 = v), relaxes
-    from fresh seeds of both signs, keeps the lowest-energy converged state
+    from the fresh ``ELASTIC_SEEDS``, keeps the lowest-energy converged state
     and records its mean tilt.  Cold starts keep the points independent.
     """
     if vary not in ("k", "lambda"):
         raise ValueError(f"vary must be 'k' or 'lambda', got {vary!r}")
     records: list[ElasticRecord] = []
-    failures = 0
     grid = default_grid(n_modes, params.h)
     for v in values:
         if vary == "k":
@@ -279,12 +283,8 @@ def elastic_sweep(
         else:
             params_v = replace(params, lambda1=v, lambda2=v)
         evaluator = Evaluator(n_modes, params_v)
-        candidates = [
-            _signed_seed(kind, sign, params_v, n_modes) for kind in ELASTIC_SEEDS for sign in (1.0, -1.0)
-        ]
+        candidates = [seed_state(kind, params_v, n_modes) for kind in ELASTIC_SEEDS]
         state, energy_val, converged = _relax(candidates, params_v, options, evaluator)
-        if not converged:
-            failures += 1
         records.append(
             ElasticRecord(
                 value=float(v),
@@ -294,6 +294,7 @@ def elastic_sweep(
                 converged=converged,
             )
         )
+    failures = sum(not r.converged for r in records)
     if failures > MAX_FAILURE_FRACTION * len(records):
         raise SweepError(f"{failures} of {len(records)} elastic-sweep points failed to converge")
     return records

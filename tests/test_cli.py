@@ -1,8 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smectic1d
 from smectic1d.cli import emit_svg, run
 
 
@@ -61,6 +66,18 @@ class TestValidateParams:
 
     def test_missing_config_file_exits_3(self, tmp_path):
         assert run(["validate-params", "--config", str(tmp_path / "missing.cfg")]) == 3
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        # the child finds the package where this process found it, installed or not
+        src = str(Path(smectic1d.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "smectic1d", "validate-params"], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "d_critical = " in proc.stdout
 
 
 class TestMinimizeCommand:

@@ -101,6 +101,33 @@ class TestFieldSynthesis:
         assert np.array_equal(rho_zz, synthesize(rs, "sine", ev.grid, 2))
 
 
+class TestLastPointReuse:
+    """The evaluator keeps the terms of the last vector; a stale reuse must not show."""
+
+    def _vectors(self):
+        rng = np.random.default_rng(31)
+        return rng.normal(size=35) * 0.3, rng.normal(size=35) * 0.3
+
+    def test_in_place_mutation_after_energy(self):
+        p = ModelParams1D(d=-0.8)
+        x, _ = self._vectors()
+        ev = Evaluator(16, p)
+        ev.energy(x)
+        x[18 + 3] += 0.05
+        x[0] -= 0.02
+        assert np.array_equal(ev.gradient(x), Evaluator(16, p).gradient(x))
+        assert ev.energy(x) == Evaluator(16, p).energy(x)
+
+    def test_alternating_vectors(self):
+        p = ModelParams1D(d=-0.8)
+        x1, x2 = self._vectors()
+        ev = Evaluator(16, p)
+        ev.energy(x1)
+        assert np.array_equal(ev.gradient(x2), Evaluator(16, p).gradient(x2))
+        assert np.array_equal(ev.gradient(x1), Evaluator(16, p).gradient(x1))
+        assert ev.breakdown(x1) == Evaluator(16, p).breakdown(x1)
+
+
 class TestGradient:
     def test_zero_at_trivial_state(self):
         p = ModelParams1D()

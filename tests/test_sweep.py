@@ -6,13 +6,17 @@ import pytest
 
 from smectic1d import (
     MinimizeOptions,
+    SpectralState,
     SweepConfig,
     SweepError,
     SweepRecord,
     d_critical,
+    default_grid,
     detect_transitions,
     elastic_sweep,
+    minimize,
     pitchfork_exponent,
+    seed_state,
     sweep_temperature,
     temperature_from_d,
 )
@@ -22,6 +26,28 @@ def _quick_config(**kw) -> SweepConfig:
     base = dict(t_start=-10.3, t_end=-10.6, dt=0.05)
     base.update(kw)
     return SweepConfig(**base)
+
+
+def _assert_minus_records_match_explicit_solves(params, config, records, tol=0.0):
+    """Each cold-start "-" record equals one built from minimizing the "-" seed.
+
+    tol = 0 asks for bit-for-bit equality; otherwise energy and amplitudes
+    may differ by tol, relative for the energy and absolute for amplitudes.
+    """
+    n = config.n_modes
+    grid = default_grid(n, params.h)
+    minus = [r for r in records if r.branch == "-"]
+    assert len(minus) == len(config.temperatures())
+    for r in minus:
+        p = params.at_temperature(r.T)
+        seed = seed_state("smectic-seed", p, n)
+        state, report = minimize(SpectralState(n=n, h=p.h, theta_c=seed.theta_c, rho_s=-seed.rho_s), p, config.options)
+        if state.theta_c[0] < 0:  # records hold the positive-tilt representative
+            state = SpectralState(n=n, h=p.h, theta_c=-state.theta_c, rho_s=state.rho_s)
+        assert r.energy == pytest.approx(report.final_energy, rel=tol, abs=0.0), r.T
+        assert r.converged == report.converged, r.T
+        assert r.delta_rho_max == pytest.approx(float(np.max(state.rho_values(grid))), rel=0.0, abs=tol), r.T
+        assert r.theta_max == pytest.approx(float(np.max(state.theta_values(grid))), rel=0.0, abs=tol), r.T
 
 
 class TestSweepConfig:
@@ -60,6 +86,20 @@ class TestSweepTemperature:
             by_t.setdefault(r.T, {})[r.branch] = r.energy
         for pair in by_t.values():
             assert abs(pair["+"] - pair["-"]) < 1e-10
+        # the "-" branch is the mirror of the "+" one, not a solve of its
+        # own; at e = 0 it must be bit for bit what a solve would give
+        config = _quick_config(cold_start=True, n_modes=16)
+        _assert_minus_records_match_explicit_solves(fig3_params, config, sweep_temperature(fig3_params, config))
+
+    def test_cubic_term_leaves_the_mirror_exact_to_rounding(self, fig3_params):
+        # The cubic term integrates to zero over sine modes, so e != 0 breaks
+        # the rho -> -rho symmetry only through rounding, and the mirrored
+        # "-" branch still matches an explicit solve of the "-" seed
+        config = _quick_config(cold_start=True, n_modes=16)
+        cubic = replace(fig3_params, e=0.05)
+        records = sweep_temperature(cubic, config)
+        assert any(r.delta_rho_max > 1e-3 for r in records)
+        _assert_minus_records_match_explicit_solves(cubic, config, records, tol=1e-12)
 
     def test_warm_and_cold_agree(self, fig3_params):
         warm = sweep_temperature(fig3_params, _quick_config())
