@@ -10,7 +10,6 @@ sequence in temperature sweeps.
 
 from . import tensor
 from .params import (
-    LdGParams,
     ModelParams1D,
     OFConstants,
     RunConfig,
@@ -18,9 +17,7 @@ from .params import (
     d_from_temperature,
     format_config,
     map_to_oseen_frank,
-    nondimensionalize,
     parse_config,
-    redimensionalize,
     temperature_from_d,
     validate_elastic_constants,
 )
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "tensor",
-    "LdGParams",
     "ModelParams1D",
     "OFConstants",
     "RunConfig",
@@ -62,9 +58,7 @@ __all__ = [
     "d_from_temperature",
     "format_config",
     "map_to_oseen_frank",
-    "nondimensionalize",
     "parse_config",
-    "redimensionalize",
     "temperature_from_d",
     "validate_elastic_constants",
     "Grid",

@@ -51,12 +51,19 @@ def _fmt(x: float) -> str:
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file.
+
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask, not the private 0o600 of the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -383,12 +390,17 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # checked before any solve: detect_transitions would reject both only
+    # after the whole sweep had run
+    if args.t_end > args.t_start:
+        raise ValueError("sweeps run cooling only: --t-end must not exceed --t-start")
+    if not args.eps_detect > 0:
+        raise ValueError(f"--eps-detect must be positive, got {args.eps_detect}")
     config = _load_config(args)
     sweep_config = sweep_mod.SweepConfig(
         t_start=args.t_start,
         t_end=args.t_end,
         dt=args.dt,
-        eps_detect=args.eps_detect,
         record_morse=args.record_morse,
         cold_start=args.cold_start,
         n_modes=config.n_modes,

@@ -71,9 +71,10 @@ def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: 
 class Evaluator:
     """Energy/gradient evaluator over packed coefficient vectors.
 
-    Reads the shared trig table (``spectral._tables``) for a fixed (N, grid)
-    pair so that repeated evaluations (line searches, sweeps, finite
-    differences) cost a handful of dense matrix-vector products each.
+    Reads the shared trig table (``spectral._tables``) for order N on its
+    alias-free grid ``default_grid(N, h)``, so that repeated evaluations
+    (line searches, sweeps, finite differences) cost a handful of dense
+    matrix-vector products each.
 
     The pointwise terms of the last vector evaluated are kept, so the
     gradient at an accepted line-search point reuses the fields its energy
@@ -83,12 +84,8 @@ class Evaluator:
     of a fresh evaluation bit for bit.
     """
 
-    def __init__(self, n: int, params: ModelParams1D, grid: Grid | None = None):
-        if grid is None:
-            grid = default_grid(n, params.h)
-        if abs(grid.h - params.h) > 1e-12 * max(1.0, abs(params.h)):
-            raise ValueError(f"grid height {grid.h} does not match the model cell {params.h}")
-        grid.check_order(n)
+    def __init__(self, n: int, params: ModelParams1D):
+        grid = default_grid(n, params.h)
         self.n = n
         self.params = params
         self.grid = grid
@@ -181,20 +178,20 @@ def _check_state(state: SpectralState, params: ModelParams1D) -> None:
         raise ValueError(f"state cell height {state.h} does not match the model cell {params.h}")
 
 
-def energy(state: SpectralState, params: ModelParams1D, grid: Grid | None = None) -> EnergyBreakdown:
+def energy(state: SpectralState, params: ModelParams1D) -> EnergyBreakdown:
     """Energy of a state, broken into its five contributions.
 
-    Evaluated by quadrature of the exact integrand on an anti-aliased grid
-    (M >= 4(N+2) by default); deterministic for fixed inputs.
+    Evaluated by quadrature of the exact integrand on the alias-free grid
+    M = 4(N+2); deterministic for fixed inputs.
     """
     _check_state(state, params)
-    return Evaluator(state.n, params, grid).breakdown(state.pack())
+    return Evaluator(state.n, params).breakdown(state.pack())
 
 
-def gradient(state: SpectralState, params: ModelParams1D, grid: Grid | None = None) -> np.ndarray:
+def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     """Gradient of the discretized energy with respect to (theta_c, rho_s)."""
     _check_state(state, params)
-    return Evaluator(state.n, params, grid).gradient(state.pack())
+    return Evaluator(state.n, params).gradient(state.pack())
 
 
 def el_residual(state: SpectralState, params: ModelParams1D, grid: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +263,6 @@ def reconstruct_director(
     return phi, n1, n2, n3
 
 
-def mean_tilt(state: SpectralState, params: ModelParams1D, grid: Grid | None = None) -> float:
+def mean_tilt(state: SpectralState, params: ModelParams1D) -> float:
     """Average tilt (1/h) int_0^h theta dz."""
-    g = grid or default_grid(state.n, params.h)
-    return quadrature(state.theta_values(g), params.h) / params.h
+    return quadrature(state.theta_values(default_grid(state.n, params.h)), params.h) / params.h

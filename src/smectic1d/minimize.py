@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy1d import Evaluator
 from .params import ModelParams1D
-from .spectral import Grid, SpectralState, gram_diagonal
+from .spectral import SpectralState, gram_diagonal
 
 __all__ = ["MinimizeOptions", "MinimizeReport", "DivergenceError", "minimize", "seed_state", "SEED_KINDS"]
 
@@ -64,19 +64,12 @@ class MinimizeOptions:
 
 @dataclass(frozen=True)
 class MinimizeReport:
-    """Outcome of one minimization.
-
-    ``energy_history_decreasing`` means every accepted step satisfied the
-    monotone sufficient-decrease test within floating-point resolution (an
-    accepted step may raise the energy by a few ulps when the true decrease
-    is below resolution; anything larger would mark the flag False).
-    """
+    """Outcome of one minimization."""
 
     converged: bool
     iterations: int
     final_grad_norm: float
     final_energy: float
-    energy_history_decreasing: bool
 
 
 def seed_state(kind: str, params: ModelParams1D, n: int) -> SpectralState:
@@ -134,15 +127,16 @@ def minimize(
     state0: SpectralState,
     params: ModelParams1D,
     opts: MinimizeOptions = MinimizeOptions(),
-    grid: Grid | None = None,
     evaluator: Evaluator | None = None,
 ) -> tuple[SpectralState, MinimizeReport]:
     """Minimize the discretized energy starting from ``state0``.
 
     Returns the final state together with a report.  ``converged`` means the
     sup-norm of the gradient fell to ``tol_grad``; otherwise the best iterate
-    found within ``max_iters`` is returned.  Accepted iterates have strictly
-    non-increasing energy (monotone line search).
+    found within ``max_iters`` is returned.  The line search is monotone: an
+    accepted step raises the energy by at most its slack of a few ulps,
+    4 eps max(1, |E|), because the preconditioned direction always descends
+    (slope <= 0).
 
     Raises
     ------
@@ -150,7 +144,7 @@ def minimize(
         If the energy is non-finite at the starting point or turns
         non-finite in a way backtracking cannot repair.
     """
-    ev = evaluator if evaluator is not None else Evaluator(state0.n, params, grid)
+    ev = evaluator if evaluator is not None else Evaluator(state0.n, params)
     x = state0.pack()
     e = ev.energy(x)
     if not math.isfinite(e):
@@ -160,14 +154,13 @@ def minimize(
     dinv = 1.0 / _precondition_diagonal(state0.n, params)
     s_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
-    decreasing = True
     step = STEP0
 
     iterations = 0
     for it in range(1, opts.max_iters + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.tol_grad:
-            return _result(ev, x, e, gnorm, it - 1, True, decreasing, state0)
+            return _result(x, e, gnorm, it - 1, True, state0)
 
         direction = -(dinv * g)
         slope = float(g @ direction)  # negative descent slope
@@ -197,34 +190,18 @@ def minimize(
         iterations = it
         if not accepted:
             # line search stalled even with slack: flat to working precision
-            return _result(ev, x, e, gnorm, it, False, decreasing, state0)
+            return _result(x, e, gnorm, it, False, state0)
         g_new = ev.gradient(x_new)
         s_prev = x_new - x
         y_prev = g_new - g
-        if e_new > e + slack:
-            decreasing = False
         x, e, g = x_new, e_new, g_new
 
     gnorm = float(np.abs(g).max())
-    return _result(ev, x, e, gnorm, iterations, gnorm <= opts.tol_grad, decreasing, state0)
+    return _result(x, e, gnorm, iterations, gnorm <= opts.tol_grad, state0)
 
 
 def _result(
-    ev: Evaluator,
-    x: np.ndarray,
-    e: float,
-    gnorm: float,
-    iterations: int,
-    converged: bool,
-    decreasing: bool,
-    state0: SpectralState,
+    x: np.ndarray, e: float, gnorm: float, iterations: int, converged: bool, state0: SpectralState
 ) -> tuple[SpectralState, MinimizeReport]:
     state = SpectralState.from_vector(x, state0.n, state0.h)
-    report = MinimizeReport(
-        converged=converged,
-        iterations=iterations,
-        final_grad_norm=gnorm,
-        final_energy=e,
-        energy_history_decreasing=decreasing,
-    )
-    return state, report
+    return state, MinimizeReport(converged=converged, iterations=iterations, final_grad_norm=gnorm, final_energy=e)

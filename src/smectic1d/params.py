@@ -1,16 +1,16 @@
 """Model coefficients, their validity constraints, and the elastic-constant maps.
 
-Two coefficient sets live here.  ``LdGParams`` carries the full tensor-model
-coefficients (nematic bulk, nematic elastic, smectic bulk, coupling).
 ``ModelParams1D`` carries the reduced one-dimensional model: director elastic
 constants k1, k2, k3, the cholesteric wavenumber sigma, the layer wavenumber q,
-and the smectic bulk/elastic coefficients.  Both are immutable values; derived
-quantities are recomputed on demand.
+and the smectic bulk/elastic coefficients, all dimensionless.  It is an
+immutable value; derived quantities are recomputed on demand.
 
-The uniaxial lift of the tensor elastic energy induces director elastic
-constants via :func:`map_to_oseen_frank`; nondimensionalization against a
-length scale R and an energy scale eta0 is the single bridge from
-unit-carrying inputs to the dimensionless model.
+The tensor-model constants enter only as loose floats: the uniaxial order
+parameter from the nematic bulk coefficients (:func:`compute_s_plus`), the
+validity of the nematic elastic constants
+(:func:`validate_elastic_constants`), and the director elastic constants
+that the uniaxial lift of the tensor elastic energy induces
+(:func:`map_to_oseen_frank`).
 """
 
 from __future__ import annotations
@@ -140,89 +140,6 @@ def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) ->
     k2 = s2 * eta1
     k4 = s2 * (eta24 - eta1) / 2.0
     return OFConstants(k1=k1, k2=k2, k3=k3, k4=k4, C6_floor=k2 + k4)
-
-
-@dataclass(frozen=True)
-class LdGParams:
-    """Coefficients of the full tensor free energy (dimensionless by default).
-
-    A, B, C, f_B0 are the nematic bulk coefficients; eta1, eta2, eta24 the
-    nematic elastic constants; sigma the cholesteric wavenumber; d, e, f the
-    smectic bulk coefficients; lambda1, lambda2 the smectic elastic
-    coefficients; q the layer wavenumber; theta0 the preferred tilt angle.
-    """
-
-    A: float
-    B: float
-    C: float
-    eta1: float
-    eta2: float
-    eta24: float
-    sigma: float
-    d: float
-    e: float
-    f: float
-    lambda1: float
-    lambda2: float
-    q: float
-    theta0: float
-    f_B0: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("B", "C", "f", "lambda1", "lambda2", "q"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not 0 < self.theta0 < math.pi / 2:
-            raise ValueError(f"theta0 must lie in (0, pi/2), got {self.theta0}")
-        verdict = validate_elastic_constants(self.eta1, self.eta2, self.eta24)
-        if not verdict.valid:
-            raise ValueError(f"invalid elastic constants: {verdict.violation}")
-
-    def s_plus(self) -> float:
-        return compute_s_plus(self.A, self.B, self.C)
-
-
-#: Scaled fields of LdGParams.  Wavenumbers scale with R, elastic constants
-#: with eta0, smectic elastic constants with eta0*R^2, energy densities with
-#: eta0/R^2; theta0 is an angle and does not scale.
-_SCALE_BY_R2_OVER_ETA0 = ("d", "e", "f", "A", "B", "C", "f_B0")
-
-
-def nondimensionalize(raw: LdGParams, R: float, eta0: float) -> LdGParams:
-    """Rescale a unit-carrying parameter set to dimensionless form.
-
-    ``q -> q*R``, ``sigma -> sigma*R``, ``lambda_i -> lambda_i/(eta0*R^2)``,
-    ``eta_i -> eta_i/eta0`` and every energy-density coefficient
-    (d, e, f, A, B, C, f_B0) picks up ``R^2/eta0``.
-
-    Raises
-    ------
-    ValueError
-        If ``R <= 0`` or ``eta0 <= 0``.
-    """
-    if not (R > 0 and eta0 > 0):
-        raise ValueError(f"scales must be positive, got R = {R}, eta0 = {eta0}")
-    dens = R * R / eta0
-    kw = {name: getattr(raw, name) * dens for name in _SCALE_BY_R2_OVER_ETA0}
-    return replace(
-        raw,
-        q=raw.q * R,
-        sigma=raw.sigma * R,
-        eta1=raw.eta1 / eta0,
-        eta2=raw.eta2 / eta0,
-        eta24=raw.eta24 / eta0,
-        lambda1=raw.lambda1 / (eta0 * R * R),
-        lambda2=raw.lambda2 / (eta0 * R * R),
-        **kw,
-    )
-
-
-def redimensionalize(nd: LdGParams, R: float, eta0: float) -> LdGParams:
-    """Inverse of :func:`nondimensionalize` at the same scales."""
-    if not (R > 0 and eta0 > 0):
-        raise ValueError(f"scales must be positive, got R = {R}, eta0 = {eta0}")
-    return nondimensionalize(nd, 1.0 / R, 1.0 / eta0)
 
 
 @dataclass(frozen=True)

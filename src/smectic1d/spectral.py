@@ -187,10 +187,9 @@ class SpectralState:
     def rho_values(self, grid: Grid, order: int = 0) -> np.ndarray:
         return synthesize(self.rho_s, "sine", grid, order)
 
-    def theta_in_range(self, grid: Grid | None = None) -> bool:
+    def theta_in_range(self) -> bool:
         """Post-hoc check that the represented tilt stays within [-pi/2, pi/2]."""
-        g = grid or default_grid(self.n, self.h)
-        th = self.theta_values(g)
+        th = self.theta_values(default_grid(self.n, self.h))
         return bool(np.all(np.abs(th) <= math.pi / 2))
 
 

@@ -47,28 +47,30 @@ HESSIAN_FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Sorted Hessian eigenvalues and the Morse index at a state.
+    """Ascending mass-normalized Hessian eigenvalues at a state.
 
-    ``space`` records which perturbation space the eigenvalues live in:
-    "sine-restricted" for the discretized basis (sine modes only for the
-    smectic variable), "analytic-full" for the closed-form spectrum that
-    also carries the cosine partners and the constant mode.
+    The eigenvalues live in the discretized (sine-restricted) perturbation
+    space: sine modes only for the smectic variable, so the cosine partners
+    and the constant mode of the closed-form spectrum are absent.  The Morse
+    index counts the eigenvalues below -TOL_EIG.
     """
 
     eigenvalues: np.ndarray
-    morse_index: int
-    min_eigenvalue: float
-    space: str
-    tol_eig: float = TOL_EIG
 
     def __post_init__(self) -> None:
         ev = np.array(self.eigenvalues, dtype=float)
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be ascending")
-        if self.morse_index != int(np.sum(ev < -self.tol_eig)):
-            raise ValueError("morse_index is inconsistent with the eigenvalue array")
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
+
+    @property
+    def morse_index(self) -> int:
+        return int(np.sum(self.eigenvalues < -TOL_EIG))
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[0])
 
 
 class AnalyticMode(NamedTuple):
@@ -79,25 +81,19 @@ class AnalyticMode(NamedTuple):
     value: float
 
 
-def hessian(
-    state: SpectralState,
-    params: ModelParams1D,
-    grid: Grid | None = None,
-    step: float = HESSIAN_FD_STEP,
-    symmetrize: bool = True,
-) -> np.ndarray:
+def hessian(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     """Coefficient Hessian by central differences of the analytic gradient.
 
     Columns are differenced at steps delta and 2*delta with
-    delta = step * max(1, |c|_inf) and Richardson-combined, which cancels the
-    leading O(delta^2) error exactly for the polynomial terms.  The result
-    is symmetrized as (H + H^T)/2; the raw column matrix (asymmetry at the
-    finite-difference noise floor) is available with ``symmetrize=False``.
+    delta = HESSIAN_FD_STEP * max(1, |c|_inf) and Richardson-combined, which
+    cancels the leading O(delta^2) error exactly for the polynomial terms.
+    The column matrix H is returned as (H + H^T)/2; the asymmetry that this
+    removes is at the finite-difference noise floor.
     """
-    ev = Evaluator(state.n, params, grid)
+    ev = Evaluator(state.n, params)
     x = state.pack()
     dim = x.size
-    delta = step * max(1.0, float(np.max(np.abs(x))))
+    delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(x))))
     h_mat = np.empty((dim, dim))
     for j in range(dim):
         e_j = np.zeros(dim)
@@ -105,37 +101,24 @@ def hessian(
         col_1 = (ev.gradient(x + delta * e_j) - ev.gradient(x - delta * e_j)) / (2.0 * delta)
         col_2 = (ev.gradient(x + 2.0 * delta * e_j) - ev.gradient(x - 2.0 * delta * e_j)) / (4.0 * delta)
         h_mat[:, j] = (4.0 * col_1 - col_2) / 3.0
-    if not symmetrize:
-        return h_mat
     return 0.5 * (h_mat + h_mat.T)
 
 
-def spectrum(
-    state: SpectralState,
-    params: ModelParams1D,
-    grid: Grid | None = None,
-    tol_eig: float = TOL_EIG,
-) -> StabilityReport:
-    """Mass-normalized Hessian spectrum at a state (space = sine-restricted).
+def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
+    """Mass-normalized Hessian spectrum at a state, in the sine-restricted space.
 
     Eigenvalues are Rayleigh quotients per unit L2 norm: the generalized
     problem H v = mu G v with the diagonal Gram matrix G of the basis.
+    ``eigvalsh`` returns them ascending.
     """
-    h_mat = hessian(state, params, grid)
+    h_mat = hessian(state, params)
     scale = 1.0 / np.sqrt(gram_diagonal(state.n, state.h))
     normalized = h_mat * np.outer(scale, scale)
     try:
         eigs = np.linalg.eigvalsh(normalized)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solve failed: {exc}") from exc
-    eigs = np.sort(eigs)
-    return StabilityReport(
-        eigenvalues=eigs,
-        morse_index=int(np.sum(eigs < -tol_eig)),
-        min_eigenvalue=float(eigs[0]),
-        space="sine-restricted",
-        tol_eig=tol_eig,
-    )
+    return StabilityReport(eigenvalues=eigs)
 
 
 def _rho_mode_eigenvalue(params: ModelParams1D, n: int) -> float:

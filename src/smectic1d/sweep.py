@@ -57,14 +57,13 @@ class SweepConfig:
 
     Every temperature relaxes the warm start (unless ``cold_start``) and the
     fresh ``SWEEP_SEEDS`` on the "+" pitchfork branch; the "-" branch is its
-    mirror image.
-    ``eps_detect`` is the amplitude threshold separating phase labels.
+    mirror image.  The amplitude threshold that separates phase labels is
+    not part of the sweep: :func:`detect_transitions` takes it.
     """
 
     t_start: float
     t_end: float
     dt: float
-    eps_detect: float = 1e-3
     record_morse: bool = False
     cold_start: bool = False
     n_modes: int = 64
@@ -73,8 +72,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
-        if not self.eps_detect > 0:
-            raise ValueError(f"eps_detect must be positive, got {self.eps_detect}")
 
     def temperatures(self) -> np.ndarray:
         span = self.t_end - self.t_start
@@ -195,17 +192,21 @@ def _onset(seq: list[SweepRecord], amplitudes: list[float], eps_detect: float) -
     """Bracketed onset: the first amplitude >= eps_detect after one below it.
 
     The zero crossing is refined by linear interpolation of the squared
-    amplitude in T (pitchfork normal form).  None when no amplitude reaches
-    eps_detect or when the first record already does (onset not bracketed).
+    amplitude in T (pitchfork normal form) and clamped to the bracket
+    [T of the first record at or above eps_detect, T of the last record
+    below it], because a flat or bent amplitude curve extrapolates far past
+    it.  None when no amplitude reaches eps_detect or when the first record
+    already does (onset not bracketed).
     """
     idx = next((i for i, a in enumerate(amplitudes) if a >= eps_detect), None)
     if not idx:  # None: never reached; 0: not bracketed
         return None
     t_i, a_i = seq[idx].T, amplitudes[idx]
+    t_above = seq[idx - 1].T
     if idx + 1 < len(seq) and amplitudes[idx + 1] > a_i:
         t_j, a_j = seq[idx + 1].T, amplitudes[idx + 1]
-        return t_i - a_i**2 * (t_j - t_i) / (a_j**2 - a_i**2)
-    return 0.5 * (seq[idx - 1].T + t_i)
+        return min(max(t_i - a_i**2 * (t_j - t_i) / (a_j**2 - a_i**2), t_i), t_above)
+    return 0.5 * (t_above + t_i)
 
 
 def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[float | None, float | None]:
@@ -214,11 +215,14 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     Records must be ordered by decreasing T.  The first record (largest T)
     with delta_rho_max >= eps_detect marks the layering transition; the
     first with theta_max >= eps_detect marks the tilt transition.  Both are
-    refined by linear interpolation of the squared amplitude against T.
-    A transition is reported only when the sweep brackets it: None when it
-    is absent from the swept range, and None when it is not bracketed
-    because the first record is already past the threshold.
+    refined by linear interpolation of the squared amplitude against T and
+    lie inside their bracket.  A transition is reported only when the sweep
+    brackets it: None when it is absent from the swept range, and None when
+    it is not bracketed because the first record is already past the
+    threshold.  ``eps_detect`` must be positive.
     """
+    if not eps_detect > 0:
+        raise ValueError(f"eps_detect must be positive, got {eps_detect}")
     if not records:
         return None, None
     branch = records[0].branch
@@ -288,7 +292,7 @@ def elastic_sweep(
         records.append(
             ElasticRecord(
                 value=float(v),
-                theta_bar=mean_tilt(state, params_v, grid),
+                theta_bar=mean_tilt(state, params_v),
                 delta_rho_max=float(np.max(state.rho_values(grid))),
                 energy=energy_val,
                 converged=converged,

@@ -24,9 +24,8 @@ _I3 = np.eye(3)
 
 TRACE_TOL = 1e-12
 UNIT_TOL = 1e-10
-ORTHO_TOL = 1e-8
 
-#: Default relative step for finite-difference gradients of director fields.
+#: Relative step for finite-difference gradients of director fields.
 FD_STEP = 1e-5
 
 
@@ -84,28 +83,6 @@ class QGradient:
         g = np.zeros((3, 3, 3))
         g[:, :, 2] = dq_dz
         return cls(g)
-
-
-@dataclass(frozen=True)
-class DirectorSample:
-    """A unit director and its spatial gradient dn[i, j] = dn_i/dx_j."""
-
-    n: np.ndarray
-    dn: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = np.array(self.n, dtype=float)
-        dn = np.array(self.dn, dtype=float)
-        if n.shape != (3,) or dn.shape != (3, 3):
-            raise ValueError(f"expected shapes (3,) and (3, 3), got {n.shape}, {dn.shape}")
-        if abs(np.linalg.norm(n) - 1.0) > UNIT_TOL:
-            raise ValueError(f"director is not unit length: |n| = {np.linalg.norm(n)}")
-        if np.max(np.abs(n @ dn)) > ORTHO_TOL:
-            raise ValueError("gradient is not tangent: n . dn/dx_j must vanish")
-        n.setflags(write=False)
-        dn.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dn", dn)
 
 
 def uniaxial_q(n: Sequence[float], s: float) -> QTensor:
@@ -250,14 +227,13 @@ def uniaxial_reduction_offset(s_plus: float, eta1: float, sigma: float) -> float
 
 def reduction_residual(
     z: np.ndarray,
-    n: Callable[[float], np.ndarray] | np.ndarray,
+    n: Callable[[float], np.ndarray],
     s_plus: float,
     eta1: float,
     eta2: float,
     eta24: float,
     sigma: float,
-    dn: Callable[[float], np.ndarray] | np.ndarray | None = None,
-    fd_step: float = FD_STEP,
+    dn: Callable[[float], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Pointwise difference between the tensor and director elastic densities.
 
@@ -267,16 +243,12 @@ def reduction_residual(
     constant and equal to :func:`uniaxial_reduction_offset` for every smooth
     unit field.
 
-    ``n`` may be a callable z -> unit 3-vector or an array of samples of
-    shape (len(z), 3).  Derivatives ``dn`` may be given the same way; when
-    omitted, ``n`` must be callable and central differences with step
-    ``fd_step * max(1, sup|n|)`` are used.
+    ``n`` is a callable z -> unit 3-vector and ``dn`` an optional callable
+    z -> dn/dz; when ``dn`` is omitted, central differences with step
+    ``FD_STEP * max(1, sup|n|)`` are used.
     """
     z = np.asarray(z, dtype=float)
-    if callable(n):
-        nv = np.array([np.asarray(n(zj), dtype=float) for zj in z])
-    else:
-        nv = np.array(n, dtype=float)
+    nv = np.array([np.asarray(n(zj), dtype=float) for zj in z])
     if nv.shape != (z.size, 3):
         raise ValueError(f"expected director samples of shape ({z.size}, 3), got {nv.shape}")
     norms = np.linalg.norm(nv, axis=1)
@@ -284,14 +256,10 @@ def reduction_residual(
         raise ValueError(f"director samples are not unit length (max deviation {np.max(np.abs(norms - 1.0))})")
 
     if dn is None:
-        if not callable(n):
-            raise ValueError("derivatives are required when the director is given as samples")
-        step = fd_step * max(1.0, float(np.max(np.abs(nv))))
+        step = FD_STEP * max(1.0, float(np.max(np.abs(nv))))
         dnv = np.array([(np.asarray(n(zj + step)) - np.asarray(n(zj - step))) / (2.0 * step) for zj in z])
-    elif callable(dn):
-        dnv = np.array([np.asarray(dn(zj), dtype=float) for zj in z])
     else:
-        dnv = np.array(dn, dtype=float)
+        dnv = np.array([np.asarray(dn(zj), dtype=float) for zj in z])
     if dnv.shape != (z.size, 3):
         raise ValueError(f"expected derivative samples of shape ({z.size}, 3), got {dnv.shape}")
 
@@ -315,9 +283,3 @@ def reduction_residual(
             nj, dj, k1, k2, k3, k4, sigma
         )
     return res
-
-
-def residual_is_constant(residual: np.ndarray, tol: float) -> bool:
-    """True when the residual's spread (max - min) stays below tol."""
-    residual = np.asarray(residual, dtype=float)
-    return bool(np.ptp(residual) < tol)

@@ -172,6 +172,32 @@ class TestSweepCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t-start", "-10.6", "--t-end", "-10.3", "--dt", "0.05"], "cooling"),
+            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "0"], "eps-detect"),
+            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect=-1e-3"], "eps-detect"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_solving(self, tmp_path, capsys, monkeypatch, flags, message):
+        solved = []
+        monkeypatch.setattr("smectic1d.sweep.sweep_temperature", lambda *a, **k: solved.append(a) or [])
+        out_path = tmp_path / "sweep.csv"
+        assert run(["sweep", *flags, "--out", str(out_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not solved
+        assert not out_path.exists()
+
+    def test_single_point_sweep(self, tmp_path, capsys):
+        cfg = _write_fig3_config(tmp_path, N=16)
+        out_path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--config", cfg, "--t-start", "-10.5", "--t-end", "-10.5", "--dt", "0.05",
+                    "--out", str(out_path)])
+        assert code == 0
+        with open(out_path, newline="") as fh:
+            assert [r["T"] for r in csv.DictReader(fh)] == ["-10.5", "-10.5"]
+
 
 class TestElasticSweepCommand:
     def test_csv(self, tmp_path):
@@ -213,6 +239,18 @@ class TestPlot:
         assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(s1)]) == 0
         assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(s2)]) == 0
         assert s1.read_bytes() == s2.read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
+        data = tmp_path / "profile.csv"
+        data.write_text("z,theta,delta_rho\n0,0.1,0.2\n1,0.3,0.4\n")
+        svg = tmp_path / "profile.svg"
+        old = os.umask(umask)
+        try:
+            assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(svg)]) == 0
+        finally:
+            os.umask(old)
+        assert svg.stat().st_mode & 0o777 == mode
 
     def test_single_point_gets_marker(self):
         svg = emit_svg("elastic", [{"value": "1.0", "theta_bar": "0.5", "delta_rho_max": "0", "energy": "0"}])

@@ -82,7 +82,7 @@ class TestEnergy:
         p = ModelParams1D()
         state = SpectralState.zeros(16, p.h)
         with pytest.raises(ValueError, match="too small"):
-            energy(state, p, Grid(32, p.h))
+            el_residual(state, p, Grid(32, p.h))
 
 
 class TestFieldSynthesis:

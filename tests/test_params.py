@@ -106,53 +106,6 @@ class TestOseenFrankMap:
             pm.map_to_oseen_frank(1.0, 1.0, 1.0, 0.0)
 
 
-def _ldg(**overrides) -> pm.LdGParams:
-    base = dict(
-        A=-1.0, B=1.0, C=1.0, eta1=1.0, eta2=1.0, eta24=1.0, sigma=4.0,
-        d=-0.5, e=0.0, f=10.0, lambda1=1e-3, lambda2=1e-3, q=4.0, theta0=math.pi / 9,
-    )
-    base.update(overrides)
-    return pm.LdGParams(**base)
-
-
-class TestNondimensionalize:
-    def test_identity_scales(self):
-        raw = _ldg()
-        assert pm.nondimensionalize(raw, 1.0, 1.0) == raw
-
-    def test_wavenumber_scaling(self):
-        raw = _ldg(q=2.0 * math.pi * 1e6, sigma=2.0 * math.pi * 1e6)
-        nd = pm.nondimensionalize(raw, 1e-6, 1.0)
-        assert nd.q == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-    def test_layer_constant_scaling(self):
-        raw = _ldg(lambda1=1e-12)
-        nd = pm.nondimensionalize(raw, 1e-6, 1.0)
-        assert nd.lambda1 == pytest.approx(1.0, rel=1e-15)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        raw = _ldg()
-        for _ in range(50):
-            r = 10.0 ** rng.uniform(-7, 2)
-            eta0 = 10.0 ** rng.uniform(-3, 3)
-            back = pm.redimensionalize(pm.nondimensionalize(raw, r, eta0), r, eta0)
-            for field in dataclasses.fields(raw):
-                a = getattr(raw, field.name)
-                b = getattr(back, field.name)
-                assert b == pytest.approx(a, rel=1e-13), field.name
-
-    def test_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            pm.nondimensionalize(_ldg(), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            pm.nondimensionalize(_ldg(), 1.0, -2.0)
-
-    def test_invalid_elastic_constants_rejected(self):
-        with pytest.raises(ValueError, match="elastic"):
-            _ldg(eta1=1.0, eta2=-1.0, eta24=1.0)
-
-
 class TestTemperatureMap:
     def test_examples(self):
         p = pm.ModelParams1D()

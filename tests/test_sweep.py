@@ -186,6 +186,30 @@ class TestDetectTransitions:
         ]
         assert detect_transitions(records, 1e-3) == (None, None)
 
+    def test_onset_clamped_to_its_bracket(self):
+        # squared amplitudes 0.25 -> 0.2601 extrapolate to T = -9.525, above
+        # the swept range; the onset must stay in (-10.02, -10.0]
+        records = [
+            SweepRecord(T=T, d=T + 10, branch="+", delta_rho_max=amp, theta_max=amp,
+                        energy=0.0, morse_index=None, converged=True)
+            for T, amp in ((-10.0, 0.0), (-10.02, 0.50), (-10.04, 0.51))
+        ]
+        assert detect_transitions(records, 1e-3) == (-10.0, -10.0)
+
+    def test_coarse_tilt_sweep_onset_inside_bracket(self, tilt_params):
+        # the tilt jumps on between -11.6 and -11.8; unclamped, the squared
+        # amplitudes extrapolate to T = -11.456
+        records = sweep_temperature(tilt_params, SweepConfig(t_start=-11.4, t_end=-12.0, dt=0.2))
+        amps = [r.theta_max for r in records if r.branch == "+"]
+        assert amps[1] < 1e-3 <= amps[2]
+        _, t_hssc = detect_transitions(records, 1e-3)
+        assert -11.8 <= t_hssc <= -11.6
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+    def test_nonpositive_threshold_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps_detect"):
+            detect_transitions([], eps)
+
 
 class TestPitchforkExponent:
     def test_synthetic_square_root_law(self):

@@ -52,15 +52,6 @@ class TestQTypes:
         with pytest.raises(ValueError, match="trace"):
             tn.QGradient(g2)
 
-    def test_director_sample_validation(self):
-        with pytest.raises(ValueError, match="unit"):
-            tn.DirectorSample(np.array([1.0, 1.0, 0.0]), np.zeros((3, 3)))
-        dn = np.zeros((3, 3))
-        dn[0, 2] = 0.5  # n . dn_z != 0 for n = e_x
-        with pytest.raises(ValueError, match="tangent"):
-            tn.DirectorSample(np.array([1.0, 0.0, 0.0]), dn)
-        tn.DirectorSample(np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)))
-
 
 class TestUniaxial:
     def test_axis_aligned(self):
@@ -219,7 +210,7 @@ class TestReduction:
     def test_helix_residual_constant(self):
         z = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         res = tn.reduction_residual(z, self._helix, self.S_PLUS, 1.0, 0.0, 0.0, self.SIGMA)
-        assert tn.residual_is_constant(res, 1e-8)
+        assert np.ptp(res) < 1e-8
         assert np.mean(res) == pytest.approx(3.0, rel=1e-6)
         assert tn.uniaxial_reduction_offset(self.S_PLUS, 1.0, self.SIGMA) == pytest.approx(3.0)
 
@@ -248,12 +239,6 @@ class TestReduction:
         res = tn.reduction_residual(z, self._helix, self.S_PLUS, 1.0, 0.0, 0.0, self.SIGMA, dn=dn)
         assert np.ptp(res) < 1e-13
         assert np.mean(res) == pytest.approx(3.0, rel=1e-13)
-
-    def test_samples_without_derivatives_rejected(self):
-        z = np.linspace(0.0, 1.0, 8)
-        samples = np.array([self._helix(zz) for zz in z])
-        with pytest.raises(ValueError, match="derivatives"):
-            tn.reduction_residual(z, samples, self.S_PLUS, 1.0, 0.0, 0.0, self.SIGMA)
 
     def test_non_unit_samples_rejected(self):
         z = np.linspace(0.0, 1.0, 8)
