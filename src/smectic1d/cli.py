@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import os
@@ -50,14 +51,30 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _check_output_path(path: str) -> None:
+    """Reject an output path that cannot become a file, before any solve.
+
+    Its directory must exist and the path must not be a directory.  Without
+    this check a sweep relaxes every point and only then fails to write.
+    """
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+
+
 def _write_text_atomic(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file.
 
     The file gets the mode a plain ``open`` would give it, 0o666 less the
-    umask, not the private 0o600 of the temporary file.
+    umask, not the private 0o600 of the temporary file.  A failure to create
+    the temporary file is reported against ``path``, the name the user gave.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -339,6 +356,8 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
+    if args.profile:
+        _check_output_path(args.profile)
     config = _load_config(args)
     p = config.params
     state0 = seed_state(args.seed, p, config.n_modes)
@@ -360,6 +379,8 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_output_path(args.out)
     config = _load_config(args)
     p = config.params
     if args.at == "cholesteric":
@@ -396,6 +417,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweeps run cooling only: --t-end must not exceed --t-start")
     if not args.eps_detect > 0:
         raise ValueError(f"--eps-detect must be positive, got {args.eps_detect}")
+    _check_output_path(args.out)
     config = _load_config(args)
     sweep_config = sweep_mod.SweepConfig(
         t_start=args.t_start,
@@ -415,6 +437,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
+    _check_output_path(args.out)
     config = _load_config(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
@@ -462,6 +485,7 @@ def _cmd_tensor_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    _check_output_path(args.out)
     with open(args.data, "r", newline="") as fh:
         rows = list(csv.DictReader(fh))
     svg = emit_svg(args.kind, rows)

@@ -68,8 +68,20 @@ def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: 
     return (k2 * k2 * k3 * sigma * sigma) * sin_2t / (den * den)
 
 
+def _chi_second(
+    c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, cos_2t: np.ndarray, k2: float, k3: float, sigma: float
+) -> np.ndarray:
+    """d^2/dtheta^2 of the chiral density.
+
+    2 k2^2 k3 sigma^2 (cos(2 theta) D - (k3 - k2) sin^2(2 theta)) / D^3 with
+    D = k2 cos^2 + k3 sin^2.
+    """
+    den = k2 * c * c + k3 * s * s
+    return (2.0 * k2 * k2 * k3 * sigma * sigma) * (cos_2t * den - (k3 - k2) * sin_2t * sin_2t) / (den * den * den)
+
+
 class Evaluator:
-    """Energy/gradient evaluator over packed coefficient vectors.
+    """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
     Reads the shared trig table (``spectral._tables``) for order N on its
     alias-free grid ``default_grid(N, h)``, so that repeated evaluations
@@ -171,6 +183,51 @@ class Evaluator:
         g_theta = self._cos.T @ (w * dphi_dtheta) - self._wt1 * (self._sin_theta.T @ (w * dphi_dtheta_z))
         g_rho = self._sin.T @ (w * dphi_drho) - self._wr2 * (self._sin.T @ (w * dphi_drho_zz))
         return np.concatenate([g_theta, g_rho])
+
+    def hessian(self, vec: np.ndarray) -> np.ndarray:
+        """Exact Hessian of the discretized energy with respect to the coefficients.
+
+        Assembled as sum_ab B_a^T diag(w d^2phi/da db) B_b over the field
+        blocks a, b in (theta, theta_z, rho, rho_zz), where B_a maps the
+        coefficients to the grid samples of field a.  The derivative blocks
+        are column-scaled trig tables, so each product is a table product
+        scaled by the frequency factors.  Returned as (H + H^T)/2, exactly
+        symmetric; the asymmetry this removes is rounding only.  Shares the
+        field synthesis of the last energy or gradient at ``vec``.
+        """
+        p = self.params
+        theta, _, rho, rho_zz, sin_t, cos_t, sin2, rho2, _, cw = self._pointwise(vec)
+        w = self.weight
+        q2, cos2t0 = self._q2, self._cos2t0
+        l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2
+        wt1, wr2 = self._wt1, self._wr2
+
+        sin_2t = np.sin(2.0 * theta)
+        cos_2t = np.cos(2.0 * theta)
+        dw_dtheta = sin_2t * rho_zz  # dW/dtheta
+        # second derivatives of the integrand phi: t = theta, r = rho, q = rho_zz
+        phi_tt = _chi_second(cos_t, sin_t, sin_2t, cos_2t, p.k2, p.k3, p.sigma) \
+            + l2 * (dw_dtheta * dw_dtheta + 2.0 * cw * cos_2t * rho_zz)
+        phi_tr = (l2 * q2 * cos2t0) * dw_dtheta
+        phi_tq = l2 * sin_2t * (sin2 * rho_zz + cw)
+        phi_rr = p.d - 2.0 * p.e * rho + 3.0 * p.f * rho2 + (l1 + l2 * cos2t0 * cos2t0) * q2 * q2
+        phi_rq = (l1 + l2 * cos2t0 * sin2) * q2
+        phi_qq = l1 + l2 * sin2 * sin2
+
+        def gram(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return a.T @ ((w * d)[:, None] * b)
+
+        # B(theta_z) = -sin_t_tab . diag(wt1), B(rho_zz) = -sin_r_tab . diag(wr2);
+        # theta_z mixes with no field (phi_{theta_z a} = 0 for a != theta_z)
+        cos_t_tab, sin_t_tab, sin_r_tab = self._cos, self._sin_theta, self._sin
+        h_tt = gram(cos_t_tab, phi_tt, cos_t_tab) + wt1[:, None] * (2.0 * p.k1 * w) * (sin_t_tab.T @ sin_t_tab) * wt1
+        h_tr = gram(cos_t_tab, phi_tr, sin_r_tab) - gram(cos_t_tab, phi_tq, sin_r_tab) * wr2
+        s_rq = gram(sin_r_tab, phi_rq, sin_r_tab)
+        h_rr = gram(sin_r_tab, phi_rr, sin_r_tab) - s_rq * wr2 - wr2[:, None] * s_rq \
+            + wr2[:, None] * gram(sin_r_tab, phi_qq, sin_r_tab) * wr2
+        # symmetrized per diagonal block, so the assembled matrix is exactly
+        # symmetric without a full-size temporary
+        return np.block([[0.5 * (h_tt + h_tt.T), h_tr], [h_tr.T, 0.5 * (h_rr + h_rr.T)]])
 
 
 def _check_state(state: SpectralState, params: ModelParams1D) -> None:

@@ -1,4 +1,4 @@
-"""First-order minimization of the discretized energy.
+"""Minimization of the discretized energy: gradient descent, then Newton.
 
 The driver is gradient descent over the 2N+3 coefficients.  Steps are
 chosen by the spectral (Barzilai-Borwein) rule safeguarded with monotone
@@ -10,6 +10,18 @@ gradient, which removes the ~1e5 curvature spread between high layer modes
 and the nearly flat pitchfork direction.  Without it a monotone line search
 stalls below the floating-point resolution of the energy long before the
 gradient tolerance is met.
+
+Near a pitchfork the landscape is flat along the critical mode and the
+gradient phase crawls (13,782 steps from the smectic seed at T = -22.0).  A
+relaxation that is still running after NEWTON_AFTER steps, and has come
+within NEWTON_GRAD of a critical point, finishes with eigenvalue-modified
+Newton steps on the exact Hessian (``Evaluator.hessian``) in the same
+preconditioned variables: each eigenvalue lambda is replaced by |lambda|
+(floored), which turns negative curvature into descent instead of
+attraction to a saddle (Nocedal & Wright, Numerical Optimization, 3.4;
+Dauphin et al., NeurIPS 2014), and the step is capped in sup-norm.  The
+gradient phase stays the globalization: it decides which basin the
+relaxation ends in.
 """
 
 from __future__ import annotations
@@ -42,6 +54,25 @@ STEP_MIN = 1e-16
 STEP_MAX = 1e6
 # Machine epsilon, the unit of the line search's floating-point slack.
 FLOAT_EPS = float(np.finfo(float).eps)
+# Newton phase gates.  A relaxation turns to Newton once BB has taken
+# NEWTON_AFTER accepted steps and |g|_inf <= NEWTON_GRAD.  500 lies above
+# every relaxation of the fig3 sweep (at most 136 steps) and of the CLI
+# batch (at most 199, elastic-sweep at d = -5.5), which therefore stay pure
+# BB; the stalled smectic seeds at T = -22.0 / -22.2 took 13,782 / 11,320.
+# The gradient gate keeps Newton out of the global phase: the lambda = 0.5
+# conical seed (N = 32, d = -5) has |g|_inf = 1.75 at step 500, and Newton
+# from there lands on the untilted state (E = -2.5133) instead of the tilted
+# minimum (E = -2.9303) that BB reaches.
+NEWTON_AFTER = 500
+NEWTON_GRAD = 1e-2
+# Sup-norm cap on a Newton step in coefficient space.  The energy repeats
+# under theta -> theta + pi; an uncapped pure-Newton prototype (smectic seed,
+# T = -22.5) jumped theta by multiples of pi, to a mean tilt of about -25.
+# 0.25 rad is well below the pi/2 to
+# the next period.  It binds in pure Newton from the smectic seed (5 of 70
+# steps at T = -22.5), never in the 20 Newton steps of the T -21.2 -> -22.2
+# sweep.
+NEWTON_STEP_MAX = 0.25
 
 
 @dataclass(frozen=True)
@@ -133,10 +164,14 @@ def minimize(
 
     Returns the final state together with a report.  ``converged`` means the
     sup-norm of the gradient fell to ``tol_grad``; otherwise the best iterate
-    found within ``max_iters`` is returned.  The line search is monotone: an
-    accepted step raises the energy by at most its slack of a few ulps,
-    4 eps max(1, |E|), because the preconditioned direction always descends
-    (slope <= 0).
+    found within ``max_iters`` is returned.  Preconditioned BB steps run
+    first; after NEWTON_AFTER of them, once the gradient's sup-norm is at
+    most NEWTON_GRAD, eigenvalue-modified Newton steps take over until the
+    end.  ``iterations`` counts the accepted steps of both phases.  The line
+    search is monotone in both: an accepted step raises the energy by at
+    most its slack of a few ulps, 4 eps max(1, |E|), because both directions
+    descend (slope <= 0): the preconditioner and the modified Hessian are
+    positive definite.
 
     Raises
     ------
@@ -157,21 +192,26 @@ def minimize(
     step = STEP0
 
     iterations = 0
+    newton = False
     for it in range(1, opts.max_iters + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.tol_grad:
             return _result(x, e, gnorm, it - 1, True, state0)
 
-        direction = -(dinv * g)
+        newton = newton or (it > NEWTON_AFTER and gnorm <= NEWTON_GRAD)
+        if newton:
+            direction = _newton_direction(ev.hessian(x), g, dinv)
+            step = 1.0
+        else:
+            direction = -(dinv * g)
+            if s_prev is not None:
+                sy = float(s_prev @ y_prev)
+                if sy > 0:
+                    ss = float(s_prev @ (s_prev / dinv))
+                    step = min(max(ss / sy, STEP_MIN), STEP_MAX)
+                else:
+                    step = STEP0
         slope = float(g @ direction)  # negative descent slope
-
-        if s_prev is not None:
-            sy = float(s_prev @ y_prev)
-            if sy > 0:
-                ss = float(s_prev @ (s_prev / dinv))
-                step = min(max(ss / sy, STEP_MIN), STEP_MAX)
-            else:
-                step = STEP0
 
         # a few ulps of slack: near convergence the true decrease per step
         # falls below the energy's floating-point resolution while the
@@ -198,6 +238,28 @@ def minimize(
 
     gnorm = float(np.abs(g).max())
     return _result(x, e, gnorm, iterations, gnorm <= opts.tol_grad, state0)
+
+
+def _newton_direction(h_mat: np.ndarray, g: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """Eigenvalue-modified Newton direction in the preconditioned variables.
+
+    With D^(-1/2) = sqrt(dinv), the step solves |H'| u = -D^(-1/2) g for
+    H' = D^(-1/2) H D^(-1/2), where |H'| replaces each eigenvalue lambda by
+    max(|lambda|, sqrt(eps) max|lambda|): a descent direction that moves
+    away from a saddle along its negative curvature instead of towards it.
+    The step D^(-1/2) u is scaled down to a sup-norm of NEWTON_STEP_MAX.
+    """
+    r = np.sqrt(dinv)
+    scaled = h_mat * r
+    scaled *= r[:, None]
+    lam, vecs = np.linalg.eigh(scaled)
+    mag = np.abs(lam)
+    mag = np.maximum(mag, math.sqrt(FLOAT_EPS) * float(mag.max()))
+    direction = -r * (vecs @ ((vecs.T @ (r * g)) / mag))
+    size = float(np.abs(direction).max())
+    if size > NEWTON_STEP_MAX:
+        direction *= NEWTON_STEP_MAX / size
+    return direction
 
 
 def _result(

@@ -70,6 +70,10 @@ class SweepConfig:
     options: MinimizeOptions = MinimizeOptions()
 
     def __post_init__(self) -> None:
+        for name in ("t_start", "t_end", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
 

@@ -199,6 +199,52 @@ class TestSweepCommand:
             assert [r["T"] for r in csv.DictReader(fh)] == ["-10.5", "-10.5"]
 
 
+class TestOutputPathCheckedFirst:
+    # each command with an output file, the solver (or reader) it must not
+    # reach, and the output flag
+    CASES = {
+        "sweep": (["sweep", "--t-start", "-10", "--t-end", "-10.1", "--dt", "0.1"],
+                  "smectic1d.sweep.sweep_temperature", "--out"),
+        "elastic-sweep": (["elastic-sweep", "--d", "-5", "--vary", "k", "--values", "0.025"],
+                          "smectic1d.sweep.elastic_sweep", "--out"),
+        "minimize": (["minimize", "--d", "-0.5"], "smectic1d.cli.minimize_state", "--profile"),
+        "spectrum": (["spectrum", "--d", "-0.5"], "smectic1d.stability.spectrum", "--out"),
+        "plot": (["plot", "--kind", "profile", "--data", "in.csv"], "smectic1d.cli.emit_svg", "--out"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_missing_directory_named_before_solving(self, tmp_path, capsys, monkeypatch, command):
+        argv, solver, flag = self.CASES[command]
+        solved = []
+        monkeypatch.setattr(solver, lambda *a, **k: solved.append(a))
+        target = str(tmp_path / "missing" / "out.csv")
+        assert run([*argv, flag, target]) == 3
+        err = capsys.readouterr().err
+        assert target in err
+        assert ".tmp-" not in err
+        assert not solved
+
+    def test_write_failure_names_the_given_path(self, tmp_path, capsys, monkeypatch):
+        def refuse(dir, prefix, suffix):
+            raise PermissionError(13, "Permission denied", os.path.join(dir, prefix + "abc" + suffix))
+
+        monkeypatch.setattr("smectic1d.cli.tempfile.mkstemp", refuse)
+        data = tmp_path / "profile.csv"
+        data.write_text("z,theta,delta_rho\n0,0.1,0.2\n")
+        target = str(tmp_path / "profile.svg")
+        assert run(["plot", "--kind", "profile", "--data", str(data), "--out", target]) == 3
+        err = capsys.readouterr().err
+        assert target in err
+        assert ".tmp-" not in err
+
+    def test_directory_as_output_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr("smectic1d.sweep.sweep_temperature", lambda *a, **k: solved.append(a))
+        assert run(["sweep", "--t-start", "-10", "--t-end", "-10.1", "--dt", "0.1", "--out", str(tmp_path)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not solved
+
+
 class TestElasticSweepCommand:
     def test_csv(self, tmp_path):
         cfg = _write_fig3_config(tmp_path, N=32)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from smectic1d import (
     minimize,
     seed_state,
 )
+from smectic1d.energy1d import mean_tilt
+from smectic1d.minimize import NEWTON_AFTER, NEWTON_STEP_MAX, _newton_direction
 
 
 class TestSeeds:
@@ -139,6 +142,43 @@ class TestMinimize:
             e0 = energy(state0, p).total
             _, report = minimize(state0, p, MinimizeOptions(max_iters=500))
             assert report.final_energy <= e0
+
+
+class TestNewtonPhase:
+    def test_stalled_smectic_seed_finishes(self):
+        # at T = -22.0 BB alone takes 13,782 iterations from the smectic seed
+        # to the state the warm start from T = -21.8 reaches in 87
+        base = ModelParams1D()
+        p_warm, p = base.at_temperature(-21.8), base.at_temperature(-22.0)
+        warm, _ = minimize(seed_state("smectic-seed", p_warm, 64), p_warm)
+        _, r_warm = minimize(warm, p)
+        state, report = minimize(seed_state("smectic-seed", p, 64), p)
+        assert r_warm.converged and report.converged
+        assert report.iterations < 1000
+        assert report.final_energy == pytest.approx(r_warm.final_energy, rel=1e-12, abs=0.0)
+        assert state.theta_in_range()
+
+    def test_conical_seed_keeps_its_tilt(self):
+        # BB has taken 500 steps here while |g| is still 1.75; a Newton phase
+        # that started then would land on the untilted state at E = -2.5133
+        p = replace(ModelParams1D().with_d(-5.0), lambda1=0.5, lambda2=0.5)
+        state, report = minimize(seed_state("conical-seed", p, 32), p)
+        assert report.converged
+        assert report.iterations > NEWTON_AFTER
+        assert mean_tilt(state, p) == pytest.approx(1.2007, abs=1e-4)
+        assert report.final_energy == pytest.approx(-2.930335, abs=1e-6)
+        assert state.theta_in_range()
+
+    def test_direction_descends_away_from_a_saddle_within_the_cap(self):
+        # curvature -1e-3 along the second coordinate: plain Newton would
+        # step +1 there, uphill towards the saddle; the |lambda| step goes
+        # downhill and is scaled to the cap
+        h_mat = np.diag([2.0, -1e-3, 1.0])
+        g = np.array([1e-3, 1e-3, 0.0])
+        direction = _newton_direction(h_mat, g, np.ones(3))
+        assert g @ direction < 0
+        assert direction[1] < 0
+        assert np.abs(direction).max() == pytest.approx(NEWTON_STEP_MAX, rel=1e-15)
 
 
 class TestOptions:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,59 @@ class TestHessian:
             raw[:, j] = (ev.gradient(x + step) - ev.gradient(x - step)) / (2.0 * delta)
         scale = np.max(np.abs(raw))
         assert np.max(np.abs(raw - raw.T)) / scale < 1e-6
+
+
+class TestExactHessian:
+    @pytest.fixture(scope="class")
+    def states(self):
+        """The five states of the cross-check, at N = 16."""
+        n = 16
+        base = ModelParams1D()
+        layered = base.with_d(-0.5)
+        tilted = replace(base.with_d(-5.0), lambda1=0.5, lambda2=0.5)
+        cubic = replace(layered, e=0.05)
+        relaxed = {
+            name: (minimize(seed_state(kind, p, n), p)[0], p)
+            for name, kind, p in (
+                ("layered", "smectic-seed", layered),
+                ("tilted", "conical-seed", tilted),
+                ("e=0.05", "smectic-seed", cubic),
+            )
+        }
+        # chi'' with k2 != k3 at the tilted state (not a critical point there)
+        anisotropic = replace(tilted, k2=0.05, k3=0.01)
+        return {
+            "trivial": (seed_state("cholesteric", base, n), base),
+            **relaxed,
+            "k2!=k3": (relaxed["tilted"][0], anisotropic),
+        }
+
+    @pytest.mark.parametrize("name", ["trivial", "layered", "tilted", "e=0.05", "k2!=k3"])
+    def test_matches_finite_differences(self, states, name):
+        state, p = states[name]
+        exact = Evaluator(state.n, p).hessian(state.pack())
+        fd = hessian(state, p)
+        assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) < 1e-10
+        assert np.array_equal(exact, exact.T)
+
+    def test_states_exercise_every_term(self, states):
+        # the tilted states have theta != 0 and a layer, so the chi'' and
+        # lambda2 cross terms are nonzero; the e = 0.05 state has a layer
+        grid = default_grid(16, states["tilted"][0].h)
+        for name in ("tilted", "k2!=k3"):
+            state, p = states[name]
+            assert np.min(state.theta_values(grid)) > 0.1
+            assert np.max(state.rho_values(grid)) > 0.1
+        assert np.max(states["e=0.05"][0].rho_values(grid)) > 0.1
+
+    def test_reuses_the_last_synthesis(self):
+        p = ModelParams1D().with_d(-0.5)
+        state, _ = minimize(seed_state("smectic-seed", p, 16), p)
+        x = state.pack()
+        fresh = Evaluator(16, p).hessian(x)
+        ev = Evaluator(16, p)
+        ev.gradient(x)
+        assert np.array_equal(ev.hessian(x.copy()), fresh)
 
 
 class TestSpectrum:

@@ -65,6 +65,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(t_start=0.0, t_end=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["t_start", "t_end", "dt"])
+    def test_nonfinite_grid_rejected(self, field, value):
+        grid = {"t_start": -10.0, "t_end": -10.5, "dt": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SweepConfig(**grid)
+
 
 class TestSweepTemperature:
     def test_records_and_phases(self, fig3_params):
