@@ -6,94 +6,64 @@ a cosine/sine Galerkin basis, minimizes it by safeguarded gradient descent,
 analyzes stability through Hessian spectra and closed-form thresholds, and
 reproduces the cholesteric - helical smectic - smectic C* transition
 sequence in temperature sweeps.
+
+The exported names load on first use (PEP 562), so that ``import smectic1d``
+and the CLI commands that need no solver do not import numpy.
 """
 
-from . import tensor
-from .params import (
-    ModelParams1D,
-    OFConstants,
-    RunConfig,
-    compute_s_plus,
-    d_from_temperature,
-    format_config,
-    map_to_oseen_frank,
-    parse_config,
-    temperature_from_d,
-    validate_elastic_constants,
-)
-from .spectral import Grid, SpectralState, analyze, default_grid, quadrature, synthesize
-from .energy1d import EnergyBreakdown, Evaluator, el_residual, energy, gradient, reconstruct_director
-from .minimize import DivergenceError, MinimizeOptions, MinimizeReport, minimize, seed_state
-from .stability import (
-    StabilityReport,
-    analytic_cholesteric_spectrum,
-    d_critical,
-    hessian,
-    morse_index_analytic,
-    optimal_constant_tilt,
-    second_variation_tilt,
-    spectrum,
-    theta_star,
-    tilt_thresholds,
-)
-from .sweep import (
-    ElasticRecord,
-    SweepConfig,
-    SweepError,
-    SweepRecord,
-    detect_transitions,
-    elastic_sweep,
-    pitchfork_exponent,
-    sweep_temperature,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "tensor",
-    "ModelParams1D",
-    "OFConstants",
-    "RunConfig",
-    "compute_s_plus",
-    "d_from_temperature",
-    "format_config",
-    "map_to_oseen_frank",
-    "parse_config",
-    "temperature_from_d",
-    "validate_elastic_constants",
-    "Grid",
-    "SpectralState",
-    "analyze",
-    "default_grid",
-    "quadrature",
-    "synthesize",
-    "EnergyBreakdown",
-    "Evaluator",
-    "el_residual",
-    "energy",
-    "gradient",
-    "reconstruct_director",
-    "DivergenceError",
-    "MinimizeOptions",
-    "MinimizeReport",
-    "minimize",
-    "seed_state",
-    "StabilityReport",
-    "analytic_cholesteric_spectrum",
-    "d_critical",
-    "hessian",
-    "morse_index_analytic",
-    "optimal_constant_tilt",
-    "second_variation_tilt",
-    "spectrum",
-    "theta_star",
-    "tilt_thresholds",
-    "ElasticRecord",
-    "SweepConfig",
-    "SweepError",
-    "SweepRecord",
-    "detect_transitions",
-    "elastic_sweep",
-    "pitchfork_exponent",
-    "sweep_temperature",
-]
+#: Exported name -> the submodule that defines it ("tensor" is the submodule itself).
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "tensor": ("tensor",),
+        "params": (
+            "ModelParams1D", "OFConstants", "RunConfig", "compute_s_plus", "d_from_temperature",
+            "format_config", "map_to_oseen_frank", "parse_config", "temperature_from_d",
+            "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
+        ),
+        "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "quadrature", "synthesize"),
+        "energy1d": ("EnergyBreakdown", "Evaluator", "el_residual", "energy", "gradient", "reconstruct_director"),
+        "minimize": ("DivergenceError", "MinimizeOptions", "MinimizeReport", "minimize", "seed_state"),
+        "stability": (
+            "StabilityReport", "analytic_cholesteric_spectrum", "hessian", "morse_index_analytic",
+            "optimal_constant_tilt", "second_variation_tilt", "spectrum",
+        ),
+        "sweep": (
+            "ElasticRecord", "SweepConfig", "SweepError", "SweepRecord", "detect_transitions",
+            "elastic_sweep", "pitchfork_exponent", "sweep_temperature",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return module if name == "tensor" else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # Importing the submodule smectic1d.minimize binds it here as
+        # "minimize"; skipping that keeps the function of that name exported,
+        # whatever the import order.
+        if not (name == "minimize" and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -14,6 +14,9 @@ This is the only module with I/O side effects.  Subcommands:
 Exit codes: 0 success, 1 invalid parameters or configuration, 2 solver
 non-convergence, 3 I/O failure.  Data goes to files or stdout; diagnostics
 go to stderr.
+
+Each subcommand imports the solver modules it needs when it runs, so
+``validate-params``, ``thresholds`` and ``plot`` never import numpy.
 """
 
 from __future__ import annotations
@@ -24,16 +27,18 @@ import errno
 import io
 import math
 import os
+import re
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import params as params_mod
+from .params import SEED_KINDS, ModelParams1D, RunConfig, format_config, parse_config
 
-from . import energy1d, params as params_mod, stability, sweep as sweep_mod, tensor
-from .minimize import DivergenceError, MinimizeOptions, SEED_KINDS, seed_state
-from .minimize import minimize as minimize_state
-from .params import ModelParams1D, RunConfig, parse_config, format_config
-from .spectral import default_grid
+if TYPE_CHECKING:
+    from .minimize import MinimizeOptions
+    from .stability import StabilityReport
+    from .sweep import ElasticRecord, SweepRecord
 
 __all__ = ["run", "main", "emit_svg"]
 
@@ -43,6 +48,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads "-10" and "-9.5" as values but "-1e1"
+        # as an option; no flag here looks like a number, so all are values
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
@@ -110,6 +121,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _options(config: RunConfig) -> MinimizeOptions:
+    from .minimize import MinimizeOptions
+
     return MinimizeOptions(tol_grad=config.tol_grad, max_iters=config.max_iters)
 
 
@@ -124,11 +137,12 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _profile_csv(state, params: ModelParams1D) -> str:
-    grid = default_grid(state.n, params.h)
+def _profile_csv(state, params: ModelParams1D, grid) -> str:
+    from .energy1d import reconstruct_director
+
     theta = state.theta_values(grid)
     rho = state.rho_values(grid)
-    phi, n1, n2, n3 = energy1d.reconstruct_director(state, params, grid)
+    phi, n1, n2, n3 = reconstruct_director(state, params, grid)
     rows = [
         [_fmt(z), _fmt(th), _fmt(r), _fmt(p), _fmt(a), _fmt(b), _fmt(c)]
         for z, th, r, p, a, b, c in zip(grid.nodes, theta, rho, phi, n1, n2, n3)
@@ -136,12 +150,12 @@ def _profile_csv(state, params: ModelParams1D) -> str:
     return _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], rows)
 
 
-def _spectrum_csv(report: stability.StabilityReport) -> str:
+def _spectrum_csv(report: StabilityReport) -> str:
     rows = [[str(i), _fmt(v)] for i, v in enumerate(report.eigenvalues)]
     return _csv_text(["index", "eigenvalue"], rows)
 
 
-def _sweep_csv(records: list[sweep_mod.SweepRecord]) -> str:
+def _sweep_csv(records: list[SweepRecord]) -> str:
     rows = [
         [
             _fmt(r.T),
@@ -157,7 +171,7 @@ def _sweep_csv(records: list[sweep_mod.SweepRecord]) -> str:
     return _csv_text(["T", "d", "branch", "delta_rho_max", "theta_max", "energy", "morse_index"], rows)
 
 
-def _elastic_csv(records: list[sweep_mod.ElasticRecord]) -> str:
+def _elastic_csv(records: list[ElasticRecord]) -> str:
     rows = [[_fmt(r.value), _fmt(r.theta_bar), _fmt(r.delta_rho_max), _fmt(r.energy)] for r in records]
     return _csv_text(["value", "theta_bar", "delta_rho_max", "energy"], rows)
 
@@ -278,6 +292,14 @@ def _segments(points: list[tuple[float, float, bool]]) -> list[tuple[list[tuple[
     return runs
 
 
+#: The CSV columns each plot kind reads; "morse_index" is optional.
+_PLOT_COLUMNS = {
+    "bifurcation": ("T", "branch", "delta_rho_max", "theta_max"),
+    "profile": ("z", "theta", "delta_rho"),
+    "elastic": ("value", "theta_bar"),
+}
+
+
 def emit_svg(kind: str, rows: list[dict]) -> str:
     """Render parsed CSV rows into a standalone SVG document.
 
@@ -288,6 +310,11 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
     """
     if not rows:
         raise ValueError("no data to plot")
+    if kind not in _PLOT_COLUMNS:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    missing = [c for c in _PLOT_COLUMNS[kind] if c not in rows[0]]
+    if missing:
+        raise ValueError(f"a {kind} plot needs the column(s) {', '.join(missing)}")
     if kind == "bifurcation":
         top = _Panel(_MARGIN, 20, _SVG_W - 2 * _MARGIN, 160, "", "delta_rho_max")
         bottom = _Panel(_MARGIN, 230, _SVG_W - 2 * _MARGIN, 160, "T", "theta_max")
@@ -309,12 +336,10 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
         top.add([(float(r["z"]), float(r["theta"])) for r in pts])
         bottom.add([(float(r["z"]), float(r["delta_rho"])) for r in pts])
         return _svg_document([top, bottom], _SVG_W, _SVG_H)
-    if kind == "elastic":
-        panel = _Panel(_MARGIN, 20, _SVG_W - 2 * _MARGIN, 340, "elastic constant", "mean tilt")
-        pts = sorted(rows, key=lambda r: float(r["value"]))
-        panel.add([(float(r["value"]), float(r["theta_bar"])) for r in pts])
-        return _svg_document([panel], _SVG_W, _SVG_H)
-    raise ValueError(f"unknown plot kind {kind!r}")
+    panel = _Panel(_MARGIN, 20, _SVG_W - 2 * _MARGIN, 340, "elastic constant", "mean tilt")
+    pts = sorted(rows, key=lambda r: float(r["value"]))
+    panel.add([(float(r["value"]), float(r["theta_bar"])) for r in pts])
+    return _svg_document([panel], _SVG_W, _SVG_H)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -322,8 +347,8 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
 
 def _print_thresholds(p: ModelParams1D) -> None:
     """The closed-form layering threshold, its temperature, and t1, t2."""
-    d0 = stability.d_critical(p)
-    t1, t2 = stability.tilt_thresholds(p)
+    d0 = params_mod.d_critical(p)
+    t1, t2 = params_mod.tilt_thresholds(p)
     print(f"d_critical = {_fmt(d0)}")
     print(f"T_critical = {_fmt(params_mod.temperature_from_d(d0, p))}")
     print(f"t1 = {_fmt(t1)}")
@@ -358,20 +383,23 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
 def _cmd_minimize(args: argparse.Namespace) -> int:
     if args.profile:
         _check_output_path(args.profile)
+    from .minimize import minimize, seed_state
+    from .spectral import default_grid
+
     config = _load_config(args)
     p = config.params
     state0 = seed_state(args.seed, p, config.n_modes)
-    state, report = minimize_state(state0, p, _options(config))
+    state, report = minimize(state0, p, _options(config))
     print(f"converged = {report.converged}", file=sys.stderr)
     print(f"iterations = {report.iterations}", file=sys.stderr)
     print(f"grad_norm = {_fmt(report.final_grad_norm)}", file=sys.stderr)
     print(f"theta_within_range = {state.theta_in_range()}", file=sys.stderr)
     grid = default_grid(config.n_modes, p.h)
     print(f"energy = {_fmt(report.final_energy)}")
-    print(f"delta_rho_max = {_fmt(float(np.max(state.rho_values(grid))))}")
-    print(f"theta_max = {_fmt(float(np.max(state.theta_values(grid))))}")
+    print(f"delta_rho_max = {_fmt(float(state.rho_values(grid).max()))}")
+    print(f"theta_max = {_fmt(float(state.theta_values(grid).max()))}")
     if args.profile:
-        _write_text_atomic(args.profile, _profile_csv(state, p))
+        _write_text_atomic(args.profile, _profile_csv(state, p, grid))
     if not report.converged:
         print("minimization did not reach the gradient tolerance", file=sys.stderr)
         return 2
@@ -381,13 +409,16 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.out:
         _check_output_path(args.out)
+    from . import stability
+    from .minimize import minimize, seed_state
+
     config = _load_config(args)
     p = config.params
     if args.at == "cholesteric":
         state = seed_state("cholesteric", p, config.n_modes)
     else:
         state0 = seed_state(args.seed, p, config.n_modes)
-        state, report = minimize_state(state0, p, _options(config))
+        state, report = minimize(state0, p, _options(config))
         if not report.converged:
             print("minimization did not reach the gradient tolerance", file=sys.stderr)
             return 2
@@ -406,7 +437,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     p = _load_config(args).params
     _print_thresholds(p)
     if args.t is not None:
-        print(f"theta_star({_fmt(args.t)}) = {_fmt(stability.theta_star(args.t, p))}")
+        print(f"theta_star({_fmt(args.t)}) = {_fmt(params_mod.theta_star(args.t, p))}")
     return 0
 
 
@@ -418,8 +449,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.eps_detect > 0:
         raise ValueError(f"--eps-detect must be positive, got {args.eps_detect}")
     _check_output_path(args.out)
+    from .sweep import SweepConfig, detect_transitions, sweep_temperature
+
     config = _load_config(args)
-    sweep_config = sweep_mod.SweepConfig(
+    sweep_config = SweepConfig(
         t_start=args.t_start,
         t_end=args.t_end,
         dt=args.dt,
@@ -428,9 +461,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n_modes=config.n_modes,
         options=_options(config),
     )
-    records = sweep_mod.sweep_temperature(config.params, sweep_config)
+    records = sweep_temperature(config.params, sweep_config)
     _write_text_atomic(args.out, _sweep_csv(records))
-    t_chs, t_hssc = sweep_mod.detect_transitions(records, args.eps_detect)
+    t_chs, t_hssc = detect_transitions(records, args.eps_detect)
     print(f"T_CHS = {'absent' if t_chs is None else _fmt(t_chs)}")
     print(f"T_HSSC = {'absent' if t_hssc is None else _fmt(t_hssc)}")
     return 0
@@ -438,18 +471,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
     _check_output_path(args.out)
+    from .sweep import elastic_sweep
+
     config = _load_config(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("no values supplied")
-    records = sweep_mod.elastic_sweep(
-        config.params, values, args.vary, n_modes=config.n_modes, options=_options(config)
-    )
+    records = elastic_sweep(config.params, values, args.vary, n_modes=config.n_modes, options=_options(config))
     _write_text_atomic(args.out, _elastic_csv(records))
     return 0
 
 
 def _cmd_tensor_check(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import tensor
+
     rng = np.random.default_rng(args.rng_seed)
     z = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
     fields = {
@@ -487,8 +524,11 @@ def _cmd_tensor_check(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     _check_output_path(args.out)
     with open(args.data, "r", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    svg = emit_svg(args.kind, rows)
+        rows = list(csv.DictReader(fh, restval=""))
+    try:
+        svg = emit_svg(args.kind, rows)
+    except ValueError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     _write_text_atomic(args.out, svg)
     return 0
 
@@ -563,7 +603,7 @@ def _parser() -> _Parser:
     sp.set_defaults(func=_cmd_tensor_check)
 
     sp = subs.add_parser("plot", help="render a CSV into an SVG")
-    sp.add_argument("--kind", choices=("bifurcation", "profile", "elastic"), required=True)
+    sp.add_argument("--kind", choices=tuple(_PLOT_COLUMNS), required=True)
     sp.add_argument("--data", required=True, help="input CSV")
     sp.add_argument("--out", required=True, help="output SVG")
     sp.set_defaults(func=_cmd_plot)
@@ -578,11 +618,13 @@ def run(argv: list[str]) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
-    except sweep_mod.SweepError as exc:
-        print(f"sweep error: {exc}", file=sys.stderr)
+    except RuntimeError as exc:
+        from .minimize import DivergenceError  # not up front: only solver code raises these
+        from .sweep import SweepError
+
+        if not isinstance(exc, (DivergenceError, SweepError)):
+            raise
+        print(f"{'solver' if isinstance(exc, DivergenceError) else 'sweep'} error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

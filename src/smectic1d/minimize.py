@@ -32,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy1d import Evaluator
-from .params import ModelParams1D
+from .params import SEED_KINDS, ModelParams1D
 from .spectral import SpectralState, gram_diagonal
 
 __all__ = ["MinimizeOptions", "MinimizeReport", "DivergenceError", "minimize", "seed_state", "SEED_KINDS"]
-
-SEED_KINDS = ("cholesteric", "smectic-seed", "conical-seed")
 
 
 class DivergenceError(RuntimeError):

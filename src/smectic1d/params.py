@@ -11,6 +11,10 @@ validity of the nematic elastic constants
 (:func:`validate_elastic_constants`), and the director elastic constants
 that the uniaxial lift of the tensor elastic energy induces
 (:func:`map_to_oseen_frank`).
+
+The closed forms of the frozen-layer analysis live here too, because they
+need only ``math``: :func:`d_critical` (layering onset), :func:`tilt_thresholds`
+(loss of in-plane twist) and :func:`theta_star` (optimal constant tilt).
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 
 #: Tolerance of the integer check in the layer-commensurability constraint.
 COMMENSURABILITY_TOL = 1e-9
+
+#: The initial states of ``minimize.seed_state``; here so the CLI parser needs no numpy.
+SEED_KINDS = ("cholesteric", "smectic-seed", "conical-seed")
 
 
 class ElasticVerdict(NamedTuple):
@@ -213,6 +220,58 @@ def d_from_temperature(T: float, params: ModelParams1D) -> float:
 def temperature_from_d(d: float, params: ModelParams1D) -> float:
     """Inverse of :func:`d_from_temperature`."""
     return params.T2star + d / params.alpha2
+
+
+# --- closed-form thresholds of the frozen-layer analysis ----------------------
+
+
+def d_critical(params: ModelParams1D) -> float:
+    """Pitchfork location d0 = -2 lambda2 q^4 cos^4(theta0).
+
+    For d above d0 the trivial state is a stable critical point; below d0 it
+    loses stability to the layered (helical smectic) branch.
+    """
+    return -2.0 * params.lambda2 * params.q**4 * math.cos(params.theta0) ** 4
+
+
+def tilt_thresholds(params: ModelParams1D) -> tuple[float, float]:
+    """Stability window (t1, t2) of the untilted state at frozen layering.
+
+    With the layer profile frozen at t*sin(q z), the untilted state is
+    stable for t < t1 = sqrt(k1 sigma^2 / (2 lambda2 q^4 cos^2 theta0))
+    (pointwise bound) and unstable for t > t2 =
+    sqrt(2 q h k1 sigma^2 / ((2 q h - sin(2 q h)) lambda2 q^4 cos^2 theta0))
+    (constant perturbation).  Assumes k1 = k2 = k3.  Both thresholds are
+    +inf when lambda2 = 0.
+    """
+    p = params
+    denom = p.lambda2 * p.q**4 * math.cos(p.theta0) ** 2
+    if denom == 0:
+        return math.inf, math.inf
+    t1 = math.sqrt(p.k1 * p.sigma**2 / (2.0 * denom))
+    qh2 = 2.0 * p.q * p.h
+    t2 = math.sqrt(qh2 * p.k1 * p.sigma**2 / ((qh2 - math.sin(qh2)) * denom))
+    return t1, t2
+
+
+def theta_star(t: float, params: ModelParams1D) -> float:
+    """Optimal constant tilt against the frozen layer profile t*sin(q z).
+
+    arcsin sqrt(max(cos^2 theta0
+                    - k1 h sigma^2 / (lambda2 t^2 q^4 (h - sin(2 q h)/(2 q))), 0));
+    zero at t = 0 by the limit convention and saturating at pi/2 - theta0 as
+    t grows.  Assumes k1 = k2 = k3.
+    """
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    p = params
+    if t == 0 or p.lambda2 == 0:
+        return 0.0
+    eff_h = p.h - math.sin(2.0 * p.q * p.h) / (2.0 * p.q)
+    arg = math.cos(p.theta0) ** 2 - p.k1 * p.h * p.sigma**2 / (p.lambda2 * t * t * p.q**4 * eff_h)
+    if arg <= 0:
+        return 0.0
+    return math.asin(math.sqrt(arg))
 
 
 # --- configuration file format ------------------------------------------------

@@ -6,10 +6,10 @@ matrix of the basis before the symmetric eigensolve.  At the trivial
 (cholesteric) state the spectrum is known in closed form and serves as an
 independent cross-check of the numeric route.
 
-The closed-form thresholds of the frozen-layer analysis (d_critical for the
-onset of layering, t1/t2 for the loss of in-plane twist, theta_star for the
-optimal constant tilt) assume the one-constant case k1 = k2 = k3 wherever a
-tilt enters; each function documents its assumption.
+The closed-form thresholds of the frozen-layer analysis (d_critical,
+tilt_thresholds, theta_star) live in :mod:`smectic1d.params`, which needs no
+numpy.  Their numeric counterparts stay here: :func:`second_variation_tilt`
+and :func:`optimal_constant_tilt`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "spectrum",
     "analytic_cholesteric_spectrum",
     "morse_index_analytic",
-    "d_critical",
-    "tilt_thresholds",
-    "theta_star",
     "second_variation_tilt",
     "optimal_constant_tilt",
 ]
@@ -183,55 +180,6 @@ def morse_index_analytic(params: ModelParams1D) -> int:
     return 2 * count + m0
 
 
-def d_critical(params: ModelParams1D) -> float:
-    """Pitchfork location d0 = -2 lambda2 q^4 cos^4(theta0).
-
-    For d above d0 the trivial state is a stable critical point; below d0 it
-    loses stability to the layered (helical smectic) branch.
-    """
-    return -2.0 * params.lambda2 * params.q**4 * math.cos(params.theta0) ** 4
-
-
-def tilt_thresholds(params: ModelParams1D) -> tuple[float, float]:
-    """Stability window (t1, t2) of the untilted state at frozen layering.
-
-    With the layer profile frozen at t*sin(q z), the untilted state is
-    stable for t < t1 = sqrt(k1 sigma^2 / (2 lambda2 q^4 cos^2 theta0))
-    (pointwise bound) and unstable for t > t2 =
-    sqrt(2 q h k1 sigma^2 / ((2 q h - sin(2 q h)) lambda2 q^4 cos^2 theta0))
-    (constant perturbation).  Assumes k1 = k2 = k3.  Both thresholds are
-    +inf when lambda2 = 0.
-    """
-    p = params
-    denom = p.lambda2 * p.q**4 * math.cos(p.theta0) ** 2
-    if denom == 0:
-        return math.inf, math.inf
-    t1 = math.sqrt(p.k1 * p.sigma**2 / (2.0 * denom))
-    qh2 = 2.0 * p.q * p.h
-    t2 = math.sqrt(qh2 * p.k1 * p.sigma**2 / ((qh2 - math.sin(qh2)) * denom))
-    return t1, t2
-
-
-def theta_star(t: float, params: ModelParams1D) -> float:
-    """Optimal constant tilt against the frozen layer profile t*sin(q z).
-
-    arcsin sqrt(max(cos^2 theta0
-                    - k1 h sigma^2 / (lambda2 t^2 q^4 (h - sin(2 q h)/(2 q))), 0));
-    zero at t = 0 by the limit convention and saturating at pi/2 - theta0 as
-    t grows.  Assumes k1 = k2 = k3.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    p = params
-    if t == 0 or p.lambda2 == 0:
-        return 0.0
-    eff_h = p.h - math.sin(2.0 * p.q * p.h) / (2.0 * p.q)
-    arg = math.cos(p.theta0) ** 2 - p.k1 * p.h * p.sigma**2 / (p.lambda2 * t * t * p.q**4 * eff_h)
-    if arg <= 0:
-        return 0.0
-    return math.asin(math.sqrt(arg))
-
-
 def second_variation_tilt(
     t: float,
     params: ModelParams1D,
@@ -281,7 +229,7 @@ def optimal_constant_tilt(
 ) -> float:
     """Golden-section minimizer of the energy over constant tilt at frozen layering.
 
-    Independent numeric counterpart of :func:`theta_star`: minimizes the full
+    Independent numeric counterpart of :func:`smectic1d.params.theta_star`: minimizes the full
     energy of the state (theta = const, rho = t*sin(q z)) over
     theta in [0, pi/2).
     """

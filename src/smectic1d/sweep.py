@@ -20,11 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# minimize and spectrum are read from their modules at each call: a name bound
+# here while a wrapper sat on them (bench/probe.py) would keep it after removal
+from . import stability
 from .energy1d import Evaluator, mean_tilt
-from .minimize import MinimizeOptions, minimize, seed_state
+from .minimize import MinimizeOptions, seed_state
 from .params import ModelParams1D
 from .spectral import SpectralState, default_grid
-from .stability import spectrum
 
 __all__ = [
     "SweepConfig",
@@ -131,6 +133,8 @@ def _relax(
     A converged result always beats a non-converged one; non-converged best
     iterates are reported only when nothing converged.
     """
+    from .minimize import minimize
+
     best: tuple[bool, float, SpectralState] | None = None
     for cand in candidates:
         state, report = minimize(cand, params, options, evaluator=evaluator)
@@ -169,7 +173,7 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
             candidates.append(warm)
         candidates.extend(seed_state(kind, params_t, config.n_modes) for kind in SWEEP_SEEDS)
         state, energy_val, converged = _relax(candidates, params_t, config.options, evaluator)
-        morse = spectrum(state, params_t).morse_index if config.record_morse else None
+        morse = stability.spectrum(state, params_t).morse_index if config.record_morse else None
         if converged:
             warm = state
         mirrored = SpectralState(n=state.n, h=state.h, theta_c=state.theta_c, rho_s=-state.rho_s)

@@ -1,8 +1,18 @@
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import smectic1d
 from smectic1d import ModelParams1D, SweepConfig, sweep_temperature
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict:
+    """Environment in which a child interpreter finds the smectic1d this one found, installed or not."""
+    src = str(Path(smectic1d.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 import csv
+import hashlib
+import importlib
 import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -69,15 +70,96 @@ class TestValidateParams:
 
 
 class TestModuleEntry:
-    def test_python_dash_m_runs_the_cli(self):
-        # the child finds the package where this process found it, installed or not
-        src = str(Path(smectic1d.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    def test_python_dash_m_runs_the_cli(self, child_env):
         proc = subprocess.run(
-            [sys.executable, "-m", "smectic1d", "validate-params"], capture_output=True, text=True, timeout=60, env=env
+            [sys.executable, "-m", "smectic1d", "validate-params"], capture_output=True, text=True, timeout=60,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert "d_critical = " in proc.stdout
+
+    NUMPY_FREE = {
+        "validate-params": ["validate-params"],
+        "thresholds": ["thresholds", "--t", "2"],
+        "plot": ["plot", "--kind", "profile", "--data", "p.csv", "--out", "p.svg"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(NUMPY_FREE))
+    def test_command_runs_without_numpy(self, tmp_path, child_env, command):
+        (tmp_path / "p.csv").write_text("z,theta,delta_rho\n0,0.1,0.2\n1,0.3,0.4\n")
+        child = (
+            "import sys\nfrom smectic1d.cli import run\ncode = run(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m == 'numpy' or m.startswith('smectic1d.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *self.NUMPY_FREE[command]], capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, env=child_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # no numpy, and no smectic1d module beyond the CLI and the parameters
+        assert proc.stdout.splitlines()[-1] == "0 ['smectic1d.cli', 'smectic1d.params']"
+
+
+class TestBatchOutputsUnchanged:
+    """A session of fresh ``python -m smectic1d`` processes, as in the benchmark's cli_batch.
+
+    The digests pin every output byte for byte.  They were recorded on
+    Python 3.11.7 with numpy 2.4.6 on x86-64 Linux; the solver outputs may
+    differ in their last digits under another numpy or BLAS.
+    """
+
+    COMMANDS = [
+        ["validate-params", "--config", "run.cfg"],
+        ["thresholds", "--config", "run.cfg", "--t", "1.75"],
+        ["minimize", "--config", "run.cfg", "--d", "-0.7", "--profile", "profile.csv"],
+        ["spectrum", "--config", "run.cfg", "--d", "-0.5", "--out", "spectrum.csv"],
+        ["sweep", "--config", "run.cfg", "--t-start", "-10.3", "--t-end", "-11.3", "--dt", "0.25", "--cold-start",
+         "--out", "sweep.csv"],
+        ["plot", "--kind", "bifurcation", "--data", "sweep.csv", "--out", "sweep.svg"],
+        ["plot", "--kind", "profile", "--data", "profile.csv", "--out", "profile.svg"],
+        ["elastic-sweep", "--config", "run.cfg", "--d", "-5", "--vary", "k", "--values", "0.025,0.05,0.25",
+         "--out", "k.csv"],
+        ["plot", "--kind", "elastic", "--data", "k.csv", "--out", "k.svg"],
+        ["tensor-check", "--sigma", "2", "--s-plus", "1.5", "--rng-seed", "7"],
+    ]
+    DIGESTS = {
+        "0:validate-params:stdout": "89d27d5b6aa4b952",
+        "1:thresholds:stdout": "91e6498b54b5a530",
+        "2:minimize:stderr": "a9e44dd30388d481",
+        "2:minimize:stdout": "e1ae6d5d25309f39",
+        "3:spectrum:stdout": "e3b0c44298fc1c14",
+        "4:sweep:stdout": "655b9830703c464b",
+        "5:plot:stdout": "e3b0c44298fc1c14",
+        "6:plot:stdout": "e3b0c44298fc1c14",
+        "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
+        "8:plot:stdout": "e3b0c44298fc1c14",
+        "9:tensor-check:stdout": "69764fc5c1761c5e",
+        "k.csv": "e73a105b5d27a0f4",
+        "k.svg": "ce853842a8f46d10",
+        "profile.csv": "5be6bce81f165827",
+        "profile.svg": "2cc499521fceedb2",
+        "spectrum.csv": "d697a64b7e3c863c",
+        "sweep.csv": "5478de9579833bbd",
+        "sweep.svg": "670a94f61877af17",
+    }
+
+    @staticmethod
+    def outputs(workdir, env):
+        """Digest of each command's stdout (and stderr for minimize) and of each file written."""
+        (workdir / "run.cfg").write_text("N = 64\n")
+        found = {}
+        for i, argv in enumerate(TestBatchOutputsUnchanged.COMMANDS):
+            proc = subprocess.run([sys.executable, "-m", "smectic1d", *argv], capture_output=True, timeout=120,
+                                  cwd=workdir, env=env)
+            assert proc.returncode == 0, proc.stderr
+            found[f"{i}:{argv[0]}:stdout"] = proc.stdout
+            if argv[0] == "minimize":
+                found[f"{i}:{argv[0]}:stderr"] = proc.stderr
+        found.update({f.name: f.read_bytes() for f in workdir.iterdir() if f.name != "run.cfg"})
+        return {name: hashlib.sha256(data).hexdigest()[:16] for name, data in sorted(found.items())}
+
+    def test_bytes_match_the_recorded_digests(self, tmp_path, child_env):
+        assert self.outputs(tmp_path, child_env) == self.DIGESTS
 
 
 class TestMinimizeCommand:
@@ -178,6 +260,8 @@ class TestSweepCommand:
             (["--t-start", "-10.6", "--t-end", "-10.3", "--dt", "0.05"], "cooling"),
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "0"], "eps-detect"),
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect=-1e-3"], "eps-detect"),
+            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "-1e-3"],
+             "--eps-detect must be positive"),
         ],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, capsys, monkeypatch, flags, message):
@@ -188,6 +272,25 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not solved
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("error, prefix", [("SweepError", "sweep error"), ("DivergenceError", "solver error")])
+    def test_solver_errors_exit_2(self, tmp_path, capsys, monkeypatch, error, prefix):
+        def fail(*args, **kwargs):
+            raise getattr(smectic1d, error)("boom")
+
+        monkeypatch.setattr("smectic1d.sweep.sweep_temperature", fail)
+        argv = ["sweep", "--t-start", "-10", "--t-end", "-10.1", "--dt", "0.1", "--out", str(tmp_path / "s.csv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+    def test_negative_values_in_exponent_form(self, tmp_path):
+        cfg = _write_fig3_config(tmp_path, N=16)
+        out_path = tmp_path / "sweep.csv"
+        code = run(["sweep", "--config", cfg, "--t-start", "-10", "--t-end", "-1e1", "--dt", "1e-1",
+                    "--out", str(out_path)])
+        assert code == 0
+        with open(out_path, newline="") as fh:
+            assert [r["T"] for r in csv.DictReader(fh)] == ["-10", "-10"]
 
     def test_single_point_sweep(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path, N=16)
@@ -207,7 +310,7 @@ class TestOutputPathCheckedFirst:
                   "smectic1d.sweep.sweep_temperature", "--out"),
         "elastic-sweep": (["elastic-sweep", "--d", "-5", "--vary", "k", "--values", "0.025"],
                           "smectic1d.sweep.elastic_sweep", "--out"),
-        "minimize": (["minimize", "--d", "-0.5"], "smectic1d.cli.minimize_state", "--profile"),
+        "minimize": (["minimize", "--d", "-0.5"], "smectic1d.minimize.minimize", "--profile"),
         "spectrum": (["spectrum", "--d", "-0.5"], "smectic1d.stability.spectrum", "--out"),
         "plot": (["plot", "--kind", "profile", "--data", "in.csv"], "smectic1d.cli.emit_svg", "--out"),
     }
@@ -216,7 +319,10 @@ class TestOutputPathCheckedFirst:
     def test_missing_directory_named_before_solving(self, tmp_path, capsys, monkeypatch, command):
         argv, solver, flag = self.CASES[command]
         solved = []
-        monkeypatch.setattr(solver, lambda *a, **k: solved.append(a))
+        # patched on the module object: the dotted form would resolve
+        # smectic1d.minimize to the package's function of that name
+        module, _, name = solver.rpartition(".")
+        monkeypatch.setattr(importlib.import_module(module), name, lambda *a, **k: solved.append(a))
         target = str(tmp_path / "missing" / "out.csv")
         assert run([*argv, flag, target]) == 3
         err = capsys.readouterr().err
@@ -297,6 +403,32 @@ class TestPlot:
         finally:
             os.umask(old)
         assert svg.stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize(
+        "kind, header, missing",
+        [
+            ("bifurcation", "a,b", "T, branch, delta_rho_max, theta_max"),
+            ("profile", "value,theta_bar,delta_rho_max,energy", "z, theta, delta_rho"),
+            ("elastic", "z,theta,delta_rho,phi,n1,n2,n3", "value, theta_bar"),
+        ],
+        ids=["bifurcation", "profile", "elastic"],
+    )
+    def test_missing_column_named(self, tmp_path, capsys, kind, header, missing):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n" + ",".join("1" for _ in header.split(",")) + "\n")
+        svg = tmp_path / "out.svg"
+        assert run(["plot", "--kind", kind, "--data", str(data), "--out", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(data) in err
+        assert f"column(s) {missing}" in err
+        assert not svg.exists()
+
+    def test_short_row_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("z,theta,delta_rho\n0,0.1,0.2\n1,0.3\n")
+        assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(tmp_path / "p.svg")]) == 1
+        assert str(data) in capsys.readouterr().err
 
     def test_single_point_gets_marker(self):
         svg = emit_svg("elastic", [{"value": "1.0", "theta_bar": "0.5", "delta_rho_max": "0", "energy": "0"}])

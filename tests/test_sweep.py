@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -74,6 +75,17 @@ class TestSweepConfig:
 
 
 class TestSweepTemperature:
+    def test_solvers_read_from_their_modules_at_each_call(self, fig3_params, monkeypatch):
+        # bench/probe.py counts work by wrapping minimize and spectrum in their
+        # own modules; a sweep module that bound them at import would miss it
+        calls = []
+        for module_name, name in (("smectic1d.minimize", "minimize"), ("smectic1d.stability", "spectrum")):
+            module = importlib.import_module(module_name)
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        sweep_temperature(fig3_params, _quick_config(t_start=-10.5, t_end=-10.5, n_modes=16, record_morse=True))
+        assert sorted(set(calls)) == ["minimize", "spectrum"]
+
     def test_records_and_phases(self, fig3_params):
         records = sweep_temperature(fig3_params, _quick_config())
         assert len(records) == 14  # 7 temperatures x 2 branches
