@@ -435,9 +435,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     p = _load_config(args).params
+    # computed first, so that a bad --t exits before any line is printed
+    star = None if args.t is None else params_mod.theta_star(args.t, p)
     _print_thresholds(p)
-    if args.t is not None:
-        print(f"theta_star({_fmt(args.t)}) = {_fmt(params_mod.theta_star(args.t, p))}")
+    if star is not None:
+        print(f"theta_star({_fmt(args.t)}) = {_fmt(star)}")
     return 0
 
 
@@ -483,6 +485,10 @@ def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tensor_check(args: argparse.Namespace) -> int:
+    for name in ("eta1", "eta2", "eta24", "sigma", "s_plus", "tol"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     import numpy as np
 
     from . import tensor

@@ -50,15 +50,6 @@ class EnergyBreakdown(NamedTuple):
     coupling: float
 
 
-def _chi(c: np.ndarray, s: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
-    """Azimuth-eliminated chiral density -k2^2 sigma^2 cos^2 / (k2 cos^2 + k3 sin^2).
-
-    Takes c = cos(theta) and s = sin(theta).
-    """
-    c2 = c * c
-    return -(k2 * k2 * sigma * sigma) * c2 / (k2 * c2 + k3 * s * s)
-
-
 def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
     """d/dtheta of the chiral density: k2^2 k3 sigma^2 sin(2 theta) / (k2 cos^2 + k3 sin^2)^2.
 
@@ -86,14 +77,21 @@ class Evaluator:
     Reads the shared trig table (``spectral._tables``) for order N on its
     alias-free grid ``default_grid(N, h)``, so that repeated evaluations
     (line searches, sweeps, finite differences) cost a handful of dense
-    matrix-vector products each.
+    matrix-vector products each.  At N = 64 an evaluation is about fifty
+    numpy calls on 264-point arrays, so the overhead per call, not the
+    arithmetic, sets the cost.  The constant factors of the energy and
+    gradient terms are therefore computed once per parameter set, each
+    grouped as in the left-to-right expression it stands for, and stored as
+    grid-length arrays: numpy multiplies two arrays faster than an array by
+    a Python float, with the same IEEE products.  Every result is the one
+    the plain expressions give, bit for bit.
 
     The pointwise terms of the last vector evaluated are kept, so the
     gradient at an accepted line-search point reuses the fields its energy
-    synthesized.  They are keyed on a private copy of that vector and
-    compared by value, not by identity: a caller may mutate the array it
-    passed, or pass an equal one built anew, and either way gets the result
-    of a fresh evaluation bit for bit.
+    synthesized.  They are keyed on the bytes of that vector, not on its
+    identity: a caller may mutate the array it passed, or pass one with the
+    same bytes built anew, and either way gets the result of a fresh
+    evaluation bit for bit.
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -105,15 +103,41 @@ class Evaluator:
 
         self._cos, self._sin_theta = _tables(grid.m, n + 1)
         self._sin = self._sin_theta[:, 1:]
-        # synthesis of derivatives: theta' = -sin * (w c); rho'' = -sin * (w^2 r)
+        self._cos_T, self._sin_theta_T, self._sin_T = self._cos.T, self._sin_theta.T, self._sin.T
+        # frequency factors of theta_z and rho_zz; the minus sign of each
+        # derivative table rides on a negated copy: A @ ((-w) * c) is
+        # -(A @ (w * c)) exactly
         self._wt1 = (TWO_PI / grid.h) * np.arange(n + 2)
         self._wr2 = self._wt1[1:] ** 2
-        self._q2 = params.q * params.q
-        self._cos2t0 = math.cos(params.theta0) ** 2
-        # (private copy of the last vector, its pointwise terms), replaced as
-        # one object so that threads sharing an evaluator never pair the key
-        # of one evaluation with the terms of another
-        self._last: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
+        self._neg_wt1 = -self._wt1
+        self._neg_wr2 = -self._wr2
+        # constant factors as grid-length arrays, each grouped as in the
+        # expression it stands for: 2.0 * p.lambda2 * cw is
+        # (2.0 * p.lambda2) * cw, and 2.0 * theta is theta + theta
+        p = params
+        q2 = p.q * p.q
+        cos2t0 = math.cos(p.theta0) ** 2
+
+        def full(value: float) -> np.ndarray:
+            return np.full(grid.m, value)
+
+        self._w = full(self.weight)
+        self._q2, self._cos2t0, self._q2_cos2t0 = full(q2), full(cos2t0), full(q2 * cos2t0)
+        self._k1, self._k2, self._k3 = full(p.k1), full(p.k2), full(p.k3)
+        self._k1x2 = full(2.0 * p.k1)
+        self._lambda1, self._lambda2 = full(p.lambda1), full(p.lambda2)
+        self._l1x2, self._l2x2 = full(2.0 * p.lambda1), full(2.0 * p.lambda2)
+        self._d, self._e, self._f = full(p.d), full(p.e), full(p.f)
+        self._d_half, self._e_third, self._f_quarter = full(0.5 * p.d), full(p.e / 3.0), full(0.25 * p.f)
+        self._chi0 = full(-(p.k2 * p.k2 * p.sigma * p.sigma))  # chi = chi0 cos^2 / D
+        self._chi1 = full(p.k2 * p.k2 * p.k3 * p.sigma * p.sigma)  # chi' = chi1 sin(2 theta) / D^2
+        # e = +0.0 drops the cubic terms: x - (+0.0) is x, so the result is
+        # the same bit for bit wherever rho^2 is finite (e = -0.0 keeps them)
+        self._cubic = p.e != 0.0 or math.copysign(1.0, p.e) < 0.0
+        # (bytes of the last vector, its pointwise terms), replaced as one
+        # object so that threads sharing an evaluator never pair the key of
+        # one evaluation with the terms of another
+        self._last: tuple[bytes, tuple[np.ndarray, ...]] | None = None
 
     # -- field synthesis -------------------------------------------------
 
@@ -121,68 +145,97 @@ class Evaluator:
         """Grid samples (theta, theta_z, rho, rho_zz)."""
         tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
         theta = self._cos @ tc
-        theta_z = -(self._sin_theta @ (self._wt1 * tc))
+        theta_z = self._sin_theta @ (self._neg_wt1 * tc)
         rho = self._sin @ rs
-        rho_zz = -(self._sin @ (self._wr2 * rs))
+        rho_zz = self._sin @ (self._neg_wr2 * rs)
         return theta, theta_z, rho, rho_zz
 
     def _pointwise(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
         """Fields plus the pointwise terms shared by energy and gradient.
 
         Returns (theta, theta_z, rho, rho_zz, sin theta, cos theta,
-        sin^2 theta, rho^2, L, W) with the layer term L = rho_zz + q^2 rho
-        and the coupling term W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.
+        sin^2 theta, k3 sin^2 theta, rho^2, L, W) with the layer term
+        L = rho_zz + q^2 rho and the coupling term
+        W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho; k3 sin^2 theta is
+        (k3 sin theta) sin theta, the grouping of both chiral denominators.
         Powers are explicit products: numpy's vectorized ** is not exactly
         even in its argument, which would break the exact rho -> -rho energy
-        symmetry.  Returns the kept terms when ``vec`` equals the last vector.
+        symmetry.  Returns the kept terms when ``vec`` has the bytes of the
+        last vector.
         """
+        key = vec.tobytes()
         last = self._last
-        if last is not None and np.array_equal(vec, last[0]):
+        if last is not None and last[0] == key:
             return last[1]
         theta, theta_z, rho, rho_zz = self.fields(vec)
         sin_t = np.sin(theta)
         cos_t = np.cos(theta)
         sin2 = sin_t * sin_t
-        rho2 = rho * rho
         lay = rho_zz + self._q2 * rho
-        cw = sin2 * rho_zz + self._q2 * self._cos2t0 * rho
-        terms = (theta, theta_z, rho, rho_zz, sin_t, cos_t, sin2, rho2, lay, cw)
-        self._last = (vec.copy(), terms)
+        cw = sin2 * rho_zz + self._q2_cos2t0 * rho
+        terms = (theta, theta_z, rho, rho_zz, sin_t, cos_t, sin2, self._k3 * sin_t * sin_t, rho * rho, lay, cw)
+        self._last = (key, terms)
         return terms
 
     # -- energy ----------------------------------------------------------
 
-    def breakdown(self, vec: np.ndarray) -> EnergyBreakdown:
-        p = self.params
-        _, theta_z, rho, _, sin_t, cos_t, _, rho2, lay, cw = self._pointwise(vec)
+    def _integrals(self, vec: np.ndarray) -> tuple[float, float, float, float, float]:
+        """The five weighted sums: elastic, chiral, bulk, layer, coupling.
+
+        The integrands are the rows of one array, summed in one call; numpy
+        sums each contiguous row pairwise, exactly as ``row.sum()`` does.
+        """
+        _, theta_z, rho, _, _, cos_t, _, k3s2, rho2, lay, cw = self._pointwise(vec)
+        c2 = cos_t * cos_t
+        bulk = self._d_half * rho2
+        if self._cubic:
+            bulk -= self._e_third * rho2 * rho
+        bulk += self._f_quarter * rho2 * rho2
+        rows = np.array([
+            self._k1 * theta_z * theta_z,
+            self._chi0 * c2 / (self._k2 * c2 + k3s2),
+            bulk,
+            self._lambda1 * lay * lay,
+            self._lambda2 * cw * cw,
+        ])
         w = self.weight
-        elastic = w * float((p.k1 * theta_z * theta_z).sum())
-        chiral = w * float(_chi(cos_t, sin_t, p.k2, p.k3, p.sigma).sum())
-        bulk = w * float((0.5 * p.d * rho2 - (p.e / 3.0) * rho2 * rho + 0.25 * p.f * rho2 * rho2).sum())
-        layer = w * float((p.lambda1 * lay * lay).sum())
-        coupling = w * float((p.lambda2 * cw * cw).sum())
-        total = elastic + chiral + bulk + layer + coupling
-        return EnergyBreakdown(total, elastic, chiral, bulk, layer, coupling)
+        elastic, chiral, bulk_sum, layer, coupling = rows.sum(axis=1).tolist()
+        return w * elastic, w * chiral, w * bulk_sum, w * layer, w * coupling
+
+    def breakdown(self, vec: np.ndarray) -> EnergyBreakdown:
+        elastic, chiral, bulk, layer, coupling = self._integrals(vec)
+        return EnergyBreakdown(elastic + chiral + bulk + layer + coupling, elastic, chiral, bulk, layer, coupling)
 
     def energy(self, vec: np.ndarray) -> float:
-        return self.breakdown(vec).total
+        elastic, chiral, bulk, layer, coupling = self._integrals(vec)
+        return elastic + chiral + bulk + layer + coupling
 
     def gradient(self, vec: np.ndarray) -> np.ndarray:
         """Exact gradient of the discretized energy with respect to the coefficients."""
-        p = self.params
-        theta, theta_z, rho, rho_zz, sin_t, cos_t, sin2, rho2, lay, cw = self._pointwise(vec)
-        w = self.weight
-        q2, cos2t0 = self._q2, self._cos2t0
+        theta, theta_z, rho, rho_zz, _, cos_t, sin2, k3s2, rho2, lay, cw = self._pointwise(vec)
+        w, q2 = self._w, self._q2
+        w2 = self._l2x2 * cw  # 2 lambda2 W
+        l2 = self._l1x2 * lay  # 2 lambda1 L
 
-        sin_2t = np.sin(2.0 * theta)
-        dphi_dtheta = _chi_prime(cos_t, sin_t, sin_2t, p.k2, p.k3, p.sigma) + 2.0 * p.lambda2 * cw * sin_2t * rho_zz
-        dphi_dtheta_z = 2.0 * p.k1 * theta_z
-        dphi_drho = p.d * rho - p.e * rho2 + p.f * rho2 * rho + 2.0 * p.lambda1 * lay * q2 + 2.0 * p.lambda2 * cw * q2 * cos2t0
-        dphi_drho_zz = 2.0 * p.lambda1 * lay + 2.0 * p.lambda2 * cw * sin2
+        sin_2t = np.sin(theta + theta)
+        den = self._k2 * cos_t * cos_t + k3s2
+        dphi_dtheta = self._chi1 * sin_2t / (den * den) + w2 * sin_2t * rho_zz
+        dphi_drho = self._d * rho
+        if self._cubic:
+            dphi_drho -= self._e * rho2
+        dphi_drho += self._f * rho2 * rho
+        dphi_drho += l2 * q2
+        dphi_drho += w2 * q2 * self._cos2t0
+        dphi_drho_zz = l2 + w2 * sin2
 
-        g_theta = self._cos.T @ (w * dphi_dtheta) - self._wt1 * (self._sin_theta.T @ (w * dphi_dtheta_z))
-        g_rho = self._sin.T @ (w * dphi_drho) - self._wr2 * (self._sin.T @ (w * dphi_drho_zz))
-        return np.concatenate([g_theta, g_rho])
+        n = self.n
+        g = np.empty(2 * n + 3)
+        g_theta, g_rho = g[: n + 2], g[n + 2 :]
+        np.matmul(self._cos_T, w * dphi_dtheta, out=g_theta)
+        g_theta -= self._wt1 * (self._sin_theta_T @ (w * (self._k1x2 * theta_z)))
+        np.matmul(self._sin_T, w * dphi_drho, out=g_rho)
+        g_rho -= self._wr2 * (self._sin_T @ (w * dphi_drho_zz))
+        return g
 
     def hessian(self, vec: np.ndarray) -> np.ndarray:
         """Exact Hessian of the discretized energy with respect to the coefficients.
@@ -196,9 +249,9 @@ class Evaluator:
         field synthesis of the last energy or gradient at ``vec``.
         """
         p = self.params
-        theta, _, rho, rho_zz, sin_t, cos_t, sin2, rho2, _, cw = self._pointwise(vec)
+        theta, _, rho, rho_zz, sin_t, cos_t, sin2, _, rho2, _, cw = self._pointwise(vec)
         w = self.weight
-        q2, cos2t0 = self._q2, self._cos2t0
+        q2, cos2t0 = p.q * p.q, math.cos(p.theta0) ** 2
         l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2
         wt1, wr2 = self._wt1, self._wr2
 
@@ -276,17 +329,20 @@ def el_residual(state: SpectralState, params: ModelParams1D, grid: Grid | None =
     theta_zz = state.theta_values(g, order=2)
     q2 = p.q * p.q
     cos2t0 = math.cos(p.theta0) ** 2
-    sin2 = np.sin(theta) ** 2
+    # explicit products, as in Evaluator: numpy's rho**3 is not exactly odd
+    sin_t = np.sin(theta)
+    sin2 = sin_t * sin_t
+    rho2 = rho * rho
     w_field = sin2 * rho_zz + q2 * cos2t0 * rho
 
     sin_2t = np.sin(2.0 * theta)
-    r_theta = -2.0 * p.k1 * theta_zz + _chi_prime(np.cos(theta), np.sin(theta), sin_2t, p.k2, p.k3, p.sigma) \
+    r_theta = -2.0 * p.k1 * theta_zz + _chi_prime(np.cos(theta), sin_t, sin_2t, p.k2, p.k3, p.sigma) \
         + 2.0 * p.lambda2 * w_field * sin_2t * rho_zz
 
     band = g.m // 2 - 1
     prod = sin2 * w_field  # odd in z: sine series
     prod_zz = synthesize(analyze(prod, "sine", g, band), "sine", g, order=2)
-    r_rho = p.d * rho - p.e * rho**2 + p.f * rho**3 \
+    r_rho = p.d * rho - p.e * rho2 + p.f * rho2 * rho \
         + 2.0 * p.lambda1 * (rho_zzzz + 2.0 * q2 * rho_zz + q2 * q2 * rho) \
         + 2.0 * p.lambda2 * (prod_zz + q2 * cos2t0 * w_field)
     return r_theta, r_rho

@@ -185,6 +185,7 @@ def minimize(
     g = ev.gradient(x)
 
     dinv = 1.0 / _precondition_diagonal(state0.n, params)
+    neg_dinv = -dinv  # (-dinv) * g is -(dinv * g) exactly
     s_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
     step = STEP0
@@ -201,7 +202,7 @@ def minimize(
             direction = _newton_direction(ev.hessian(x), g, dinv)
             step = 1.0
         else:
-            direction = -(dinv * g)
+            direction = neg_dinv * g
             if s_prev is not None:
                 sy = float(s_prev @ y_prev)
                 if sy > 0:

@@ -262,8 +262,8 @@ def theta_star(t: float, params: ModelParams1D) -> float:
     zero at t = 0 by the limit convention and saturating at pi/2 - theta0 as
     t grows.  Assumes k1 = k2 = k3.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     p = params
     if t == 0 or p.lambda2 == 0:
         return 0.0

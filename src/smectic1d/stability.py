@@ -91,12 +91,23 @@ def hessian(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     x = state.pack()
     dim = x.size
     delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(x))))
+    delta2 = 2.0 * delta
     h_mat = np.empty((dim, dim))
+    # one probe per side, moved one coefficient at a time, in place of
+    # x +- c * delta * e_j: x + c * delta * e_j adds +0.0 to every other
+    # entry, which turns -0.0 into +0.0, so the "+" probe rests at x + 0.0
+    up, down = x + 0.0, x.copy()
     for j in range(dim):
-        e_j = np.zeros(dim)
-        e_j[j] = 1.0
-        col_1 = (ev.gradient(x + delta * e_j) - ev.gradient(x - delta * e_j)) / (2.0 * delta)
-        col_2 = (ev.gradient(x + 2.0 * delta * e_j) - ev.gradient(x - 2.0 * delta * e_j)) / (4.0 * delta)
+        x_j = x[j]
+        up[j] = x_j + delta
+        g_up = ev.gradient(up)
+        down[j] = x_j - delta
+        col_1 = (g_up - ev.gradient(down)) / delta2
+        up[j] = x_j + delta2
+        g_up = ev.gradient(up)
+        down[j] = x_j - delta2
+        col_2 = (g_up - ev.gradient(down)) / (4.0 * delta)
+        up[j], down[j] = x_j + 0.0, x_j
         h_mat[:, j] = (4.0 * col_1 - col_2) / 3.0
     return 0.5 * (h_mat + h_mat.T)
 
@@ -195,8 +206,8 @@ def second_variation_tilt(
     perturbation sampled on ``grid`` (differentiated spectrally).  Assumes
     k1 = k2 = k3.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     p = params
     tb = np.asarray(theta_bar, dtype=float)
     if tb.shape != (grid.m,):

@@ -1,7 +1,9 @@
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,20 @@ def test_package_minimize_is_the_function_in_any_import_order(child_env, prelude
 
 def test_dir_lists_every_export():
     assert set(smectic1d.__all__) <= set(dir(smectic1d))
+
+
+def test_benchmark_probe_targets_resolve(monkeypatch):
+    # bench/probe.py skips a target whose attribute is gone and reports its
+    # counters as 0, so a rename would zero a per-layer metric silently
+    path = Path(__file__).resolve().parent.parent / "bench" / "probe.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("_bench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.TARGETS
+    for module_name, attr in probe.TARGETS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(target, part), f"{module_name}.{attr}: no attribute {part!r}"
+            target = getattr(target, part)
+        assert callable(target), f"{module_name}.{attr} is not callable"

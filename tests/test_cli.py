@@ -227,6 +227,14 @@ class TestThresholdsCommand:
         assert "t1 = 0.940609" in out
         assert "theta_star(2) = 0.77779" in out
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1"])
+    def test_bad_t_exits_1_before_printing(self, tmp_path, capsys, t):
+        cfg = _write_fig3_config(tmp_path)
+        assert run(["thresholds", "--config", cfg, f"--t={t}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t must be finite and nonnegative" in captured.err
+
 
 class TestSweepCommand:
     def test_sweep_csv_and_detection(self, tmp_path, capsys):
@@ -369,6 +377,16 @@ class TestTensorCheckCommand:
         assert run(["tensor-check"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok") == 3
+
+    @pytest.mark.parametrize("flag", ["--eta1", "--eta2", "--eta24", "--sigma", "--s-plus", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option_exits_1_naming_it(self, capsys, flag, value):
+        # --sigma nan used to fail as "Q must be exactly symmetric", and
+        # --sigma inf with a numpy RuntimeWarning and "math domain error"
+        assert run(["tensor-check", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
 
 
 class TestPlot:

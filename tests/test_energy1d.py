@@ -207,6 +207,21 @@ class TestSymmetries:
 
 
 class TestEulerLagrangeResidual:
+    def test_rho_residual_exactly_odd_in_rho(self):
+        # at e = 0, rho -> -rho maps R_rho to -R_rho and keeps R_theta, bit
+        # for bit: the powers of rho are explicit products (numpy's rho**3 is
+        # not exactly odd)
+        p = ModelParams1D()
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            x = rng.normal(size=35) * 0.4
+            state = SpectralState.from_vector(x, 16, p.h)
+            mirrored = SpectralState(n=16, h=p.h, theta_c=state.theta_c, rho_s=-state.rho_s)
+            r_theta, r_rho = el_residual(state, p)
+            m_theta, m_rho = el_residual(mirrored, p)
+            assert np.array_equal(m_rho, -r_rho)
+            assert np.array_equal(m_theta, r_theta)
+
     def test_trivial_state(self):
         p = ModelParams1D()
         r_theta, r_rho = el_residual(seed_state("cholesteric", p, 64), p)

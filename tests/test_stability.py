@@ -279,6 +279,12 @@ class TestThetaStar:
         assert theta_star(1e9, p) == pytest.approx(math.pi / 2 - p.theta0, abs=1e-9)
         assert math.pi / 2 - p.theta0 == pytest.approx(1.2217305, abs=1e-7)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_rejected(self, t):
+        # t < 0 is False for NaN, and inf used to return the saturated tilt
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            theta_star(t, ModelParams1D())
+
     def test_monotone_and_bounded(self):
         p = ModelParams1D()
         ts = np.linspace(0.0, 20.0, 200)
@@ -297,6 +303,12 @@ class TestThetaStar:
 
 
 class TestSecondVariationTilt:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative(self, t):
+        grid = default_grid(16, ModelParams1D().h)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            second_variation_tilt(t, ModelParams1D(), np.ones(grid.m), grid)
+
     def test_constant_perturbation_closed_form(self):
         p = ModelParams1D()
         grid = default_grid(16, p.h)
