@@ -51,8 +51,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's own pattern reads "-10" and "-9.5" as values but "-1e1"
-        # as an option; no flag here looks like a number, so all are values
-        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # and "-inf" as options; no flag here looks like a number, so all of
+        # these are values, and the non-finite ones reach the finite checks
+        self._negative_number_matcher = re.compile(
+            r"-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity|nan))$"
+        )
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise _UsageError(message)
@@ -489,6 +492,8 @@ def _cmd_tensor_check(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     import numpy as np
 
     from . import tensor

@@ -88,10 +88,17 @@ class Evaluator:
 
     The pointwise terms of the last vector evaluated are kept, so the
     gradient at an accepted line-search point reuses the fields its energy
-    synthesized.  They are keyed on the bytes of that vector, not on its
+    synthesized.  Behind that entry sit the terms of the last theta block
+    and of the last rho block, and the gradient's terms of each block that
+    depend on that block alone.  A finite-difference Hessian column moves
+    one coefficient, so its gradient calls re-synthesize only the block
+    that coefficient lies in.  The coupling term W mixes both blocks, so W
+    and every gradient term it multiplies are computed per vector.  Each
+    entry is keyed on the bytes of its vector or block, not on its
     identity: a caller may mutate the array it passed, or pass one with the
     same bytes built anew, and either way gets the result of a fresh
-    evaluation bit for bit.
+    evaluation bit for bit (-0.0 and +0.0 have different bytes, so a sign
+    flip of a zero is a miss).
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -134,46 +141,60 @@ class Evaluator:
         # e = +0.0 drops the cubic terms: x - (+0.0) is x, so the result is
         # the same bit for bit wherever rho^2 is finite (e = -0.0 keeps them)
         self._cubic = p.e != 0.0 or math.copysign(1.0, p.e) < 0.0
-        # (bytes of the last vector, its pointwise terms), replaced as one
-        # object so that threads sharing an evaluator never pair the key of
-        # one evaluation with the terms of another
-        self._last: tuple[bytes, tuple[np.ndarray, ...]] | None = None
+        # (bytes, terms) of the last vector, of the last block of each kind
+        # and of the gradient's terms of each block, each pair replaced as
+        # one object so that threads sharing an evaluator never pair the key
+        # of one evaluation with the terms of another
+        self._last: tuple[bytes, tuple] | None = None
+        self._last_theta: tuple[bytes, tuple[np.ndarray, ...]] | None = None
+        self._last_rho: tuple[bytes, tuple[np.ndarray, ...]] | None = None
+        self._last_theta_grad: tuple[bytes, tuple[np.ndarray, ...]] | None = None
+        self._last_rho_grad: tuple[bytes, tuple[np.ndarray, ...]] | None = None
 
     # -- field synthesis -------------------------------------------------
 
     def fields(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Grid samples (theta, theta_z, rho, rho_zz)."""
-        tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
-        theta = self._cos @ tc
-        theta_z = self._sin_theta @ (self._neg_wt1 * tc)
-        rho = self._sin @ rs
-        rho_zz = self._sin @ (self._neg_wr2 * rs)
+        """Grid samples (theta, theta_z, rho, rho_zz), read from the kept terms."""
+        (_, (theta, theta_z, *_)), (_, (rho, rho_zz, *_)), _ = self._pointwise(vec)
         return theta, theta_z, rho, rho_zz
 
-    def _pointwise(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Fields plus the pointwise terms shared by energy and gradient.
+    def _pointwise(self, vec: np.ndarray) -> tuple:
+        """The block entries of ``vec`` and the coupling term W.
 
-        Returns (theta, theta_z, rho, rho_zz, sin theta, cos theta,
-        sin^2 theta, k3 sin^2 theta, rho^2, L, W) with the layer term
-        L = rho_zz + q^2 rho and the coupling term
-        W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho; k3 sin^2 theta is
-        (k3 sin theta) sin theta, the grouping of both chiral denominators.
-        Powers are explicit products: numpy's vectorized ** is not exactly
-        even in its argument, which would break the exact rho -> -rho energy
-        symmetry.  Returns the kept terms when ``vec`` has the bytes of the
-        last vector.
+        Returns ((theta key, theta terms), (rho key, rho terms), W).  The
+        theta terms are theta, theta_z, sin theta, cos theta, sin^2 theta and
+        k3 sin^2 theta, the last grouped as (k3 sin theta) sin theta like both
+        chiral denominators; the rho terms are rho, rho_zz, rho^2 and the
+        layer term L = rho_zz + q^2 rho; W = sin^2(theta) rho_zz
+        + q^2 cos^2(theta0) rho.  Powers are explicit products: numpy's
+        vectorized ** is not exactly even in its argument, which would break
+        the exact rho -> -rho energy symmetry.  Returns the kept entry when
+        ``vec`` has the bytes of the last vector; otherwise each block reuses
+        its kept terms when it has the bytes of the last block of its kind,
+        and only W is always computed anew.
         """
         key = vec.tobytes()
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        theta, theta_z, rho, rho_zz = self.fields(vec)
-        sin_t = np.sin(theta)
-        cos_t = np.cos(theta)
-        sin2 = sin_t * sin_t
-        lay = rho_zz + self._q2 * rho
-        cw = sin2 * rho_zz + self._q2_cos2t0 * rho
-        terms = (theta, theta_z, rho, rho_zz, sin_t, cos_t, sin2, self._k3 * sin_t * sin_t, rho * rho, lay, cw)
+        tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
+        theta_key = tc.tobytes()
+        theta_entry = self._last_theta
+        if theta_entry is None or theta_entry[0] != theta_key:
+            theta = self._cos @ tc
+            sin_t = np.sin(theta)
+            theta_entry = self._last_theta = (theta_key, (
+                theta, self._sin_theta @ (self._neg_wt1 * tc), sin_t, np.cos(theta), sin_t * sin_t,
+                self._k3 * sin_t * sin_t,
+            ))
+        rho_key = rs.tobytes()
+        rho_entry = self._last_rho
+        if rho_entry is None or rho_entry[0] != rho_key:
+            rho = self._sin @ rs
+            rho_zz = self._sin @ (self._neg_wr2 * rs)
+            rho_entry = self._last_rho = (rho_key, (rho, rho_zz, rho * rho, rho_zz + self._q2 * rho))
+        rho, rho_zz = rho_entry[1][:2]
+        terms = (theta_entry, rho_entry, theta_entry[1][4] * rho_zz + self._q2_cos2t0 * rho)
         self._last = (key, terms)
         return terms
 
@@ -185,7 +206,7 @@ class Evaluator:
         The integrands are the rows of one array, summed in one call; numpy
         sums each contiguous row pairwise, exactly as ``row.sum()`` does.
         """
-        _, theta_z, rho, _, _, cos_t, _, k3s2, rho2, lay, cw = self._pointwise(vec)
+        (_, (_, theta_z, _, cos_t, _, k3s2)), (_, (rho, _, rho2, lay)), cw = self._pointwise(vec)
         c2 = cos_t * cos_t
         bulk = self._d_half * rho2
         if self._cubic:
@@ -211,28 +232,47 @@ class Evaluator:
         return elastic + chiral + bulk + layer + coupling
 
     def gradient(self, vec: np.ndarray) -> np.ndarray:
-        """Exact gradient of the discretized energy with respect to the coefficients."""
-        theta, theta_z, rho, rho_zz, _, cos_t, sin2, k3s2, rho2, lay, cw = self._pointwise(vec)
-        w, q2 = self._w, self._q2
-        w2 = self._l2x2 * cw  # 2 lambda2 W
-        l2 = self._l1x2 * lay  # 2 lambda1 L
+        """Exact gradient of the discretized energy with respect to the coefficients.
 
-        sin_2t = np.sin(theta + theta)
-        den = self._k2 * cos_t * cos_t + k3s2
-        dphi_dtheta = self._chi1 * sin_2t / (den * den) + w2 * sin_2t * rho_zz
-        dphi_drho = self._d * rho
-        if self._cubic:
-            dphi_drho -= self._e * rho2
-        dphi_drho += self._f * rho2 * rho
-        dphi_drho += l2 * q2
-        dphi_drho += w2 * q2 * self._cos2t0
+        The terms that depend on one block only are kept under that block's
+        key: sin(2 theta), chi'(theta) and the twist part
+        wt1 * (sin_tab^T (w 2 k1 theta_z)) for theta; 2 lambda1 L and
+        d rho - e rho^2 + f rho^3 + 2 lambda1 L q^2 (the part of dphi/drho
+        without W, summed in that order) for rho.
+        """
+        (theta_key, (theta, theta_z, _, cos_t, sin2, k3s2)), (rho_key, (rho, rho_zz, rho2, lay)), cw = \
+            self._pointwise(vec)
+        w = self._w
+        last = self._last_theta_grad
+        if last is None or last[0] != theta_key:
+            sin_2t = np.sin(theta + theta)
+            den = self._k2 * cos_t * cos_t + k3s2
+            last = self._last_theta_grad = (theta_key, (
+                sin_2t, self._chi1 * sin_2t / (den * den),
+                self._wt1 * (self._sin_theta_T @ (w * (self._k1x2 * theta_z))),
+            ))
+        sin_2t, chi_t, twist_t = last[1]
+        last = self._last_rho_grad
+        if last is None or last[0] != rho_key:
+            l2 = self._l1x2 * lay  # 2 lambda1 L
+            dphi_drho = self._d * rho
+            if self._cubic:
+                dphi_drho -= self._e * rho2
+            dphi_drho += self._f * rho2 * rho
+            dphi_drho += l2 * self._q2
+            last = self._last_rho_grad = (rho_key, (l2, dphi_drho))
+        l2, rho_only = last[1]
+
+        w2 = self._l2x2 * cw  # 2 lambda2 W
+        dphi_dtheta = chi_t + w2 * sin_2t * rho_zz
+        dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
         dphi_drho_zz = l2 + w2 * sin2
 
         n = self.n
         g = np.empty(2 * n + 3)
         g_theta, g_rho = g[: n + 2], g[n + 2 :]
         np.matmul(self._cos_T, w * dphi_dtheta, out=g_theta)
-        g_theta -= self._wt1 * (self._sin_theta_T @ (w * (self._k1x2 * theta_z)))
+        g_theta -= twist_t
         np.matmul(self._sin_T, w * dphi_drho, out=g_rho)
         g_rho -= self._wr2 * (self._sin_T @ (w * dphi_drho_zz))
         return g
@@ -249,7 +289,7 @@ class Evaluator:
         field synthesis of the last energy or gradient at ``vec``.
         """
         p = self.params
-        theta, _, rho, rho_zz, sin_t, cos_t, sin2, _, rho2, _, cw = self._pointwise(vec)
+        (_, (theta, _, sin_t, cos_t, sin2, _)), (_, (rho, rho_zz, rho2, _)), cw = self._pointwise(vec)
         w = self.weight
         q2, cos2t0 = p.q * p.q, math.cos(p.theta0) ** 2
         l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy1d import Evaluator
-from .params import SEED_KINDS, ModelParams1D
+from .params import SEED_KINDS, ModelParams1D, d_critical
 from .spectral import SpectralState, gram_diagonal
 
 __all__ = ["MinimizeOptions", "MinimizeReport", "DivergenceError", "minimize", "seed_state", "SEED_KINDS"]
@@ -147,7 +147,7 @@ def _precondition_diagonal(n: int, params: ModelParams1D) -> np.ndarray:
     t_ref2 = 4.0 * max(-p.d, 0.0) / (3.0 * p.f)
     couple_scale = 2.0 * p.lambda2 * p.q**4 * t_ref2
     theta_part = 2.0 * (p.k1 * omega_theta**2 + p.k3 * p.sigma**2) + couple_scale
-    bulk_scale = max(abs(p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4), 1e-2)
+    bulk_scale = max(abs(p.d - d_critical(p)), 1e-2)
     rho_part = 2.0 * p.lambda1 * (omega_rho**2 - p.q * p.q) ** 2 + bulk_scale
     return gram * np.concatenate([theta_part, rho_part])
 

@@ -188,8 +188,9 @@ class ModelParams1D:
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be nonnegative and finite, got {v}")
         for name in ("sigma", "d", "e", "T2star"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not 0 < self.theta0 < math.pi / 2:
             raise ValueError(f"theta0 must lie in (0, pi/2), got {self.theta0}")
         ratio = self.q * self.h / TWO_PI

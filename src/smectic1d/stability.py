@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy1d import Evaluator
-from .params import ModelParams1D
+from .params import ModelParams1D, d_critical
 from .spectral import Grid, SpectralState, analyze, gram_diagonal, quadrature, synthesize
 
 __all__ = [
@@ -132,7 +132,7 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
 def _rho_mode_eigenvalue(params: ModelParams1D, n: int) -> float:
     p = params
     omega2 = (2.0 * math.pi * n / p.h) ** 2
-    return p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4 + 2.0 * p.lambda1 * (omega2 - p.q * p.q) ** 2
+    return p.d - d_critical(p) + 2.0 * p.lambda1 * (omega2 - p.q * p.q) ** 2
 
 
 def _theta_mode_eigenvalue(params: ModelParams1D, n: int) -> float:
@@ -154,7 +154,7 @@ def analytic_cholesteric_spectrum(params: ModelParams1D, n_max: int) -> list[Ana
     if n_max < params.n0:
         raise ValueError(f"n_max = {n_max} must reach the layer mode n0 = {params.n0}")
     p = params
-    modes = [AnalyticMode("rho_const", 0, p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4 + 2.0 * p.lambda1 * p.q**4)]
+    modes = [AnalyticMode("rho_const", 0, p.d - d_critical(p) + 2.0 * p.lambda1 * p.q**4)]
     for n in range(1, n_max + 1):
         val = _rho_mode_eigenvalue(params, n)
         modes.append(AnalyticMode("rho_sin", n, val))
@@ -173,7 +173,7 @@ def morse_index_analytic(params: ModelParams1D) -> int:
     positive).
     """
     p = params
-    base = p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4
+    base = p.d - d_critical(p)
     if p.lambda1 == 0:
         if base < 0:
             raise ValueError("morse index diverges: lambda1 = 0 leaves every layering mode unstable")

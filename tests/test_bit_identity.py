@@ -45,25 +45,28 @@ def _records_digest(records) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _vector(n: int, seed: int, layers: bool) -> np.ndarray:
+def _vector(n: int, seed: int, kind: str) -> np.ndarray:
     """A seeded coefficient vector with amplitudes falling off as 1/(1+k).
 
-    Without ``layers`` the rho coefficients are -0.0, as in the mirror image
-    of a layer-free state: every rho field sample is then a
-    sum of signed zeros, so the sign of each zero the evaluation produces
-    shows in the digests.
+    ``kind`` "no-layers" sets the rho coefficients to -0.0, as in the mirror
+    image of a layer-free state, and "untilted" sets the theta coefficients
+    to -0.0 (an untilted layered state): every sample of that block is then
+    a sum of signed zeros, so the sign of each zero the evaluation produces
+    shows in the digests.  "layers" keeps both blocks.
     """
     rng = np.random.default_rng(seed)
     k = np.concatenate([np.arange(n + 2), np.arange(1, n + 2)])
     x = 0.2 * rng.standard_normal(2 * n + 3) / (1.0 + k)
-    if not layers:
+    if kind == "no-layers":
         x[n + 2 :] = -0.0
+    elif kind == "untilted":
+        x[: n + 2] = -0.0
     return x
 
 
-def _evaluation_digests(n: int, e: float, layers: bool) -> dict[str, str]:
+def _evaluation_digests(n: int, e: float, kind: str) -> dict[str, str]:
     params = replace(ModelParams1D(), e=e)
-    x = _vector(n, n + int(1000 * e), layers)
+    x = _vector(n, n + int(1000 * e), kind)
     ev = Evaluator(n, params)
     energy = ev.energy(x)
     breakdown = ev.breakdown(x)
@@ -83,7 +86,7 @@ def _evaluation_digests(n: int, e: float, layers: bool) -> dict[str, str]:
 
 
 EVALUATION_DIGESTS = {
-    (16, 0.0, True): {
+    (16, 0.0, "layers"): {
         "energy": "93afa44313182707",
         "breakdown": "f60013662c1ec047",
         "gradient": "9be4925a651fcbbf",
@@ -91,7 +94,7 @@ EVALUATION_DIGESTS = {
         "fd_hessian": "703793c7b4b02ce7",
         "spectrum": "dc0a237755bd8191",
     },
-    (16, 0.05, True): {
+    (16, 0.05, "layers"): {
         "energy": "0dcf6a27f7b285c7",
         "breakdown": "59b46df8f0d0e9dc",
         "gradient": "ad02b2c16636a454",
@@ -99,7 +102,7 @@ EVALUATION_DIGESTS = {
         "fd_hessian": "24498292b8b44fbf",
         "spectrum": "6c5734fd86a19da3",
     },
-    (64, 0.0, True): {
+    (64, 0.0, "layers"): {
         "energy": "7f4d7bcec8045f36",
         "breakdown": "298a19f6ba0da3a3",
         "gradient": "776d4852c1c46067",
@@ -107,7 +110,7 @@ EVALUATION_DIGESTS = {
         "fd_hessian": "38956a1883117b23",
         "spectrum": "673a04f879816255",
     },
-    (64, 0.05, True): {
+    (64, 0.05, "layers"): {
         "energy": "0aae2f5babc51af4",
         "breakdown": "9a2de115c7ef75bb",
         "gradient": "ddbd8adc752c6132",
@@ -115,7 +118,7 @@ EVALUATION_DIGESTS = {
         "fd_hessian": "1c81d3649c8688d7",
         "spectrum": "2b055d2c6022ba04",
     },
-    (16, 0.0, False): {
+    (16, 0.0, "no-layers"): {
         "energy": "b664a4840a612a51",
         "breakdown": "ce90873131c3f64f",
         "gradient": "b1f1458152db1155",
@@ -123,10 +126,18 @@ EVALUATION_DIGESTS = {
         "fd_hessian": "d82645c63272e15b",
         "spectrum": "0677da8e469c3447",
     },
+    (64, 0.0, "untilted"): {
+        "energy": "ba831ad7db409540",
+        "breakdown": "81db6ffe254d1420",
+        "gradient": "22c3765c832a629c",
+        "hessian": "3757ff94858661ac",
+        "fd_hessian": "2ae6a61afb8c3efa",
+        "spectrum": "54ff0d91b8edffdb",
+    },
 }
 
 
-@pytest.mark.parametrize("key", list(EVALUATION_DIGESTS), ids=lambda k: f"N{k[0]}-e{k[1]}-{'layers' if k[2] else 'no-layers'}")
+@pytest.mark.parametrize("key", list(EVALUATION_DIGESTS), ids=lambda k: f"N{k[0]}-e{k[1]}-{k[2]}")
 def test_evaluation_digests(key):
     assert _evaluation_digests(*key) == EVALUATION_DIGESTS[key]
 

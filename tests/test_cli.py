@@ -62,6 +62,13 @@ class TestValidateParams:
         path.write_text("zeta = 1.0\n")
         assert run(["validate-params", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("value", ["-inf", "-NaN", "inf"])
+    def test_non_finite_value_exits_1_naming_it(self, capsys, value):
+        assert run(["validate-params", "--d", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: d must be finite, got {float(value)}\n"
+
     def test_unknown_flag_exits_1(self):
         assert run(["validate-params", "--bogus"]) == 1
 
@@ -227,13 +234,14 @@ class TestThresholdsCommand:
         assert "t1 = 0.940609" in out
         assert "theta_star(2) = 0.77779" in out
 
-    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-1", "-nan", "-Infinity", "-INF"])
     def test_bad_t_exits_1_before_printing(self, tmp_path, capsys, t):
         cfg = _write_fig3_config(tmp_path)
-        assert run(["thresholds", "--config", cfg, f"--t={t}"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "t must be finite and nonnegative" in captured.err
+        for flag in ([f"--t={t}"], ["--t", t]):
+            assert run(["thresholds", "--config", cfg, *flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "t must be finite and nonnegative" in captured.err
 
 
 class TestSweepCommand:
@@ -270,6 +278,8 @@ class TestSweepCommand:
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect=-1e-3"], "eps-detect"),
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "-1e-3"],
              "--eps-detect must be positive"),
+            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "-nan"], "dt must be finite, got nan"),
+            (["--t-start", "-10.3", "--t-end", "-Inf", "--dt", "0.05"], "t_end must be finite, got -inf"),
         ],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, capsys, monkeypatch, flags, message):
@@ -379,14 +389,23 @@ class TestTensorCheckCommand:
         assert out.count("ok") == 3
 
     @pytest.mark.parametrize("flag", ["--eta1", "--eta2", "--eta24", "--sigma", "--s-plus", "--tol"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "-Infinity"])
     def test_non_finite_option_exits_1_naming_it(self, capsys, flag, value):
         # --sigma nan used to fail as "Q must be exactly symmetric", and
         # --sigma inf with a numpy RuntimeWarning and "math domain error"
-        assert run(["tensor-check", f"{flag}={value}"]) == 1
+        for option in ([f"{flag}={value}"], [flag, value]):
+            assert run(["tensor-check", *option]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1e-3"])
+    def test_non_positive_tol_exits_1_before_computing(self, capsys, value):
+        # used to print three "-> FAIL" lines and "uniaxial reduction check failed"
+        assert run(["tensor-check", "--tol", value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+        assert captured.err == f"error: --tol must be positive, got {float(value)}\n"
 
 
 class TestPlot:

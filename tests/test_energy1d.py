@@ -127,6 +127,44 @@ class TestLastPointReuse:
         assert np.array_equal(ev.gradient(x1), Evaluator(16, p).gradient(x1))
         assert ev.breakdown(x1) == Evaluator(16, p).breakdown(x1)
 
+    @staticmethod
+    def _assert_fresh(ev, p, x):
+        """Gradient, energy and exact Hessian at ``x`` are a fresh evaluator's, bit for bit."""
+        for name in ("gradient", "energy", "hessian"):
+            got, want = getattr(ev, name)(x), getattr(Evaluator(16, p), name)(x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+    @pytest.mark.parametrize("index", [5, 18 + 4], ids=["theta", "rho"])
+    def test_one_coefficient_moved(self, index):
+        p = ModelParams1D(d=-0.8)
+        x, _ = self._vectors()
+        ev = Evaluator(16, p)
+        self._assert_fresh(ev, p, x)
+        y = x.copy()
+        y[index] += 1e-3
+        self._assert_fresh(ev, p, y)
+        self._assert_fresh(ev, p, x)
+
+    @pytest.mark.parametrize("block", [slice(0, 18), slice(18, 35)], ids=["theta", "rho"])
+    def test_block_zero_sign_flip(self, block):
+        p = ModelParams1D(d=-0.8)
+        x, _ = self._vectors()
+        x[block] = -0.0
+        y = x.copy()
+        y[block] = 0.0
+        ev = Evaluator(16, p)
+        for vec in (x, y, x):
+            self._assert_fresh(ev, p, vec)
+
+    @pytest.mark.parametrize("index", [2, 18 + 2], ids=["theta", "rho"])
+    def test_in_place_mutation_of_one_block(self, index):
+        p = ModelParams1D(d=-0.8)
+        x, _ = self._vectors()
+        ev = Evaluator(16, p)
+        ev.gradient(x)
+        x[index] -= 0.05
+        self._assert_fresh(ev, p, x)
+
 
 class TestGradient:
     def test_zero_at_trivial_state(self):
