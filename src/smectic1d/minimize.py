@@ -2,7 +2,10 @@
 
 The driver is gradient descent over the 2N+3 coefficients.  Steps are
 chosen by the spectral (Barzilai-Borwein) rule safeguarded with monotone
-Armijo backtracking.  The iteration runs in diagonally preconditioned
+Armijo backtracking; after a step that met non-positive curvature the next
+one starts from the upper step bound (Birgin, Martinez & Raydan, SIAM J.
+Optim. 10, 2000), so a relaxation that leaves a saddle below the layering
+onset does not crawl.  The iteration runs in diagonally preconditioned
 variables: the closed-form quadratic curvature of each basis mode (layer
 stiffness 2*lambda1*((2*pi*k/h)^2 - q^2)^2 for the smectic modes, twist
 stiffness 2*k1*((2*pi*k/h)^2 + sigma^2) for the tilt modes) rescales the
@@ -12,16 +15,15 @@ stalls below the floating-point resolution of the energy long before the
 gradient tolerance is met.
 
 Near a pitchfork the landscape is flat along the critical mode and the
-gradient phase crawls (13,782 steps from the smectic seed at T = -22.0).  A
-relaxation that is still running after NEWTON_AFTER steps, and has come
-within NEWTON_GRAD of a critical point, finishes with eigenvalue-modified
-Newton steps on the exact Hessian (``Evaluator.hessian``) in the same
-preconditioned variables: each eigenvalue lambda is replaced by |lambda|
-(floored), which turns negative curvature into descent instead of
-attraction to a saddle (Nocedal & Wright, Numerical Optimization, 3.4;
-Dauphin et al., NeurIPS 2014), and the step is capped in sup-norm.  The
-gradient phase stays the globalization: it decides which basin the
-relaxation ends in.
+gradient phase can crawl.  A relaxation that is still running after
+NEWTON_AFTER steps, and has come within NEWTON_GRAD of a critical point,
+finishes with eigenvalue-modified Newton steps on the exact Hessian
+(``Evaluator.hessian``) in the same preconditioned variables: each
+eigenvalue lambda is replaced by |lambda| (floored), which turns negative
+curvature into descent instead of attraction to a saddle (Nocedal & Wright,
+Numerical Optimization, 3.4; Dauphin et al., NeurIPS 2014), and the step is
+capped in sup-norm.  The gradient phase stays the globalization: it decides
+which basin the relaxation ends in.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ class DivergenceError(RuntimeError):
     """Raised when the energy becomes non-finite at an accepted iterate."""
 
 
-# Step policy: the step tried when no BB step is usable (first iteration or
-# s.y <= 0), the backtracking factor, the Armijo sufficient-decrease
-# constant, and the BB step bounds (the line search gives up below STEP_MIN).
+# Step policy: the step tried at the first iteration, the backtracking
+# factor, the Armijo sufficient-decrease constant, and the BB step bounds
+# (the line search gives up below STEP_MIN; STEP_MAX is also the step tried
+# after s.y <= 0).
 STEP0 = 1e-2
 BACKTRACK = 0.5
 ARMIJO = 1e-4
@@ -54,13 +57,14 @@ STEP_MAX = 1e6
 FLOAT_EPS = float(np.finfo(float).eps)
 # Newton phase gates.  A relaxation turns to Newton once BB has taken
 # NEWTON_AFTER accepted steps and |g|_inf <= NEWTON_GRAD.  500 lies above
-# every relaxation of the fig3 sweep (at most 136 steps) and of the CLI
-# batch (at most 199, elastic-sweep at d = -5.5), which therefore stay pure
-# BB; the stalled smectic seeds at T = -22.0 / -22.2 took 13,782 / 11,320.
-# The gradient gate keeps Newton out of the global phase: the lambda = 0.5
-# conical seed (N = 32, d = -5) has |g|_inf = 1.75 at step 500, and Newton
-# from there lands on the untilted state (E = -2.5133) instead of the tilted
-# minimum (E = -2.9303) that BB reaches.
+# every relaxation of the fig3 sweep (at most 18 steps), of the T -21.2 ->
+# -22.2 sweep at k = 0.025 (221) and of the CLI batch (at most 26,
+# elastic-sweep at d = -5.5), which therefore stay pure BB; the smectic
+# seeds at T = -21.8 / -22.0 / -22.2 take 117 / 99 / 62.  The gradient gate
+# keeps Newton out of the global phase: from the lambda = 0.5 conical seed
+# (N = 32, d = -5), ungated Newton from the first or second step lands on
+# the untilted state (E = -2.5133) instead of the tilted minimum
+# (E = -2.9303) that BB reaches.
 NEWTON_AFTER = 500
 NEWTON_GRAD = 1e-2
 # Sup-norm cap on a Newton step in coefficient space.  The energy repeats
@@ -68,8 +72,7 @@ NEWTON_GRAD = 1e-2
 # T = -22.5) jumped theta by multiples of pi, to a mean tilt of about -25.
 # 0.25 rad is well below the pi/2 to
 # the next period.  It binds in pure Newton from the smectic seed (5 of 70
-# steps at T = -22.5), never in the 20 Newton steps of the T -21.2 -> -22.2
-# sweep.
+# steps at T = -22.5).
 NEWTON_STEP_MAX = 0.25
 
 
@@ -209,7 +212,9 @@ def minimize(
                     ss = float(s_prev @ (s_prev / dinv))
                     step = min(max(ss / sy, STEP_MIN), STEP_MAX)
                 else:
-                    step = STEP0
+                    # non-positive curvature along s: the longest step,
+                    # cut down by backtracking
+                    step = STEP_MAX
         slope = float(g @ direction)  # negative descent slope
 
         # a few ulps of slack: near convergence the true decrease per step

@@ -94,9 +94,10 @@ def hessian(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     delta2 = 2.0 * delta
     h_mat = np.empty((dim, dim))
     # one probe per side, moved one coefficient at a time, in place of
-    # x +- c * delta * e_j: x + c * delta * e_j adds +0.0 to every other
-    # entry, which turns -0.0 into +0.0, so the "+" probe rests at x + 0.0
-    up, down = x + 0.0, x.copy()
+    # x +- c * delta * e_j; both rest at x + 0.0 (-0.0 turns into +0.0), so
+    # the unmoved block has the same bytes in both probes and its kept
+    # evaluator terms serve every call of a column
+    up, down = x + 0.0, x + 0.0
     for j in range(dim):
         x_j = x[j]
         up[j] = x_j + delta
@@ -107,7 +108,7 @@ def hessian(state: SpectralState, params: ModelParams1D) -> np.ndarray:
         g_up = ev.gradient(up)
         down[j] = x_j - delta2
         col_2 = (g_up - ev.gradient(down)) / (4.0 * delta)
-        up[j], down[j] = x_j + 0.0, x_j
+        up[j] = down[j] = x_j + 0.0
         h_mat[:, j] = (4.0 * col_1 - col_2) / 3.0
     return 0.5 * (h_mat + h_mat.T)
 

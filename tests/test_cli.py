@@ -132,22 +132,22 @@ class TestBatchOutputsUnchanged:
     DIGESTS = {
         "0:validate-params:stdout": "89d27d5b6aa4b952",
         "1:thresholds:stdout": "91e6498b54b5a530",
-        "2:minimize:stderr": "a9e44dd30388d481",
-        "2:minimize:stdout": "e1ae6d5d25309f39",
+        "2:minimize:stderr": "b87efd0d983b8e00",
+        "2:minimize:stdout": "91192d906c7f1dce",
         "3:spectrum:stdout": "e3b0c44298fc1c14",
-        "4:sweep:stdout": "655b9830703c464b",
+        "4:sweep:stdout": "d105113a92d41f68",
         "5:plot:stdout": "e3b0c44298fc1c14",
         "6:plot:stdout": "e3b0c44298fc1c14",
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "69764fc5c1761c5e",
-        "k.csv": "e73a105b5d27a0f4",
-        "k.svg": "ce853842a8f46d10",
-        "profile.csv": "5be6bce81f165827",
-        "profile.svg": "2cc499521fceedb2",
+        "k.csv": "78e3296e0e3d2fae",
+        "k.svg": "bd90fa9a96565a45",
+        "profile.csv": "04e2f0eb969fa8b7",
+        "profile.svg": "02d0f0925c0ed024",
         "spectrum.csv": "d697a64b7e3c863c",
-        "sweep.csv": "5478de9579833bbd",
-        "sweep.svg": "670a94f61877af17",
+        "sweep.csv": "064be937b15a0439",
+        "sweep.svg": "f5c42d5ba5752010",
     }
 
     @staticmethod

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from smectic1d import (
     seed_state,
 )
 from smectic1d.energy1d import mean_tilt
-from smectic1d.minimize import NEWTON_AFTER, NEWTON_STEP_MAX, _newton_direction
+from smectic1d.minimize import NEWTON_STEP_MAX, _newton_direction
 
 
 class TestSeeds:
@@ -117,6 +118,15 @@ class TestMinimize:
         assert np.array_equal(s1.pack(), s2.pack())
         assert r1 == r2
 
+    def test_smectic_seed_below_the_layering_onset_work_count(self):
+        # the seed leaves a saddle here, so BB meets s.y <= 0 early on; a
+        # fixed 1e-2 restart step after it took 394 steps, the longest step
+        # cut down by backtracking takes 117
+        p = ModelParams1D().at_temperature(-21.8)
+        _, report = minimize(seed_state("smectic-seed", p, 64), p)
+        assert report.converged
+        assert report.iterations <= 200
+
     def test_max_iters_reports_not_converged(self):
         p = ModelParams1D().with_d(-0.5)
         _, report = minimize(seed_state("smectic-seed", p, 64), p, MinimizeOptions(max_iters=2))
@@ -144,10 +154,18 @@ class TestMinimize:
             assert report.final_energy <= e0
 
 
+class _CountingHessian(Evaluator):
+    hessians = 0
+
+    def hessian(self, vec):
+        self.hessians += 1
+        return super().hessian(vec)
+
+
 class TestNewtonPhase:
     def test_stalled_smectic_seed_finishes(self):
-        # at T = -22.0 BB alone takes 13,782 iterations from the smectic seed
-        # to the state the warm start from T = -21.8 reaches in 87
+        # from the smectic seed at T = -22.0 BB reaches, in 99 steps, the
+        # state the warm start from T = -21.8 reaches in 90
         base = ModelParams1D()
         p_warm, p = base.at_temperature(-21.8), base.at_temperature(-22.0)
         warm, _ = minimize(seed_state("smectic-seed", p_warm, 64), p_warm)
@@ -158,13 +176,32 @@ class TestNewtonPhase:
         assert report.final_energy == pytest.approx(r_warm.final_energy, rel=1e-12, abs=0.0)
         assert state.theta_in_range()
 
-    def test_conical_seed_keeps_its_tilt(self):
-        # BB has taken 500 steps here while |g| is still 1.75; a Newton phase
-        # that started then would land on the untilted state at E = -2.5133
-        p = replace(ModelParams1D().with_d(-5.0), lambda1=0.5, lambda2=0.5)
-        state, report = minimize(seed_state("conical-seed", p, 32), p)
+    def test_newton_finish_from_the_smectic_seed(self, monkeypatch):
+        # no sweep relaxation reaches NEWTON_AFTER steps, so the step gate is
+        # lowered below the 99 BB steps at T = -22.0; Newton takes every step
+        # after the 20th and ends at the BB minimum
+        p = ModelParams1D().at_temperature(-22.0)
+        _, r_bb = minimize(seed_state("smectic-seed", p, 64), p)
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "NEWTON_AFTER", 20)
+        ev = _CountingHessian(64, p)
+        state, report = minimize(seed_state("smectic-seed", p, 64), p, evaluator=ev)
         assert report.converged
-        assert report.iterations > NEWTON_AFTER
+        assert report.iterations < r_bb.iterations
+        assert ev.hessians == report.iterations - 20
+        assert report.final_energy == pytest.approx(r_bb.final_energy, rel=1e-12, abs=0.0)
+        assert state.theta_in_range()
+
+    def test_conical_seed_keeps_its_tilt(self, monkeypatch):
+        # BB alone converges here in 117 steps.  With the step gate lowered
+        # to 1 only the gradient gate holds Newton back until |g| <= 1e-2; a
+        # Newton phase from the second step would land on the untilted state
+        # at E = -2.5133
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "NEWTON_AFTER", 1)
+        p = replace(ModelParams1D().with_d(-5.0), lambda1=0.5, lambda2=0.5)
+        ev = _CountingHessian(32, p)
+        state, report = minimize(seed_state("conical-seed", p, 32), p, evaluator=ev)
+        assert report.converged
+        assert 0 < ev.hessians < report.iterations - 1
         assert mean_tilt(state, p) == pytest.approx(1.2007, abs=1e-4)
         assert report.final_energy == pytest.approx(-2.930335, abs=1e-6)
         assert state.theta_in_range()

@@ -7,6 +7,7 @@ import pytest
 from smectic1d import (
     Evaluator,
     ModelParams1D,
+    SpectralState,
     analytic_cholesteric_spectrum,
     d_critical,
     default_grid,
@@ -82,6 +83,30 @@ class TestHessian:
             raw[:, j] = (ev.gradient(x + step) - ev.gradient(x - step)) / (2.0 * delta)
         scale = np.max(np.abs(raw))
         assert np.max(np.abs(raw - raw.T)) / scale < 1e-6
+
+    def test_signed_zero_block_is_synthesized_once_per_move(self, monkeypatch):
+        # an untilted layered state with a -0.0 theta block: both probes rest
+        # at x + 0.0, so theta is synthesized for the four gradient calls of
+        # each theta column and once more on return to rest, 4 (N + 2) + 1 =
+        # 265 times at N = 64; probes resting at different zeros miss the
+        # kept theta terms on every call, 4 (2N + 3) = 524 times
+        syntheses = 0
+        pointwise = Evaluator._pointwise
+
+        def counting(self, vec):
+            nonlocal syntheses
+            kept = self._last_theta
+            terms = pointwise(self, vec)
+            syntheses += self._last_theta is not kept
+            return terms
+
+        monkeypatch.setattr(Evaluator, "_pointwise", counting)
+        p = ModelParams1D()
+        rng = np.random.default_rng(7)
+        rho_s = 0.1 * rng.standard_normal(65) / np.arange(1, 66)
+        state = SpectralState(n=64, h=p.h, theta_c=np.full(66, -0.0), rho_s=rho_s)
+        spectrum(state, p)
+        assert syntheses == 265
 
 
 class TestExactHessian:
