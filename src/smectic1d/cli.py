@@ -145,7 +145,7 @@ def _profile_csv(state, params: ModelParams1D, grid) -> str:
 
     theta = state.theta_values(grid)
     rho = state.rho_values(grid)
-    phi, n1, n2, n3 = reconstruct_director(state, params, grid)
+    phi, n1, n2, n3 = reconstruct_director(state, params)
     rows = [
         [_fmt(z), _fmt(th), _fmt(r), _fmt(p), _fmt(a), _fmt(b), _fmt(c)]
         for z, th, r, p, a, b, c in zip(grid.nodes, theta, rho, phi, n1, n2, n3)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ModelParams1D
-from .spectral import TWO_PI, Grid, SpectralState, _tables, analyze, default_grid, quadrature, synthesize
+from .spectral import TWO_PI, SpectralState, _tables, analyze, default_grid, quadrature, synthesize
 
 __all__ = [
     "EnergyBreakdown",
@@ -344,7 +344,7 @@ def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     return Evaluator(state.n, params).gradient(state.pack())
 
 
-def el_residual(state: SpectralState, params: ModelParams1D, grid: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
+def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray, np.ndarray]:
     """Strong-form stationarity residuals on the grid.
 
     The residuals are the pointwise variational derivatives of the energy:
@@ -360,8 +360,7 @@ def el_residual(state: SpectralState, params: ModelParams1D, grid: Grid | None =
     """
     _check_state(state, params)
     p = params
-    g = grid or default_grid(state.n, params.h)
-    g.check_order(state.n)
+    g = default_grid(state.n, params.h)
     theta = state.theta_values(g)
     rho = state.rho_values(g)
     rho_zz = state.rho_values(g, order=2)
@@ -389,9 +388,9 @@ def el_residual(state: SpectralState, params: ModelParams1D, grid: Grid | None =
 
 
 def reconstruct_director(
-    state: SpectralState, params: ModelParams1D, grid: Grid | None = None
+    state: SpectralState, params: ModelParams1D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Azimuth and director profile (phi, n1, n2, n3) on the grid.
+    """Azimuth and director profile (phi, n1, n2, n3) on ``default_grid(N, h)``.
 
     phi(z) = int_0^z sigma k2 / (k2 cos^2 theta + k3 sin^2 theta) dzeta with
     phi(0) = 0, integrated spectrally (exact mean plus periodic
@@ -400,7 +399,7 @@ def reconstruct_director(
     """
     _check_state(state, params)
     p = params
-    g = grid or default_grid(state.n, params.h)
+    g = default_grid(state.n, params.h)
     theta = state.theta_values(g)
     c2 = np.cos(theta) ** 2
     s2 = np.sin(theta) ** 2

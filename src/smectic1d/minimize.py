@@ -1,4 +1,4 @@
-"""Minimization of the discretized energy: gradient descent, then Newton.
+"""Minimization of the discretized energy by preconditioned gradient descent.
 
 The driver is gradient descent over the 2N+3 coefficients.  Steps are
 chosen by the spectral (Barzilai-Borwein) rule safeguarded with monotone
@@ -13,17 +13,6 @@ gradient, which removes the ~1e5 curvature spread between high layer modes
 and the nearly flat pitchfork direction.  Without it a monotone line search
 stalls below the floating-point resolution of the energy long before the
 gradient tolerance is met.
-
-Near a pitchfork the landscape is flat along the critical mode and the
-gradient phase can crawl.  A relaxation that is still running after
-NEWTON_AFTER steps, and has come within NEWTON_GRAD of a critical point,
-finishes with eigenvalue-modified Newton steps on the exact Hessian
-(``Evaluator.hessian``) in the same preconditioned variables: each
-eigenvalue lambda is replaced by |lambda| (floored), which turns negative
-curvature into descent instead of attraction to a saddle (Nocedal & Wright,
-Numerical Optimization, 3.4; Dauphin et al., NeurIPS 2014), and the step is
-capped in sup-norm.  The gradient phase stays the globalization: it decides
-which basin the relaxation ends in.
 """
 
 from __future__ import annotations
@@ -55,25 +44,6 @@ STEP_MIN = 1e-16
 STEP_MAX = 1e6
 # Machine epsilon, the unit of the line search's floating-point slack.
 FLOAT_EPS = float(np.finfo(float).eps)
-# Newton phase gates.  A relaxation turns to Newton once BB has taken
-# NEWTON_AFTER accepted steps and |g|_inf <= NEWTON_GRAD.  500 lies above
-# every relaxation of the fig3 sweep (at most 18 steps), of the T -21.2 ->
-# -22.2 sweep at k = 0.025 (221) and of the CLI batch (at most 26,
-# elastic-sweep at d = -5.5), which therefore stay pure BB; the smectic
-# seeds at T = -21.8 / -22.0 / -22.2 take 117 / 99 / 62.  The gradient gate
-# keeps Newton out of the global phase: from the lambda = 0.5 conical seed
-# (N = 32, d = -5), ungated Newton from the first or second step lands on
-# the untilted state (E = -2.5133) instead of the tilted minimum
-# (E = -2.9303) that BB reaches.
-NEWTON_AFTER = 500
-NEWTON_GRAD = 1e-2
-# Sup-norm cap on a Newton step in coefficient space.  The energy repeats
-# under theta -> theta + pi; an uncapped pure-Newton prototype (smectic seed,
-# T = -22.5) jumped theta by multiples of pi, to a mean tilt of about -25.
-# 0.25 rad is well below the pi/2 to
-# the next period.  It binds in pure Newton from the smectic seed (5 of 70
-# steps at T = -22.5).
-NEWTON_STEP_MAX = 0.25
 
 
 @dataclass(frozen=True)
@@ -114,22 +84,24 @@ def seed_state(kind: str, params: ModelParams1D, n: int) -> SpectralState:
     The nonzero seeds exist to break the two sign symmetries: the trivial
     state is always critical, so a zero seed never leaves it.
     """
-    state = SpectralState.zeros(n, params.h)
     if kind == "cholesteric":
-        return state
-    n0 = params.n0
-    if n0 > n + 1:
-        raise ValueError(f"layer mode n0 = {n0} is not representable at truncation order N = {n}")
+        return frozen_layer_state(0.0, 0.0, params, n)
+    if kind == "smectic-seed":
+        return frozen_layer_state(0.1, 0.01, params, n)
+    if kind == "conical-seed":
+        return frozen_layer_state(0.1, np.pi / 2 - params.theta0, params, n)
+    raise ValueError(f"unknown seed kind {kind!r}; expected one of {SEED_KINDS}")
+
+
+def frozen_layer_state(t: float, theta: float, params: ModelParams1D, n: int) -> SpectralState:
+    """State with constant tilt ``theta`` and layer profile t*sin(q z) on mode n0."""
     theta_c = np.zeros(n + 2)
     rho_s = np.zeros(n + 1)
-    if kind == "smectic-seed":
-        theta_c[0] = 0.01
-        rho_s[n0 - 1] = 0.1
-    elif kind == "conical-seed":
-        theta_c[0] = np.pi / 2 - params.theta0
-        rho_s[n0 - 1] = 0.1
-    else:
-        raise ValueError(f"unknown seed kind {kind!r}; expected one of {SEED_KINDS}")
+    theta_c[0] = theta
+    if t != 0.0:
+        if params.n0 > n + 1:
+            raise ValueError(f"layer mode n0 = {params.n0} is not representable at truncation order N = {n}")
+        rho_s[params.n0 - 1] = t
     return SpectralState(n=n, h=params.h, theta_c=theta_c, rho_s=rho_s)
 
 
@@ -165,14 +137,11 @@ def minimize(
 
     Returns the final state together with a report.  ``converged`` means the
     sup-norm of the gradient fell to ``tol_grad``; otherwise the best iterate
-    found within ``max_iters`` is returned.  Preconditioned BB steps run
-    first; after NEWTON_AFTER of them, once the gradient's sup-norm is at
-    most NEWTON_GRAD, eigenvalue-modified Newton steps take over until the
-    end.  ``iterations`` counts the accepted steps of both phases.  The line
-    search is monotone in both: an accepted step raises the energy by at
-    most its slack of a few ulps, 4 eps max(1, |E|), because both directions
-    descend (slope <= 0): the preconditioner and the modified Hessian are
-    positive definite.
+    found within ``max_iters`` is returned.  ``iterations`` counts the
+    accepted steps.  The line search is monotone: an accepted step raises
+    the energy by at most its slack of a few ulps, 4 eps max(1, |E|),
+    because the preconditioned direction descends (slope <= 0): the
+    preconditioner is positive definite.
 
     Raises
     ------
@@ -194,27 +163,21 @@ def minimize(
     step = STEP0
 
     iterations = 0
-    newton = False
     for it in range(1, opts.max_iters + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.tol_grad:
             return _result(x, e, gnorm, it - 1, True, state0)
 
-        newton = newton or (it > NEWTON_AFTER and gnorm <= NEWTON_GRAD)
-        if newton:
-            direction = _newton_direction(ev.hessian(x), g, dinv)
-            step = 1.0
-        else:
-            direction = neg_dinv * g
-            if s_prev is not None:
-                sy = float(s_prev @ y_prev)
-                if sy > 0:
-                    ss = float(s_prev @ (s_prev / dinv))
-                    step = min(max(ss / sy, STEP_MIN), STEP_MAX)
-                else:
-                    # non-positive curvature along s: the longest step,
-                    # cut down by backtracking
-                    step = STEP_MAX
+        direction = neg_dinv * g
+        if s_prev is not None:
+            sy = float(s_prev @ y_prev)
+            if sy > 0:
+                ss = float(s_prev @ (s_prev / dinv))
+                step = min(max(ss / sy, STEP_MIN), STEP_MAX)
+            else:
+                # non-positive curvature along s: the longest step,
+                # cut down by backtracking
+                step = STEP_MAX
         slope = float(g @ direction)  # negative descent slope
 
         # a few ulps of slack: near convergence the true decrease per step
@@ -242,28 +205,6 @@ def minimize(
 
     gnorm = float(np.abs(g).max())
     return _result(x, e, gnorm, iterations, gnorm <= opts.tol_grad, state0)
-
-
-def _newton_direction(h_mat: np.ndarray, g: np.ndarray, dinv: np.ndarray) -> np.ndarray:
-    """Eigenvalue-modified Newton direction in the preconditioned variables.
-
-    With D^(-1/2) = sqrt(dinv), the step solves |H'| u = -D^(-1/2) g for
-    H' = D^(-1/2) H D^(-1/2), where |H'| replaces each eigenvalue lambda by
-    max(|lambda|, sqrt(eps) max|lambda|): a descent direction that moves
-    away from a saddle along its negative curvature instead of towards it.
-    The step D^(-1/2) u is scaled down to a sup-norm of NEWTON_STEP_MAX.
-    """
-    r = np.sqrt(dinv)
-    scaled = h_mat * r
-    scaled *= r[:, None]
-    lam, vecs = np.linalg.eigh(scaled)
-    mag = np.abs(lam)
-    mag = np.maximum(mag, math.sqrt(FLOAT_EPS) * float(mag.max()))
-    direction = -r * (vecs @ ((vecs.T @ (r * g)) / mag))
-    size = float(np.abs(direction).max())
-    if size > NEWTON_STEP_MAX:
-        direction *= NEWTON_STEP_MAX / size
-    return direction
 
 
 def _result(

@@ -97,17 +97,16 @@ class OFConstants:
     """Director (splay/twist/bend/saddle-splay) elastic constants.
 
     The constants must satisfy the chain
-    ``k1 = k3 >= k2 >= k2 + k4 >= C6_floor > 0 >= k4``; ``C6_floor`` is the
-    positive lower bound appearing in the coercivity argument and defaults to
-    its largest admissible value ``k2 + k4``.  The degenerate boundary
-    ``k4 = 0`` (eta24 = eta1) is admitted.
+    ``k1 = k3 >= k2 >= k2 + k4 > 0 >= k4``.  ``C6_floor`` is the positive
+    lower bound appearing in the coercivity argument, taken at its largest
+    admissible value ``k2 + k4``.  The degenerate boundary ``k4 = 0``
+    (eta24 = eta1) is admitted.
     """
 
     k1: float
     k2: float
     k3: float
     k4: float
-    C6_floor: float
 
     def __post_init__(self) -> None:
         violations = []
@@ -119,12 +118,12 @@ class OFConstants:
             violations.append(f"k4 = {self.k4} > 0 violates 0 >= k4")
         if not self.k2 + self.k4 > 0:
             violations.append(f"k2 + k4 > 0 violated (k2 + k4 = {self.k2 + self.k4})")
-        if not 0 < self.C6_floor <= self.k2 + self.k4:
-            violations.append(
-                f"C6_floor must lie in (0, k2 + k4] (C6_floor = {self.C6_floor}, k2 + k4 = {self.k2 + self.k4})"
-            )
         if violations:
             raise ValueError("; ".join(violations))
+
+    @property
+    def C6_floor(self) -> float:
+        return self.k2 + self.k4
 
 
 def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) -> OFConstants:
@@ -146,7 +145,7 @@ def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) ->
     k1 = k3 = s2 * (eta1 + eta2) / 2.0
     k2 = s2 * eta1
     k4 = s2 * (eta24 - eta1) / 2.0
-    return OFConstants(k1=k1, k2=k2, k3=k3, k4=k4, C6_floor=k2 + k4)
+    return OFConstants(k1=k1, k2=k2, k3=k3, k4=k4)
 
 
 @dataclass(frozen=True)

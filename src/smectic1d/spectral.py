@@ -41,11 +41,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.m) * (self.h / self.m)
 
-    def check_order(self, n: int) -> None:
-        """Anti-aliasing requirement M >= 4*(N+2) for quartic integrands."""
-        if self.m < 4 * (n + 2):
-            raise ValueError(f"grid with M = {self.m} nodes is too small for order N = {n}: need M >= {4 * (n + 2)}")
-
 
 def default_grid(n: int, h: float) -> Grid:
     """Smallest alias-free grid for quartic nonlinearities at order N."""

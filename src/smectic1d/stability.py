@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy1d import Evaluator
+from .minimize import frozen_layer_state
 from .params import ModelParams1D, d_critical
 from .spectral import Grid, SpectralState, analyze, gram_diagonal, quadrature, synthesize
 
@@ -219,18 +220,6 @@ def second_variation_tilt(
     weight = 2.0 * p.lambda2 * t * t * p.q**4 * np.sin(p.q * z) ** 2 * math.cos(p.theta0) ** 2
     integrand = p.k1 * tb_z**2 + p.k1 * p.sigma**2 * tb**2 - weight * tb**2
     return 2.0 * quadrature(integrand, p.h)
-
-
-def frozen_layer_state(t: float, theta: float, params: ModelParams1D, n: int) -> SpectralState:
-    """State with constant tilt ``theta`` and layer profile t*sin(q z)."""
-    theta_c = np.zeros(n + 2)
-    rho_s = np.zeros(n + 1)
-    theta_c[0] = theta
-    if t != 0.0:
-        if params.n0 > n + 1:
-            raise ValueError(f"layer mode n0 = {params.n0} is not representable at order N = {n}")
-        rho_s[params.n0 - 1] = t
-    return SpectralState(n=n, h=params.h, theta_c=theta_c, rho_s=rho_s)
 
 
 def optimal_constant_tilt(

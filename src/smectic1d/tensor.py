@@ -233,7 +233,6 @@ def reduction_residual(
     eta2: float,
     eta24: float,
     sigma: float,
-    dn: Callable[[float], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Pointwise difference between the tensor and director elastic densities.
 
@@ -243,9 +242,8 @@ def reduction_residual(
     constant and equal to :func:`uniaxial_reduction_offset` for every smooth
     unit field.
 
-    ``n`` is a callable z -> unit 3-vector and ``dn`` an optional callable
-    z -> dn/dz; when ``dn`` is omitted, central differences with step
-    ``FD_STEP * max(1, sup|n|)`` are used.
+    ``n`` is a callable z -> unit 3-vector; dn/dz is taken by central
+    differences with step ``FD_STEP * max(1, sup|n|)``.
     """
     z = np.asarray(z, dtype=float)
     nv = np.array([np.asarray(n(zj), dtype=float) for zj in z])
@@ -255,11 +253,8 @@ def reduction_residual(
     if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
         raise ValueError(f"director samples are not unit length (max deviation {np.max(np.abs(norms - 1.0))})")
 
-    if dn is None:
-        step = FD_STEP * max(1.0, float(np.max(np.abs(nv))))
-        dnv = np.array([(np.asarray(n(zj + step)) - np.asarray(n(zj - step))) / (2.0 * step) for zj in z])
-    else:
-        dnv = np.array([np.asarray(dn(zj), dtype=float) for zj in z])
+    step = FD_STEP * max(1.0, float(np.max(np.abs(nv))))
+    dnv = np.array([(np.asarray(n(zj + step)) - np.asarray(n(zj - step))) / (2.0 * step) for zj in z])
     if dnv.shape != (z.size, 3):
         raise ValueError(f"expected derivative samples of shape ({z.size}, 3), got {dnv.shape}")
 

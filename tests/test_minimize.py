@@ -1,4 +1,3 @@
-import importlib
 import math
 from dataclasses import replace
 
@@ -17,8 +16,6 @@ from smectic1d import (
     minimize,
     seed_state,
 )
-from smectic1d.energy1d import mean_tilt
-from smectic1d.minimize import NEWTON_STEP_MAX, _newton_direction
 
 
 class TestSeeds:
@@ -154,68 +151,24 @@ class TestMinimize:
             assert report.final_energy <= e0
 
 
-class _CountingHessian(Evaluator):
-    hessians = 0
-
-    def hessian(self, vec):
-        self.hessians += 1
-        return super().hessian(vec)
-
-
-class TestNewtonPhase:
-    def test_stalled_smectic_seed_finishes(self):
-        # from the smectic seed at T = -22.0 BB reaches, in 99 steps, the
-        # state the warm start from T = -21.8 reaches in 90
-        base = ModelParams1D()
-        p_warm, p = base.at_temperature(-21.8), base.at_temperature(-22.0)
-        warm, _ = minimize(seed_state("smectic-seed", p_warm, 64), p_warm)
-        _, r_warm = minimize(warm, p)
+class TestBarzilaiBorwein:
+    # the slowest smectic-seed relaxations of a scan over k in {0.025, 0.01,
+    # 0.0025} at T = -9 .. -24, warm sweeps through the onsets, k and lambda
+    # elastic sweeps, N = 16..128 and e in {0.05, 0.5}: BB alone converges
+    # in 245, 202 and 154 steps
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param(replace(ModelParams1D(), k1=0.01, k2=0.01, k3=0.01).at_temperature(-15.25), id="k0.01-T-15.25"),
+            pytest.param(replace(ModelParams1D().with_d(-4.5), lambda1=1.0, lambda2=1.0), id="d-4.5-lambda1"),
+            pytest.param(ModelParams1D().at_temperature(-21.5), id="k0.025-T-21.5"),
+        ],
+    )
+    def test_slowest_smectic_seeds_converge(self, p):
         state, report = minimize(seed_state("smectic-seed", p, 64), p)
-        assert r_warm.converged and report.converged
-        assert report.iterations < 1000
-        assert report.final_energy == pytest.approx(r_warm.final_energy, rel=1e-12, abs=0.0)
-        assert state.theta_in_range()
-
-    def test_newton_finish_from_the_smectic_seed(self, monkeypatch):
-        # no sweep relaxation reaches NEWTON_AFTER steps, so the step gate is
-        # lowered below the 99 BB steps at T = -22.0; Newton takes every step
-        # after the 20th and ends at the BB minimum
-        p = ModelParams1D().at_temperature(-22.0)
-        _, r_bb = minimize(seed_state("smectic-seed", p, 64), p)
-        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "NEWTON_AFTER", 20)
-        ev = _CountingHessian(64, p)
-        state, report = minimize(seed_state("smectic-seed", p, 64), p, evaluator=ev)
         assert report.converged
-        assert report.iterations < r_bb.iterations
-        assert ev.hessians == report.iterations - 20
-        assert report.final_energy == pytest.approx(r_bb.final_energy, rel=1e-12, abs=0.0)
+        assert report.iterations < 500
         assert state.theta_in_range()
-
-    def test_conical_seed_keeps_its_tilt(self, monkeypatch):
-        # BB alone converges here in 117 steps.  With the step gate lowered
-        # to 1 only the gradient gate holds Newton back until |g| <= 1e-2; a
-        # Newton phase from the second step would land on the untilted state
-        # at E = -2.5133
-        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "NEWTON_AFTER", 1)
-        p = replace(ModelParams1D().with_d(-5.0), lambda1=0.5, lambda2=0.5)
-        ev = _CountingHessian(32, p)
-        state, report = minimize(seed_state("conical-seed", p, 32), p, evaluator=ev)
-        assert report.converged
-        assert 0 < ev.hessians < report.iterations - 1
-        assert mean_tilt(state, p) == pytest.approx(1.2007, abs=1e-4)
-        assert report.final_energy == pytest.approx(-2.930335, abs=1e-6)
-        assert state.theta_in_range()
-
-    def test_direction_descends_away_from_a_saddle_within_the_cap(self):
-        # curvature -1e-3 along the second coordinate: plain Newton would
-        # step +1 there, uphill towards the saddle; the |lambda| step goes
-        # downhill and is scaled to the cap
-        h_mat = np.diag([2.0, -1e-3, 1.0])
-        g = np.array([1e-3, 1e-3, 0.0])
-        direction = _newton_direction(h_mat, g, np.ones(3))
-        assert g @ direction < 0
-        assert direction[1] < 0
-        assert np.abs(direction).max() == pytest.approx(NEWTON_STEP_MAX, rel=1e-15)
 
 
 class TestOptions:

@@ -114,12 +114,6 @@ class TestGridAndState:
         with pytest.raises(ValueError):
             sp.Grid(16, -1.0)
 
-    def test_check_order(self):
-        grid = sp.Grid(64, TWO_PI)
-        grid.check_order(14)
-        with pytest.raises(ValueError, match="too small"):
-            grid.check_order(16)
-
     def test_default_grid_size(self):
         assert sp.default_grid(64, TWO_PI).m == 264
 

@@ -23,7 +23,8 @@ from smectic1d import (
     tilt_thresholds,
 )
 from smectic1d.spectral import gram_diagonal
-from smectic1d.stability import HESSIAN_FD_STEP, frozen_layer_state
+from smectic1d.minimize import frozen_layer_state
+from smectic1d.stability import HESSIAN_FD_STEP
 
 
 def _bulk_offset(p: ModelParams1D) -> float:

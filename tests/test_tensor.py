@@ -231,15 +231,6 @@ class TestReduction:
         res = tn.reduction_residual(z, field, self.S_PLUS, 1.3, 0.7, 0.9, 0.0)
         assert np.max(np.abs(res)) < 1e-9
 
-    def test_analytic_derivatives_path(self):
-        def dn(z):
-            return self.SIGMA * np.array([-math.sin(self.SIGMA * z), math.cos(self.SIGMA * z), 0.0])
-
-        z = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-        res = tn.reduction_residual(z, self._helix, self.S_PLUS, 1.0, 0.0, 0.0, self.SIGMA, dn=dn)
-        assert np.ptp(res) < 1e-13
-        assert np.mean(res) == pytest.approx(3.0, rel=1e-13)
-
     def test_non_unit_samples_rejected(self):
         z = np.linspace(0.0, 1.0, 8)
         with pytest.raises(ValueError, match="unit"):
