@@ -1,23 +1,28 @@
 """Minimization of the discretized energy by preconditioned gradient descent.
 
 The driver is gradient descent over the 2N+3 coefficients.  Steps are
-chosen by the spectral (Barzilai-Borwein) rule safeguarded with monotone
-Armijo backtracking; after a step that met non-positive curvature the next
-one starts from the upper step bound (Birgin, Martinez & Raydan, SIAM J.
-Optim. 10, 2000), so a relaxation that leaves a saddle below the layering
-onset does not crawl.  The iteration runs in diagonally preconditioned
-variables: the closed-form quadratic curvature of each basis mode (layer
-stiffness 2*lambda1*((2*pi*k/h)^2 - q^2)^2 for the smectic modes, twist
-stiffness 2*k1*((2*pi*k/h)^2 + sigma^2) for the tilt modes) rescales the
-gradient, which removes the ~1e5 curvature spread between high layer modes
-and the nearly flat pitchfork direction.  Without it a monotone line search
-stalls below the floating-point resolution of the energy long before the
-gradient tolerance is met.
+chosen by the spectral (Barzilai-Borwein) rule safeguarded with nonmonotone
+Armijo backtracking: a step is tested against the largest of the last few
+accepted energies (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23,
+1986), so the BB step is not cut back whenever it raises the energy for a
+moment (Raydan, SIAM J. Optim. 7, 1997).  After a step that met
+non-positive curvature the next one starts from the upper step bound
+(Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000), so a relaxation that
+leaves a saddle below the layering onset does not crawl.  The iteration
+runs in diagonally preconditioned variables: the closed-form quadratic
+curvature of each basis mode (layer stiffness
+2*lambda1*((2*pi*k/h)^2 - q^2)^2 for the smectic modes, twist stiffness
+2*k1*((2*pi*k/h)^2 + sigma^2) for the tilt modes) rescales the gradient,
+which removes the ~1e5 curvature spread between high layer modes and the
+nearly flat pitchfork direction.  Without it the line search stalls below
+the floating-point resolution of the energy long before the gradient
+tolerance is met.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +39,13 @@ class DivergenceError(RuntimeError):
 
 
 # Step policy: the step tried at the first iteration, the backtracking
-# factor, the Armijo sufficient-decrease constant, and the BB step bounds
-# (the line search gives up below STEP_MIN; STEP_MAX is also the step tried
-# after s.y <= 0).
+# factor, the number of accepted energies whose maximum the Armijo test
+# compares against (the nonmonotone memory M of SPG2), the Armijo
+# sufficient-decrease constant, and the BB step bounds (the line search
+# gives up below STEP_MIN; STEP_MAX is also the step tried after s.y <= 0).
 STEP0 = 1e-2
 BACKTRACK = 0.5
+MEMORY = 10
 ARMIJO = 1e-4
 STEP_MIN = 1e-16
 STEP_MAX = 1e6
@@ -136,12 +143,15 @@ def minimize(
     """Minimize the discretized energy starting from ``state0``.
 
     Returns the final state together with a report.  ``converged`` means the
-    sup-norm of the gradient fell to ``tol_grad``; otherwise the best iterate
-    found within ``max_iters`` is returned.  ``iterations`` counts the
-    accepted steps.  The line search is monotone: an accepted step raises
-    the energy by at most its slack of a few ulps, 4 eps max(1, |E|),
-    because the preconditioned direction descends (slope <= 0): the
-    preconditioner is positive definite.
+    sup-norm of the gradient fell to ``tol_grad`` and the last iterate is
+    returned; otherwise (``max_iters`` reached, or the line search stalled)
+    the lowest-energy iterate accepted so far is returned with its gradient
+    norm.  ``iterations`` counts the accepted steps.  The line search is
+    nonmonotone: an accepted energy is at most the largest of the last
+    ``MEMORY`` accepted energies plus its slack of a few ulps,
+    4 eps max(1, |E|) at the current energy E.  The preconditioned
+    direction descends (slope <= 0) because the preconditioner is positive
+    definite.
 
     Raises
     ------
@@ -155,6 +165,8 @@ def minimize(
     if not math.isfinite(e):
         raise DivergenceError("non-finite energy at the starting state")
     g = ev.gradient(x)
+    recent = deque([e], maxlen=MEMORY)
+    best_x, best_e, best_g = x, e, g
 
     dinv = 1.0 / _precondition_diagonal(state0.n, params)
     neg_dinv = -dinv  # (-dinv) * g is -(dinv * g) exactly
@@ -182,29 +194,35 @@ def minimize(
 
         # a few ulps of slack: near convergence the true decrease per step
         # falls below the energy's floating-point resolution while the
-        # analytic gradient stays accurate, and a zero-slack monotone test
+        # analytic gradient stays accurate, and a zero-slack test
         # deadlocks the line search
         slack = 4.0 * FLOAT_EPS * max(1.0, abs(e))
+        e_ref = max(recent)
         alpha = step
         accepted = False
         while alpha >= STEP_MIN:
             x_new = x + alpha * direction
             e_new = ev.energy(x_new)
-            if math.isfinite(e_new) and e_new <= e + ARMIJO * alpha * slope + slack:
+            if math.isfinite(e_new) and e_new <= e_ref + ARMIJO * alpha * slope + slack:
                 accepted = True
                 break
             alpha *= BACKTRACK
         iterations = it
         if not accepted:
             # line search stalled even with slack: flat to working precision
-            return _result(x, e, gnorm, it, False, state0)
+            return _result(best_x, best_e, float(np.abs(best_g).max()), it, False, state0)
         g_new = ev.gradient(x_new)
         s_prev = x_new - x
         y_prev = g_new - g
         x, e, g = x_new, e_new, g_new
+        recent.append(e)
+        if e < best_e:
+            best_x, best_e, best_g = x, e, g
 
     gnorm = float(np.abs(g).max())
-    return _result(x, e, gnorm, iterations, gnorm <= opts.tol_grad, state0)
+    if gnorm <= opts.tol_grad:
+        return _result(x, e, gnorm, iterations, True, state0)
+    return _result(best_x, best_e, float(np.abs(best_g).max()), iterations, False, state0)
 
 
 def _result(

@@ -57,6 +57,8 @@ class StabilityReport:
 
     def __post_init__(self) -> None:
         ev = np.array(self.eigenvalues, dtype=float)
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be ascending")
         ev.setflags(write=False)

@@ -287,13 +287,14 @@ def elastic_sweep(
     """
     if vary not in ("k", "lambda"):
         raise ValueError(f"vary must be 'k' or 'lambda', got {vary!r}")
+    # build (and so validate) every parameter set before the first relaxation
+    if vary == "k":
+        points = [replace(params, k1=v, k2=v, k3=v) for v in values]
+    else:
+        points = [replace(params, lambda1=v, lambda2=v) for v in values]
     records: list[ElasticRecord] = []
     grid = default_grid(n_modes, params.h)
-    for v in values:
-        if vary == "k":
-            params_v = replace(params, k1=v, k2=v, k3=v)
-        else:
-            params_v = replace(params, lambda1=v, lambda2=v)
+    for v, params_v in zip(values, points):
         evaluator = Evaluator(n_modes, params_v)
         candidates = [seed_state(kind, params_v, n_modes) for kind in ELASTIC_SEEDS]
         state, energy_val, converged = _relax(candidates, params_v, options, evaluator)

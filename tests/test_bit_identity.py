@@ -144,17 +144,17 @@ def test_evaluation_digests(key):
 
 @pytest.fixture(scope="module")
 def tilt_onset_records(fig3_params):
-    """The T grid of the benchmark's tilt_onset workload: 11 BB relaxations, the longest 221 steps."""
+    """The T grid of the benchmark's tilt_onset workload: 11 BB relaxations, the longest 224 steps."""
     return sweep_temperature(fig3_params, SweepConfig(t_start=-21.2, t_end=-22.2, dt=0.2, record_morse=True))
 
 
 def test_fig3_sweep_records(fig3_sweep):
-    assert _records_digest(fig3_sweep) == "95869e9b3c6f4cdc"
+    assert _records_digest(fig3_sweep) == "50f93f5fc311de59"
 
 
 def test_tilt_sweep_records(tilt_sweep):
-    assert _records_digest(tilt_sweep) == "fe094694a3075063"
+    assert _records_digest(tilt_sweep) == "dc3ffda5451dd55e"
 
 
 def test_tilt_onset_records(tilt_onset_records):
-    assert _records_digest(tilt_onset_records) == "666f683a39a648a2"
+    assert _records_digest(tilt_onset_records) == "6520a58aef22b69f"

@@ -132,22 +132,22 @@ class TestBatchOutputsUnchanged:
     DIGESTS = {
         "0:validate-params:stdout": "89d27d5b6aa4b952",
         "1:thresholds:stdout": "91e6498b54b5a530",
-        "2:minimize:stderr": "b87efd0d983b8e00",
-        "2:minimize:stdout": "91192d906c7f1dce",
+        "2:minimize:stderr": "a12120dea9b9f0fe",
+        "2:minimize:stdout": "3b135c1174b047ec",
         "3:spectrum:stdout": "e3b0c44298fc1c14",
-        "4:sweep:stdout": "d105113a92d41f68",
+        "4:sweep:stdout": "17e1a1e5d830f826",
         "5:plot:stdout": "e3b0c44298fc1c14",
         "6:plot:stdout": "e3b0c44298fc1c14",
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "69764fc5c1761c5e",
-        "k.csv": "78e3296e0e3d2fae",
-        "k.svg": "bd90fa9a96565a45",
-        "profile.csv": "04e2f0eb969fa8b7",
-        "profile.svg": "02d0f0925c0ed024",
+        "k.csv": "3bf83ccea2d2cc1a",
+        "k.svg": "924da169e351357d",
+        "profile.csv": "77fcf0d384348bfb",
+        "profile.svg": "a1d3feebf5917439",
         "spectrum.csv": "d697a64b7e3c863c",
-        "sweep.csv": "064be937b15a0439",
-        "sweep.svg": "f5c42d5ba5752010",
+        "sweep.csv": "d0b3b59b9e210d6f",
+        "sweep.svg": "0a75912006edf038",
     }
 
     @staticmethod

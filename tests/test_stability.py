@@ -8,6 +8,7 @@ from smectic1d import (
     Evaluator,
     ModelParams1D,
     SpectralState,
+    StabilityReport,
     analytic_cholesteric_spectrum,
     d_critical,
     default_grid,
@@ -191,6 +192,15 @@ class TestSpectrum:
             expected = _restricted_analytic(p, n)
             rel = np.abs(report.eigenvalues - expected) / np.maximum(np.abs(expected), 1e-30)
             assert np.max(rel) < 1e-6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_report_rejects_non_finite_eigenvalues(self, bad):
+        # NaN compares False both ways, so the ascending check alone let
+        # [nan, 1.0] through with Morse index 0
+        with pytest.raises(ValueError, match="finite"):
+            StabilityReport(eigenvalues=[bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            StabilityReport(eigenvalues=[-1.0, bad])
 
 
 class TestAnalyticSpectrum:

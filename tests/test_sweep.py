@@ -268,3 +268,13 @@ class TestElasticSweep:
     def test_unknown_axis_rejected(self, fig3_params):
         with pytest.raises(ValueError, match="vary"):
             elastic_sweep(fig3_params, [0.1], vary="mu")
+
+    @pytest.mark.parametrize("vary", ["k", "lambda"])
+    def test_bad_value_rejected_before_any_relaxation(self, fig3_params, monkeypatch, vary):
+        calls = []
+        module = importlib.import_module("smectic1d.minimize")
+        original = module.minimize
+        monkeypatch.setattr(module, "minimize", lambda *a, **k: calls.append(1) or original(*a, **k))
+        with pytest.raises(ValueError, match="finite"):
+            elastic_sweep(fig3_params.with_d(-5.0), [0.025, math.nan], vary=vary, n_modes=32)
+        assert calls == []
