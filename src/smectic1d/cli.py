@@ -364,22 +364,26 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
     if args.echo:
         sys.stdout.write(format_config(config))
         return 0
+    abc, etas = (args.A, args.B, args.C), (args.eta1, args.eta2, args.eta24)
+    if None in abc and abc != (None,) * 3:
+        raise ValueError("--A, --B and --C must be given together")
+    if None in etas and etas != (None,) * 3:
+        raise ValueError("--eta1, --eta2 and --eta24 must be given together")
+    if args.eta1 is not None:
+        if args.A is None:
+            raise ValueError("--eta1, --eta2 and --eta24 need --A, --B and --C")
+        verdict = params_mod.validate_elastic_constants(*etas)
+        if not verdict.valid:
+            raise ValueError(verdict.violation)
+    s_plus = None if args.A is None else params_mod.compute_s_plus(*abc)
+    of = None if args.eta1 is None else params_mod.map_to_oseen_frank(*etas, s_plus)
     _print_thresholds(p)
-    if args.A is not None or args.B is not None or args.C is not None:
-        if None in (args.A, args.B, args.C):
-            raise ValueError("--A, --B and --C must be given together")
-        s_plus = params_mod.compute_s_plus(args.A, args.B, args.C)
+    if s_plus is not None:
         print(f"s_plus = {_fmt(s_plus)}")
-        if args.eta1 is not None:
-            if None in (args.eta2, args.eta24):
-                raise ValueError("--eta1, --eta2 and --eta24 must be given together")
-            verdict = params_mod.validate_elastic_constants(args.eta1, args.eta2, args.eta24)
-            if not verdict.valid:
-                raise ValueError(verdict.violation)
-            of = params_mod.map_to_oseen_frank(args.eta1, args.eta2, args.eta24, s_plus)
-            print(f"k1 = k3 = {_fmt(of.k1)}")
-            print(f"k2 = {_fmt(of.k2)}")
-            print(f"k4 = {_fmt(of.k4)}")
+    if of is not None:
+        print(f"k1 = k3 = {_fmt(of.k1)}")
+        print(f"k2 = {_fmt(of.k2)}")
+        print(f"k4 = {_fmt(of.k4)}")
     return 0
 
 
@@ -520,7 +524,7 @@ def _cmd_tensor_check(args: argparse.Namespace) -> int:
         spread = float(np.ptp(res))
         mean = float(np.mean(res))
         rel = abs(mean - expected) / max(abs(expected), 1e-30)
-        line_ok = spread < args.tol and rel < 0.01 if expected != 0 else spread < args.tol
+        line_ok = spread < args.tol and (rel < 0.01 if expected != 0 else abs(mean) < args.tol)
         ok = ok and line_ok
         print(
             f"{name}: mean residual = {_fmt(mean)} (expected {_fmt(expected)}), spread = {spread:.3e}"

@@ -86,19 +86,16 @@ class Evaluator:
     a Python float, with the same IEEE products.  Every result is the one
     the plain expressions give, bit for bit.
 
-    The pointwise terms of the last vector evaluated are kept, so the
-    gradient at an accepted line-search point reuses the fields its energy
-    synthesized.  Behind that entry sit the terms of the last theta block
-    and of the last rho block, and the gradient's terms of each block that
-    depend on that block alone.  A finite-difference Hessian column moves
-    one coefficient, so its gradient calls re-synthesize only the block
-    that coefficient lies in.  The coupling term W mixes both blocks, so W
-    and every gradient term it multiplies are computed per vector.  Each
-    entry is keyed on the bytes of its vector or block, not on its
-    identity: a caller may mutate the array it passed, or pass one with the
-    same bytes built anew, and either way gets the result of a fresh
-    evaluation bit for bit (-0.0 and +0.0 have different bytes, so a sign
-    flip of a zero is a miss).
+    The pointwise terms of the last vector evaluated are the one kept
+    entry, so the gradient at an accepted line-search point reuses the
+    fields its energy synthesized.  The entry is keyed on the bytes of the
+    vector, not on its identity: a caller may mutate the array it passed, or
+    pass one with the same bytes built anew, and either way gets the result
+    of a fresh evaluation bit for bit (-0.0 and +0.0 have different bytes,
+    so a sign flip of a zero is a miss).  The terms are computed per block
+    (theta, rho), then the coupling W that mixes both, so the
+    finite-difference Hessian (:meth:`fd_hessian`) computes the block that a
+    column does not move once and re-synthesizes only the block it moves.
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -141,60 +138,47 @@ class Evaluator:
         # e = +0.0 drops the cubic terms: x - (+0.0) is x, so the result is
         # the same bit for bit wherever rho^2 is finite (e = -0.0 keeps them)
         self._cubic = p.e != 0.0 or math.copysign(1.0, p.e) < 0.0
-        # (bytes, terms) of the last vector, of the last block of each kind
-        # and of the gradient's terms of each block, each pair replaced as
-        # one object so that threads sharing an evaluator never pair the key
-        # of one evaluation with the terms of another
+        # (bytes, terms) of the last vector, replaced as one pair: threads sharing
+        # an evaluator never pair the key of one evaluation with the terms of another
         self._last: tuple[bytes, tuple] | None = None
-        self._last_theta: tuple[bytes, tuple[np.ndarray, ...]] | None = None
-        self._last_rho: tuple[bytes, tuple[np.ndarray, ...]] | None = None
-        self._last_theta_grad: tuple[bytes, tuple[np.ndarray, ...]] | None = None
-        self._last_rho_grad: tuple[bytes, tuple[np.ndarray, ...]] | None = None
 
     # -- field synthesis -------------------------------------------------
 
     def fields(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Grid samples (theta, theta_z, rho, rho_zz), read from the kept terms."""
-        (_, (theta, theta_z, *_)), (_, (rho, rho_zz, *_)), _ = self._pointwise(vec)
+        (theta, theta_z, *_), (rho, rho_zz, *_), _ = self._pointwise(vec)
         return theta, theta_z, rho, rho_zz
 
-    def _pointwise(self, vec: np.ndarray) -> tuple:
-        """The block entries of ``vec`` and the coupling term W.
+    def _theta_terms(self, tc: np.ndarray) -> tuple[np.ndarray, ...]:
+        """theta, theta_z, sin, cos, sin^2 and k3 sin^2 of theta, the last as (k3 sin) sin like the chiral denominators.
 
-        Returns ((theta key, theta terms), (rho key, rho terms), W).  The
-        theta terms are theta, theta_z, sin theta, cos theta, sin^2 theta and
-        k3 sin^2 theta, the last grouped as (k3 sin theta) sin theta like both
-        chiral denominators; the rho terms are rho, rho_zz, rho^2 and the
-        layer term L = rho_zz + q^2 rho; W = sin^2(theta) rho_zz
-        + q^2 cos^2(theta0) rho.  Powers are explicit products: numpy's
-        vectorized ** is not exactly even in its argument, which would break
-        the exact rho -> -rho energy symmetry.  Returns the kept entry when
-        ``vec`` has the bytes of the last vector; otherwise each block reuses
-        its kept terms when it has the bytes of the last block of its kind,
-        and only W is always computed anew.
+        Powers are explicit products throughout: numpy's vectorized ** is not exactly
+        even in its argument, which would break the exact rho -> -rho energy symmetry.
         """
+        theta = self._cos @ tc
+        sin_t = np.sin(theta)
+        theta_z = self._sin_theta @ (self._neg_wt1 * tc)
+        return theta, theta_z, sin_t, np.cos(theta), sin_t * sin_t, self._k3 * sin_t * sin_t
+
+    def _rho_terms(self, rs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """rho, rho_zz, rho^2 and the layer term L = rho_zz + q^2 rho."""
+        rho = self._sin @ rs
+        rho_zz = self._sin @ (self._neg_wr2 * rs)
+        return rho, rho_zz, rho * rho, rho_zz + self._q2 * rho
+
+    def _coupling(self, theta: tuple, rho: tuple) -> np.ndarray:
+        """W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho from the terms of each block; it mixes both."""
+        return theta[4] * rho[1] + self._q2_cos2t0 * rho[0]
+
+    def _pointwise(self, vec: np.ndarray) -> tuple:
+        """(theta terms, rho terms, W) of ``vec``; the kept entry if ``vec`` has its bytes."""
         key = vec.tobytes()
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
-        theta_key = tc.tobytes()
-        theta_entry = self._last_theta
-        if theta_entry is None or theta_entry[0] != theta_key:
-            theta = self._cos @ tc
-            sin_t = np.sin(theta)
-            theta_entry = self._last_theta = (theta_key, (
-                theta, self._sin_theta @ (self._neg_wt1 * tc), sin_t, np.cos(theta), sin_t * sin_t,
-                self._k3 * sin_t * sin_t,
-            ))
-        rho_key = rs.tobytes()
-        rho_entry = self._last_rho
-        if rho_entry is None or rho_entry[0] != rho_key:
-            rho = self._sin @ rs
-            rho_zz = self._sin @ (self._neg_wr2 * rs)
-            rho_entry = self._last_rho = (rho_key, (rho, rho_zz, rho * rho, rho_zz + self._q2 * rho))
-        rho, rho_zz = rho_entry[1][:2]
-        terms = (theta_entry, rho_entry, theta_entry[1][4] * rho_zz + self._q2_cos2t0 * rho)
+        theta = self._theta_terms(vec[: self.n + 2])
+        rho = self._rho_terms(vec[self.n + 2 :])
+        terms = (theta, rho, self._coupling(theta, rho))
         self._last = (key, terms)
         return terms
 
@@ -206,7 +190,7 @@ class Evaluator:
         The integrands are the rows of one array, summed in one call; numpy
         sums each contiguous row pairwise, exactly as ``row.sum()`` does.
         """
-        (_, (_, theta_z, _, cos_t, _, k3s2)), (_, (rho, _, rho2, lay)), cw = self._pointwise(vec)
+        (_, theta_z, _, cos_t, _, k3s2), (rho, _, rho2, lay), cw = self._pointwise(vec)
         c2 = cos_t * cos_t
         bulk = self._d_half * rho2
         if self._cubic:
@@ -232,37 +216,35 @@ class Evaluator:
         return elastic + chiral + bulk + layer + coupling
 
     def gradient(self, vec: np.ndarray) -> np.ndarray:
-        """Exact gradient of the discretized energy with respect to the coefficients.
+        """Exact gradient of the discretized energy with respect to the coefficients."""
+        theta, rho, cw = self._pointwise(vec)
+        return self._assemble(theta, rho, cw, self._theta_grad_terms(theta), self._rho_grad_terms(rho))
 
-        The terms that depend on one block only are kept under that block's
-        key: sin(2 theta), chi'(theta) and the twist part
-        wt1 * (sin_tab^T (w 2 k1 theta_z)) for theta; 2 lambda1 L and
-        d rho - e rho^2 + f rho^3 + 2 lambda1 L q^2 (the part of dphi/drho
-        without W, summed in that order) for rho.
-        """
-        (theta_key, (theta, theta_z, _, cos_t, sin2, k3s2)), (rho_key, (rho, rho_zz, rho2, lay)), cw = \
-            self._pointwise(vec)
+    def _theta_grad_terms(self, theta_terms: tuple) -> tuple[np.ndarray, ...]:
+        """sin(2 theta), chi'(theta) and the twist part wt1 * (sin_tab^T (w 2 k1 theta_z))."""
+        theta, theta_z, _, cos_t, _, k3s2 = theta_terms
+        sin_2t = np.sin(theta + theta)
+        den = self._k2 * cos_t * cos_t + k3s2
+        twist = self._wt1 * (self._sin_theta_T @ (self._w * (self._k1x2 * theta_z)))
+        return sin_2t, self._chi1 * sin_2t / (den * den), twist
+
+    def _rho_grad_terms(self, rho_terms: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """2 lambda1 L and dphi/drho without W: d rho - e rho^2 + f rho^3 + 2 lambda1 L q^2, in that order."""
+        rho, _, rho2, lay = rho_terms
+        l2 = self._l1x2 * lay  # 2 lambda1 L
+        dphi_drho = self._d * rho
+        if self._cubic:
+            dphi_drho -= self._e * rho2
+        dphi_drho += self._f * rho2 * rho
+        dphi_drho += l2 * self._q2
+        return l2, dphi_drho
+
+    def _assemble(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> np.ndarray:
+        """The gradient from each block's terms and gradient terms and from W."""
+        sin2, rho_zz = theta[4], rho[1]
+        sin_2t, chi_t, twist_t = theta_grad
+        l2, rho_only = rho_grad
         w = self._w
-        last = self._last_theta_grad
-        if last is None or last[0] != theta_key:
-            sin_2t = np.sin(theta + theta)
-            den = self._k2 * cos_t * cos_t + k3s2
-            last = self._last_theta_grad = (theta_key, (
-                sin_2t, self._chi1 * sin_2t / (den * den),
-                self._wt1 * (self._sin_theta_T @ (w * (self._k1x2 * theta_z))),
-            ))
-        sin_2t, chi_t, twist_t = last[1]
-        last = self._last_rho_grad
-        if last is None or last[0] != rho_key:
-            l2 = self._l1x2 * lay  # 2 lambda1 L
-            dphi_drho = self._d * rho
-            if self._cubic:
-                dphi_drho -= self._e * rho2
-            dphi_drho += self._f * rho2 * rho
-            dphi_drho += l2 * self._q2
-            last = self._last_rho_grad = (rho_key, (l2, dphi_drho))
-        l2, rho_only = last[1]
-
         w2 = self._l2x2 * cw  # 2 lambda2 W
         dphi_dtheta = chi_t + w2 * sin_2t * rho_zz
         dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
@@ -277,6 +259,40 @@ class Evaluator:
         g_rho -= self._wr2 * (self._sin_T @ (w * dphi_drho_zz))
         return g
 
+    def fd_hessian(self, vec: np.ndarray, step: float) -> np.ndarray:
+        """Hessian by central differences of the gradient, as (H + H^T)/2.
+
+        Column j differences the gradient at vec +- delta e_j and
+        vec +- 2 delta e_j, delta = step * max(1, |vec|_inf), and combines
+        them as (4 col_delta - col_2delta) / 3 (Richardson).  Every probe is
+        vec + 0.0 with coefficient j moved, so the block that j does not lie
+        in is synthesized once and each probe synthesizes only the block it
+        moves; each column is, bit for bit, what fresh gradient calls give.
+        """
+        n = self.n
+        probe = vec + 0.0
+        theta, rho = self._theta_terms(probe[: n + 2]), self._rho_terms(probe[n + 2 :])
+        theta_grad, rho_grad = self._theta_grad_terms(theta), self._rho_grad_terms(rho)
+
+        def gradient_at(j: int, value: float) -> np.ndarray:
+            probe[j] = value
+            if j < n + 2:
+                moved = self._theta_terms(probe[: n + 2])
+                return self._assemble(moved, rho, self._coupling(moved, rho), self._theta_grad_terms(moved), rho_grad)
+            moved = self._rho_terms(probe[n + 2 :])
+            return self._assemble(theta, moved, self._coupling(theta, moved), theta_grad, self._rho_grad_terms(moved))
+
+        delta = step * max(1.0, float(np.max(np.abs(vec))))
+        delta2 = 2.0 * delta
+        h_mat = np.empty((probe.size, probe.size))
+        for j in range(probe.size):
+            x_j = vec[j]
+            col_1 = (gradient_at(j, x_j + delta) - gradient_at(j, x_j - delta)) / delta2
+            col_2 = (gradient_at(j, x_j + delta2) - gradient_at(j, x_j - delta2)) / (4.0 * delta)
+            probe[j] = x_j + 0.0
+            h_mat[:, j] = (4.0 * col_1 - col_2) / 3.0
+        return 0.5 * (h_mat + h_mat.T)
+
     def hessian(self, vec: np.ndarray) -> np.ndarray:
         """Exact Hessian of the discretized energy with respect to the coefficients.
 
@@ -289,7 +305,7 @@ class Evaluator:
         field synthesis of the last energy or gradient at ``vec``.
         """
         p = self.params
-        (_, (theta, _, sin_t, cos_t, sin2, _)), (_, (rho, rho_zz, rho2, _)), cw = self._pointwise(vec)
+        (theta, _, sin_t, cos_t, sin2, _), (rho, rho_zz, rho2, _), cw = self._pointwise(vec)
         w = self.weight
         q2, cos2t0 = p.q * p.q, math.cos(p.theta0) ** 2
         l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2

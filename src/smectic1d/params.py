@@ -10,7 +10,7 @@ parameter from the nematic bulk coefficients (:func:`compute_s_plus`), the
 validity of the nematic elastic constants
 (:func:`validate_elastic_constants`), and the director elastic constants
 that the uniaxial lift of the tensor elastic energy induces
-(:func:`map_to_oseen_frank`).
+(:func:`director_constants`, checked by :func:`map_to_oseen_frank`).
 
 The closed forms of the frozen-layer analysis live here too, because they
 need only ``math``: :func:`d_critical` (layering onset), :func:`tilt_thresholds`
@@ -126,6 +126,12 @@ class OFConstants:
         return self.k2 + self.k4
 
 
+def director_constants(eta1: float, eta2: float, eta24: float, s_plus: float) -> tuple[float, float, float]:
+    """(k1 = k3, k2, k4) of :func:`map_to_oseen_frank`, without its admissibility check."""
+    s2 = s_plus * s_plus
+    return s2 * (eta1 + eta2) / 2.0, s2 * eta1, s2 * (eta24 - eta1) / 2.0
+
+
 def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) -> OFConstants:
     """Map tensor elastic constants to director elastic constants.
 
@@ -141,11 +147,8 @@ def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) ->
     """
     if not s_plus > 0:
         raise ValueError(f"s_plus must be positive, got {s_plus}")
-    s2 = s_plus * s_plus
-    k1 = k3 = s2 * (eta1 + eta2) / 2.0
-    k2 = s2 * eta1
-    k4 = s2 * (eta24 - eta1) / 2.0
-    return OFConstants(k1=k1, k2=k2, k3=k3, k4=k4)
+    k1, k2, k4 = director_constants(eta1, eta2, eta24, s_plus)
+    return OFConstants(k1=k1, k2=k2, k3=k1, k4=k4)
 
 
 @dataclass(frozen=True)

@@ -90,30 +90,7 @@ def hessian(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     The column matrix H is returned as (H + H^T)/2; the asymmetry that this
     removes is at the finite-difference noise floor.
     """
-    ev = Evaluator(state.n, params)
-    x = state.pack()
-    dim = x.size
-    delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(x))))
-    delta2 = 2.0 * delta
-    h_mat = np.empty((dim, dim))
-    # one probe per side, moved one coefficient at a time, in place of
-    # x +- c * delta * e_j; both rest at x + 0.0 (-0.0 turns into +0.0), so
-    # the unmoved block has the same bytes in both probes and its kept
-    # evaluator terms serve every call of a column
-    up, down = x + 0.0, x + 0.0
-    for j in range(dim):
-        x_j = x[j]
-        up[j] = x_j + delta
-        g_up = ev.gradient(up)
-        down[j] = x_j - delta
-        col_1 = (g_up - ev.gradient(down)) / delta2
-        up[j] = x_j + delta2
-        g_up = ev.gradient(up)
-        down[j] = x_j - delta2
-        col_2 = (g_up - ev.gradient(down)) / (4.0 * delta)
-        up[j] = down[j] = x_j + 0.0
-        h_mat[:, j] = (4.0 * col_1 - col_2) / 3.0
-    return 0.5 * (h_mat + h_mat.T)
+    return Evaluator(state.n, params).fd_hessian(state.pack(), HESSIAN_FD_STEP)
 
 
 def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:

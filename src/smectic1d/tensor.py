@@ -20,6 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .params import director_constants
+
 _I3 = np.eye(3)
 
 TRACE_TOL = 1e-12
@@ -238,7 +240,7 @@ def reduction_residual(
 
     For each grid point the uniaxial tensor Q = s_plus*(n (x) n - I/3) and its
     z-gradient are evaluated and the director density (with constants from
-    :func:`map_to_oseen_frank`) is subtracted.  The result is spatially
+    :func:`~smectic1d.params.director_constants`) is subtracted.  The result is spatially
     constant and equal to :func:`uniaxial_reduction_offset` for every smooth
     unit field.
 
@@ -258,12 +260,9 @@ def reduction_residual(
     if dnv.shape != (z.size, 3):
         raise ValueError(f"expected derivative samples of shape ({z.size}, 3), got {dnv.shape}")
 
-    # raw mapped constants; the identity holds for any eta combination, so the
-    # admissibility chain enforced by params.map_to_oseen_frank is not applied
-    s2 = s_plus * s_plus
-    k1 = k3 = s2 * (eta1 + eta2) / 2.0
-    k2 = s2 * eta1
-    k4 = s2 * (eta24 - eta1) / 2.0
+    # raw mapped constants: the identity holds for any eta combination, so
+    # the admissibility chain of map_to_oseen_frank is not applied
+    k1, k2, k4 = director_constants(eta1, eta2, eta24, s_plus)
     res = np.empty(z.size)
     for j in range(z.size):
         nj, dj = nv[j], dnv[j]
@@ -275,6 +274,6 @@ def reduction_residual(
         dq -= _I3 * (np.trace(dq) / 3.0)
         grad = QGradient.one_dimensional(dq)
         res[j] = f_el(qt, grad, eta1, eta2, eta24, sigma) - oseen_frank_density_1d(
-            nj, dj, k1, k2, k3, k4, sigma
+            nj, dj, k1, k2, k1, k4, sigma
         )
     return res

@@ -48,6 +48,33 @@ class TestValidateParams:
         out = capsys.readouterr().out
         assert "k2 = 2.25" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # the eta flags used to be read only with --A --B --C and --eta1,
+            # so the first three exited 0 without a word about them; the
+            # rest printed the thresholds before the error
+            (["--eta1", "1", "--eta2", "1", "--eta24", "5"], "--eta1, --eta2 and --eta24 need --A, --B and --C"),
+            (["--A", "-1", "--B", "1", "--C", "1", "--eta2", "1"], "--eta1, --eta2 and --eta24 must be given together"),
+            (["--eta24", "0.5"], "--eta1, --eta2 and --eta24 must be given together"),
+            (["--A", "-1", "--B", "1", "--C", "1", "--eta1", "1", "--eta2", "1", "--eta24", "5"],
+             "eta24 < 3*eta1 violated (eta24 = 5.0, 3*eta1 = 3.0)"),
+            (["--A", "-1", "--B", "1", "--C", "1", "--eta1", "1", "--eta2", "0.2", "--eta24", "0.5"],
+             "k1 >= k2 violated (k1 = 1.3499999999999999, k2 = 2.25)"),
+            (["--A", "-1", "--C", "1"], "--A, --B and --C must be given together"),
+            (["--A", "1", "--B", "1", "--C", "1"],
+             "negative discriminant B^2 - 24*A*C = -23.0: no real uniaxial minimizer"),
+        ],
+        ids=["etas-without-ABC", "eta2-alone-with-ABC", "eta24-alone", "invalid-etas", "director-chain", "partial-ABC",
+             "no-uniaxial-minimizer"],
+    )
+    def test_incomplete_or_invalid_tensor_flags_exit_1(self, tmp_path, capsys, flags, message):
+        cfg = _write_fig3_config(tmp_path)
+        assert run(["validate-params", "--config", cfg, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_echo_round_trips(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path)
         assert run(["validate-params", "--config", cfg, "--echo"]) == 0
@@ -398,6 +425,18 @@ class TestTensorCheckCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--eta1"])
+    def test_zero_expected_offset_checks_the_mean(self, monkeypatch, capsys, flag):
+        # with an expected offset of 0 only the spread was checked, so a
+        # constant wrong offset printed "ok"
+        import numpy as np
+
+        monkeypatch.setattr("smectic1d.tensor.reduction_residual", lambda z, *args: np.full(len(z), 1.0))
+        assert run(["tensor-check", flag, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("-> FAIL") == 3
+        assert captured.err == "uniaxial reduction check failed\n"
 
     @pytest.mark.parametrize("value", ["0", "-0.0", "-1e-3"])
     def test_non_positive_tol_exits_1_before_computing(self, capsys, value):

@@ -87,28 +87,57 @@ class TestHessian:
         assert np.max(np.abs(raw - raw.T)) / scale < 1e-6
 
     def test_signed_zero_block_is_synthesized_once_per_move(self, monkeypatch):
-        # an untilted layered state with a -0.0 theta block: both probes rest
-        # at x + 0.0, so theta is synthesized for the four gradient calls of
-        # each theta column and once more on return to rest, 4 (N + 2) + 1 =
-        # 265 times at N = 64; probes resting at different zeros miss the
-        # kept theta terms on every call, 4 (2N + 3) = 524 times
-        syntheses = 0
-        pointwise = Evaluator._pointwise
+        # an untilted layered state with a -0.0 theta block: every probe
+        # rests at x + 0.0, so each block is synthesized once at rest and
+        # once for each of the four gradients of each of its columns,
+        # 4 (N + 2) + 1 = 265 theta and 4 (N + 1) + 1 = 261 rho syntheses at
+        # N = 64; a synthesis of both blocks per probe would be 4 (2N + 3) =
+        # 524 of each
+        syntheses = {"theta": 0, "rho": 0}
+        for block in syntheses:
+            method = getattr(Evaluator, f"_{block}_terms")
 
-        def counting(self, vec):
-            nonlocal syntheses
-            kept = self._last_theta
-            terms = pointwise(self, vec)
-            syntheses += self._last_theta is not kept
-            return terms
+            def counting(self, coefficients, block=block, method=method):
+                syntheses[block] += 1
+                return method(self, coefficients)
 
-        monkeypatch.setattr(Evaluator, "_pointwise", counting)
+            monkeypatch.setattr(Evaluator, f"_{block}_terms", counting)
         p = ModelParams1D()
         rng = np.random.default_rng(7)
         rho_s = 0.1 * rng.standard_normal(65) / np.arange(1, 66)
         state = SpectralState(n=64, h=p.h, theta_c=np.full(66, -0.0), rho_s=rho_s)
         spectrum(state, p)
-        assert syntheses == 265
+        assert syntheses == {"theta": 265, "rho": 261}
+
+    @pytest.mark.parametrize("kind", ["layered", "untilted", "no-layers"])
+    def test_matches_a_reference_built_from_fresh_gradients(self, kind):
+        # the reference: each probe is x + 0.0 with one coefficient moved by
+        # +-delta or +-2 delta, its gradient comes from a fresh evaluator, and
+        # the columns are Richardson-combined as the docstring says
+        # a seeded vector with both blocks nonzero (tilt and layers), or with
+        # one block set to -0.0
+        n = 16
+        p = ModelParams1D().with_d(-0.5)
+        k = np.concatenate([np.arange(n + 2), np.arange(1, n + 2)])
+        x = 0.2 * np.random.default_rng(3).standard_normal(2 * n + 3) / (1.0 + k)
+        if kind == "untilted":
+            x[: n + 2] = -0.0
+        elif kind == "no-layers":
+            x[n + 2 :] = -0.0
+        state = SpectralState.from_vector(x, n, p.h)
+        delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(x))))
+
+        def fresh_gradient(j, step):
+            probe = x + 0.0
+            probe[j] = x[j] + step
+            return Evaluator(n, p).gradient(probe)
+
+        ref = np.empty((x.size, x.size))
+        for j in range(x.size):
+            col_1 = (fresh_gradient(j, delta) - fresh_gradient(j, -delta)) / (2.0 * delta)
+            col_2 = (fresh_gradient(j, 2.0 * delta) - fresh_gradient(j, -2.0 * delta)) / (4.0 * delta)
+            ref[:, j] = (4.0 * col_1 - col_2) / 3.0
+        assert hessian(state, p).tobytes() == (0.5 * (ref + ref.T)).tobytes()
 
 
 class TestExactHessian:
