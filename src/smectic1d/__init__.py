@@ -23,13 +23,13 @@ _EXPORTS = {
     for module, names in {
         "tensor": ("tensor",),
         "params": (
-            "ModelParams1D", "OFConstants", "RunConfig", "compute_s_plus", "d_from_temperature",
+            "MinimizeOptions", "ModelParams1D", "OFConstants", "RunConfig", "compute_s_plus", "d_from_temperature",
             "format_config", "map_to_oseen_frank", "parse_config", "temperature_from_d",
             "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
         ),
         "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "quadrature", "synthesize"),
         "energy1d": ("EnergyBreakdown", "Evaluator", "el_residual", "energy", "gradient", "reconstruct_director"),
-        "minimize": ("DivergenceError", "MinimizeOptions", "MinimizeReport", "minimize", "seed_state"),
+        "minimize": ("DivergenceError", "MinimizeReport", "minimize", "seed_state"),
         "stability": (
             "StabilityReport", "analytic_cholesteric_spectrum", "hessian", "morse_index_analytic",
             "optimal_constant_tilt", "second_variation_tilt", "spectrum",

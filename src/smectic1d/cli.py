@@ -30,13 +30,13 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 from . import params as params_mod
 from .params import SEED_KINDS, ModelParams1D, RunConfig, format_config, parse_config
 
 if TYPE_CHECKING:
-    from .minimize import MinimizeOptions
     from .stability import StabilityReport
     from .sweep import ElasticRecord, SweepRecord
 
@@ -115,18 +115,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         p = p.with_d(args.d)
     elif getattr(args, "T", None) is not None:
         p = p.at_temperature(args.T)
-    kwargs = {"n_modes": config.n_modes, "tol_grad": config.tol_grad, "max_iters": config.max_iters}
-    for name in ("n_modes", "tol_grad", "max_iters"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return RunConfig(params=p, **kwargs)
-
-
-def _options(config: RunConfig) -> MinimizeOptions:
-    from .minimize import MinimizeOptions
-
-    return MinimizeOptions(tol_grad=config.tol_grad, max_iters=config.max_iters)
+    # N is checked before the solver settings, as in a config file
+    n_modes = config.n_modes if getattr(args, "n_modes", None) is None else args.n_modes
+    config = replace(config, params=p, n_modes=n_modes)
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(config.options) if getattr(args, f.name, None) is not None
+    }
+    return replace(config, options=replace(config.options, **overrides))
 
 
 # --- CSV helpers ----------------------------------------------------------------
@@ -396,7 +391,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     config = _load_config(args)
     p = config.params
     state0 = seed_state(args.seed, p, config.n_modes)
-    state, report = minimize(state0, p, _options(config))
+    state, report = minimize(state0, p, config.options)
     print(f"converged = {report.converged}", file=sys.stderr)
     print(f"iterations = {report.iterations}", file=sys.stderr)
     print(f"grad_norm = {_fmt(report.final_grad_norm)}", file=sys.stderr)
@@ -425,7 +420,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         state = seed_state("cholesteric", p, config.n_modes)
     else:
         state0 = seed_state(args.seed, p, config.n_modes)
-        state, report = minimize(state0, p, _options(config))
+        state, report = minimize(state0, p, config.options)
         if not report.converged:
             print("minimization did not reach the gradient tolerance", file=sys.stderr)
             return 2
@@ -468,7 +463,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         record_morse=args.record_morse,
         cold_start=args.cold_start,
         n_modes=config.n_modes,
-        options=_options(config),
+        options=config.options,
     )
     records = sweep_temperature(config.params, sweep_config)
     _write_text_atomic(args.out, _sweep_csv(records))
@@ -486,7 +481,7 @@ def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("no values supplied")
-    records = elastic_sweep(config.params, values, args.vary, n_modes=config.n_modes, options=_options(config))
+    records = elastic_sweep(config.params, values, args.vary, n_modes=config.n_modes, options=config.options)
     _write_text_atomic(args.out, _elastic_csv(records))
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy1d import Evaluator
-from .params import SEED_KINDS, ModelParams1D, d_critical
+from .params import SEED_KINDS, MinimizeOptions, ModelParams1D, d_critical
 from .spectral import SpectralState, gram_diagonal
 
 __all__ = ["MinimizeOptions", "MinimizeReport", "DivergenceError", "minimize", "seed_state", "SEED_KINDS"]
@@ -51,24 +51,6 @@ STEP_MIN = 1e-16
 STEP_MAX = 1e6
 # Machine epsilon, the unit of the line search's floating-point slack.
 FLOAT_EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class MinimizeOptions:
-    """Stopping criteria.
-
-    ``tol_grad`` is a sup-norm threshold on the coefficient gradient and
-    ``max_iters`` caps the number of accepted steps.
-    """
-
-    tol_grad: float = 1e-8
-    max_iters: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not self.tol_grad > 0:
-            raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +128,10 @@ def minimize(
     sup-norm of the gradient fell to ``tol_grad`` and the last iterate is
     returned; otherwise (``max_iters`` reached, or the line search stalled)
     the lowest-energy iterate accepted so far is returned with its gradient
-    norm.  ``iterations`` counts the accepted steps.  The line search is
+    norm.  The state returned is that iterate's canonical representative
+    (:meth:`SpectralState.canonical`, theta_c[0] in [0, pi/2]); the report's
+    energy is the iterate's, before the fold, and the two agree to rounding.
+    ``iterations`` counts the accepted steps.  The line search is
     nonmonotone: an accepted energy is at most the largest of the last
     ``MEMORY`` accepted energies plus its slack of a few ulps,
     4 eps max(1, |E|) at the current energy E.  The preconditioned
@@ -228,5 +213,5 @@ def minimize(
 def _result(
     x: np.ndarray, e: float, gnorm: float, iterations: int, converged: bool, state0: SpectralState
 ) -> tuple[SpectralState, MinimizeReport]:
-    state = SpectralState.from_vector(x, state0.n, state0.h)
+    state = SpectralState.from_vector(x, state0.n, state0.h).canonical()
     return state, MinimizeReport(converged=converged, iterations=iterations, final_grad_norm=gnorm, final_energy=e)

@@ -20,7 +20,7 @@ need only ``math``: :func:`d_critical` (layering onset), :func:`tilt_thresholds`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -288,21 +288,34 @@ CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """A parameter set plus the discretization/solver knobs from a config file."""
+class MinimizeOptions:
+    """Stopping criteria of ``minimize.minimize``.
 
-    params: ModelParams1D = ModelParams1D()
-    n_modes: int = 64
+    ``tol_grad`` is a sup-norm threshold on the coefficient gradient and
+    ``max_iters`` caps the number of accepted steps.
+    """
+
     tol_grad: float = 1e-8
     max_iters: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.n_modes < 2 or self.n_modes % 2 != 0:
-            raise ValueError(f"N must be an even integer >= 2, got {self.n_modes}")
         if not self.tol_grad > 0:
             raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A parameter set plus the discretization and solver settings from a config file."""
+
+    params: ModelParams1D = ModelParams1D()
+    n_modes: int = 64
+    options: MinimizeOptions = MinimizeOptions()
+
+    def __post_init__(self) -> None:
+        if self.n_modes < 2 or self.n_modes % 2 != 0:
+            raise ValueError(f"N must be an even integer >= 2, got {self.n_modes}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -334,14 +347,9 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
     param_kw = {k: v for k, v in seen.items() if k in _FLOAT_KEYS and k != "tol_grad"}
-    run_kw = {}
-    if "N" in seen:
-        run_kw["n_modes"] = seen["N"]
-    if "tol_grad" in seen:
-        run_kw["tol_grad"] = seen["tol_grad"]
-    if "max_iters" in seen:
-        run_kw["max_iters"] = seen["max_iters"]
-    return RunConfig(params=ModelParams1D(**param_kw), **run_kw)
+    config = RunConfig(params=ModelParams1D(**param_kw), **({"n_modes": seen["N"]} if "N" in seen else {}))
+    options = {f.name: seen[f.name] for f in fields(MinimizeOptions) if f.name in seen}
+    return replace(config, options=MinimizeOptions(**options))
 
 
 def format_config(config: RunConfig) -> str:
@@ -352,6 +360,6 @@ def format_config(config: RunConfig) -> str:
     p = config.params
     lines = [f"{key} = {getattr(p, key):.17g}" for key in _FLOAT_KEYS if key != "tol_grad"]
     lines.append(f"N = {config.n_modes}")
-    lines.append(f"tol_grad = {config.tol_grad:.17g}")
-    lines.append(f"max_iters = {config.max_iters}")
+    lines.append(f"tol_grad = {config.options.tol_grad:.17g}")
+    lines.append(f"max_iters = {config.options.max_iters}")
     return "\n".join(lines) + "\n"

@@ -182,6 +182,19 @@ class SpectralState:
     def rho_values(self, grid: Grid, order: int = 0) -> np.ndarray:
         return synthesize(self.rho_s, "sine", grid, order)
 
+    def canonical(self) -> "SpectralState":
+        """The representative of this state's tilt class with theta_c[0] in [0, pi/2].
+
+        theta is defined modulo pi (n and -n are the same director) and the
+        energy is even in it, so theta -> theta - k*pi and theta -> -theta
+        keep the energy.  theta_c[0] is reduced modulo pi (math.remainder is
+        exact) and the theta block negated when that leaves it negative; the
+        rho block is kept bit for bit.
+        """
+        tc = self.theta_c.copy()
+        tc[0] = math.remainder(tc[0], math.pi)
+        return SpectralState(n=self.n, h=self.h, theta_c=-tc if tc[0] < 0 else tc, rho_s=self.rho_s)
+
     def theta_in_range(self) -> bool:
         """Post-hoc check that the represented tilt stays within [-pi/2, pi/2]."""
         th = self.theta_values(default_grid(self.n, self.h))

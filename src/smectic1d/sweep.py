@@ -111,17 +111,6 @@ class ElasticRecord:
     converged: bool
 
 
-def _normalize_tilt_sign(state: SpectralState) -> SpectralState:
-    """Flip theta -> -theta when the mean tilt is negative.
-
-    The energy is exactly even in theta, so tilted minimizers come in sign
-    pairs; records report the positive-tilt representative.
-    """
-    if state.theta_c[0] < 0:
-        return SpectralState(n=state.n, h=state.h, theta_c=-state.theta_c, rho_s=state.rho_s)
-    return state
-
-
 def _relax(
     candidates: list[SpectralState],
     params: ModelParams1D,
@@ -146,7 +135,7 @@ def _relax(
         elif key[0] == best[0] and key[1] < best[1]:
             best = key
     assert best is not None
-    return _normalize_tilt_sign(best[2]), best[1], best[0]
+    return best[2], best[1], best[0]
 
 
 def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepRecord]:

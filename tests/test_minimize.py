@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smectic1d import (
     DivergenceError,
@@ -12,6 +14,7 @@ from smectic1d import (
     SpectralState,
     default_grid,
     d_critical,
+    energy,
     gradient,
     minimize,
     seed_state,
@@ -193,8 +196,6 @@ class TestMinimize:
         rng = np.random.default_rng(33)
         for _ in range(5):
             state0 = SpectralState.from_vector(rng.normal(size=131) * 0.1, 64, p.h)
-            from smectic1d import energy
-
             e0 = energy(state0, p).total
             _, report = minimize(state0, p, MinimizeOptions(max_iters=500))
             assert report.final_energy <= e0
@@ -227,3 +228,34 @@ class TestOptions:
             MinimizeOptions(tol_grad=0.0)
         with pytest.raises(ValueError):
             MinimizeOptions(max_iters=0)
+
+
+class TestCanonicalForm:
+    """theta is defined modulo pi and the energy is even in it; minimize returns one representative."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        theta0=st.floats(-3 * math.pi, 3 * math.pi),
+        rest=st.lists(st.floats(-1.0, 1.0), min_size=2 * 16 + 2, max_size=2 * 16 + 2),
+    )
+    def test_canonical_representative(self, theta0, rest):
+        p = ModelParams1D().with_d(-5.0)
+        state = SpectralState.from_vector(np.array([theta0, *rest]), 16, p.h)
+        canon = state.canonical()
+        assert 0.0 <= canon.theta_c[0] <= math.pi / 2
+        assert canon.rho_s.tobytes() == state.rho_s.tobytes()
+        assert canon.canonical().pack().tobytes() == canon.pack().tobytes()
+        e = energy(state, p).total
+        assert energy(canon, p).total == pytest.approx(e, rel=0.0, abs=1e-12 * max(1.0, abs(e)))
+
+    @pytest.mark.parametrize("max_iters", [1, 1_000_000])
+    def test_minimize_returns_the_canonical_state(self, max_iters):
+        # a conical seed shifted by -pi relaxes to a mean tilt near 0.86 - pi
+        # at k = 0.0025; both exits (stopped and converged) fold it back
+        p = replace(ModelParams1D().with_d(-5.0), k1=0.0025, k2=0.0025, k3=0.0025)
+        seed = seed_state("conical-seed", p, 16)
+        theta_c = seed.theta_c.copy()
+        theta_c[0] -= math.pi
+        state, report = minimize(replace(seed, theta_c=theta_c), p, MinimizeOptions(max_iters=max_iters))
+        assert 0.0 <= state.theta_c[0] <= math.pi / 2
+        assert report.final_energy == pytest.approx(energy(state, p).total, rel=1e-12)

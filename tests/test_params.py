@@ -169,7 +169,7 @@ class TestConfig:
         config = pm.parse_config(text)
         assert config.params.d == -0.25
         assert config.n_modes == 32
-        assert config.tol_grad == 1e-10
+        assert config.options.tol_grad == 1e-10
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ValueError, match="unknown key"):

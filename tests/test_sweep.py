@@ -248,11 +248,14 @@ class TestPitchforkExponent:
 
 class TestElasticSweep:
     def test_large_k_suppresses_tilt(self, fig3_params):
+        # theta is defined modulo pi: the mean tilt is that of the canonical
+        # state, in [0, pi/2], and not a representative shifted by k*pi
         p = fig3_params.with_d(-5.0)
-        records = elastic_sweep(p, [0.0025, 0.25], vary="k", n_modes=32)
-        assert records[-1].theta_bar < 1e-3
-        assert records[0].theta_bar > 0.1
-        assert records[0].theta_bar >= records[-1].theta_bar
+        for n_modes in (32, 64):
+            records = elastic_sweep(p, [0.0025, 0.25], vary="k", n_modes=n_modes)
+            assert all(0.0 <= r.theta_bar <= math.pi / 2 for r in records)
+            assert records[-1].theta_bar < 1e-3
+            assert records[0].theta_bar == pytest.approx(0.8610, abs=1e-3)
 
     def test_large_lambda_saturates_tilt(self, fig3_params):
         p = fig3_params.with_d(-5.0)
