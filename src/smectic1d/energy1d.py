@@ -17,6 +17,12 @@ since minimizers and spectra are unaffected by the constant.
 
 Gradients are exact gradients of the discretized energy: grid-space
 variational derivative of the integrand followed by the adjoint transform.
+
+theta is a cosine series, even in z, and rho a sine series, odd in z.  The
+cubic term is odd in z, so it integrates to zero over the cell for every
+state of the ansatz, and the evaluator omits it: e enters only the pointwise
+residual of :func:`el_residual`.  Every other term is even in z, which lets
+the evaluator sum over half the grid (see :class:`Evaluator`).
 """
 
 from __future__ import annotations
@@ -75,16 +81,28 @@ class Evaluator:
     """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
     Reads the shared trig table (``spectral._tables``) for order N on its
-    alias-free grid ``default_grid(N, h)``, so that repeated evaluations
-    (line searches, sweeps, finite differences) cost a handful of dense
-    matrix-vector products each.  At N = 64 an evaluation is about fifty
-    numpy calls on 264-point arrays, so the overhead per call, not the
-    arithmetic, sets the cost.  The constant factors of the energy and
-    gradient terms are therefore computed once per parameter set, each
-    grouped as in the left-to-right expression it stands for, and stored as
-    grid-length arrays: numpy multiplies two arrays faster than an array by
-    a Python float, with the same IEEE products.  Every result is the one
-    the plain expressions give, bit for bit.
+    alias-free grid ``default_grid(N, h)`` of M = 4(N+2) nodes, so that
+    repeated evaluations (line searches, sweeps, finite differences) cost a
+    handful of dense matrix-vector products each.
+
+    Only the nodes z_j, j = 0 ... M/2, are used.  theta and its cosine
+    modes are even in z; rho, theta_z, rho_zz and the sine modes are odd.
+    Every integrand of the energy, gradient and Hessian is a product with an
+    even number of odd factors, so it is even in z, and its values at z_j
+    and z_{M-j} are equal.  The periodic trapezoid sum over all M nodes is
+    then the sum over the M/2+1 nodes of the half grid with the weights
+    (1, 2, ..., 2, 1) h/M (:attr:`weights`); M is even for every N.  A term
+    added to the functional must be even in z too, or it needs the full
+    grid: the odd cubic term e rho^3 is omitted for that reason.
+
+    At N = 64 an evaluation is about fifty numpy calls on 133-node arrays,
+    so the overhead per call, not the arithmetic, sets the cost.  The
+    constant factors of the energy and gradient terms are therefore computed
+    once per parameter set, each grouped as in the left-to-right expression
+    it stands for, and stored as half-grid arrays: numpy multiplies two
+    arrays faster than an array by a Python float, with the same IEEE
+    products.  Every result is the one the plain expressions give, bit for
+    bit.
 
     The pointwise terms of the last vector evaluated are the one kept
     entry, so the gradient at an accepted line-search point reuses the
@@ -103,9 +121,11 @@ class Evaluator:
         self.n = n
         self.params = params
         self.grid = grid
-        self.weight = grid.h / grid.m
+        half = grid.m // 2 + 1
 
-        self._cos, self._sin_theta = _tables(grid.m, n + 1)
+        # the first M/2+1 rows of the one trig table: nodes z_0 ... z_{M/2}
+        cos_tab, sin_tab = _tables(grid.m, n + 1)
+        self._cos, self._sin_theta = cos_tab[:half], sin_tab[:half]
         self._sin = self._sin_theta[:, 1:]
         self._cos_T, self._sin_theta_T, self._sin_T = self._cos.T, self._sin_theta.T, self._sin.T
         # frequency factors of theta_z and rho_zz; the minus sign of each
@@ -115,7 +135,7 @@ class Evaluator:
         self._wr2 = self._wt1[1:] ** 2
         self._neg_wt1 = -self._wt1
         self._neg_wr2 = -self._wr2
-        # constant factors as grid-length arrays, each grouped as in the
+        # constant factors as half-grid arrays, each grouped as in the
         # expression it stands for: 2.0 * p.lambda2 * cw is
         # (2.0 * p.lambda2) * cw, and 2.0 * theta is theta + theta
         p = params
@@ -123,21 +143,22 @@ class Evaluator:
         cos2t0 = math.cos(p.theta0) ** 2
 
         def full(value: float) -> np.ndarray:
-            return np.full(grid.m, value)
+            return np.full(half, value)
 
-        self._w = full(self.weight)
+        # the periodic trapezoid rule folded onto the half grid: nodes j and
+        # M - j carry equal values, so each interior node counts twice
+        w = grid.h / grid.m
+        self.weights = full(2.0 * w)
+        self.weights[[0, -1]] = w
         self._q2, self._cos2t0, self._q2_cos2t0 = full(q2), full(cos2t0), full(q2 * cos2t0)
         self._k1, self._k2, self._k3 = full(p.k1), full(p.k2), full(p.k3)
         self._k1x2 = full(2.0 * p.k1)
         self._lambda1, self._lambda2 = full(p.lambda1), full(p.lambda2)
         self._l1x2, self._l2x2 = full(2.0 * p.lambda1), full(2.0 * p.lambda2)
-        self._d, self._e, self._f = full(p.d), full(p.e), full(p.f)
-        self._d_half, self._e_third, self._f_quarter = full(0.5 * p.d), full(p.e / 3.0), full(0.25 * p.f)
+        self._d, self._f = full(p.d), full(p.f)
+        self._d_half, self._f_quarter = full(0.5 * p.d), full(0.25 * p.f)
         self._chi0 = full(-(p.k2 * p.k2 * p.sigma * p.sigma))  # chi = chi0 cos^2 / D
         self._chi1 = full(p.k2 * p.k2 * p.k3 * p.sigma * p.sigma)  # chi' = chi1 sin(2 theta) / D^2
-        # e = +0.0 drops the cubic terms: x - (+0.0) is x, so the result is
-        # the same bit for bit wherever rho^2 is finite (e = -0.0 keeps them)
-        self._cubic = p.e != 0.0 or math.copysign(1.0, p.e) < 0.0
         # (bytes, terms) of the last vector, replaced as one pair: threads sharing
         # an evaluator never pair the key of one evaluation with the terms of another
         self._last: tuple[bytes, tuple] | None = None
@@ -145,9 +166,14 @@ class Evaluator:
     # -- field synthesis -------------------------------------------------
 
     def fields(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Grid samples (theta, theta_z, rho, rho_zz), read from the kept terms."""
-        (theta, theta_z, *_), (rho, rho_zz, *_), _ = self._pointwise(vec)
-        return theta, theta_z, rho, rho_zz
+        """Samples (theta, theta_z, rho, rho_zz) on the full grid ``self.grid``, for diagnostics.
+
+        Synthesized anew on all M nodes; the evaluation itself uses only the
+        half grid.
+        """
+        tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
+        return (synthesize(tc, "cosine", self.grid), synthesize(tc, "cosine", self.grid, 1),
+                synthesize(rs, "sine", self.grid), synthesize(rs, "sine", self.grid, 2))
 
     def _theta_terms(self, tc: np.ndarray) -> tuple[np.ndarray, ...]:
         """theta, theta_z, sin, cos, sin^2 and k3 sin^2 of theta, the last as (k3 sin) sin like the chiral denominators.
@@ -187,25 +213,19 @@ class Evaluator:
     def _integrals(self, vec: np.ndarray) -> tuple[float, float, float, float, float]:
         """The five weighted sums: elastic, chiral, bulk, layer, coupling.
 
-        The integrands are the rows of one array, summed in one call; numpy
-        sums each contiguous row pairwise, exactly as ``row.sum()`` does.
+        The integrands are the rows of one array, summed against the
+        half-grid weights in one product.
         """
-        (_, theta_z, _, cos_t, _, k3s2), (rho, _, rho2, lay), cw = self._pointwise(vec)
+        (_, theta_z, _, cos_t, _, k3s2), (_, _, rho2, lay), cw = self._pointwise(vec)
         c2 = cos_t * cos_t
-        bulk = self._d_half * rho2
-        if self._cubic:
-            bulk -= self._e_third * rho2 * rho
-        bulk += self._f_quarter * rho2 * rho2
         rows = np.array([
             self._k1 * theta_z * theta_z,
             self._chi0 * c2 / (self._k2 * c2 + k3s2),
-            bulk,
+            self._d_half * rho2 + self._f_quarter * rho2 * rho2,
             self._lambda1 * lay * lay,
             self._lambda2 * cw * cw,
         ])
-        w = self.weight
-        elastic, chiral, bulk_sum, layer, coupling = rows.sum(axis=1).tolist()
-        return w * elastic, w * chiral, w * bulk_sum, w * layer, w * coupling
+        return tuple((rows @ self.weights).tolist())
 
     def breakdown(self, vec: np.ndarray) -> EnergyBreakdown:
         elastic, chiral, bulk, layer, coupling = self._integrals(vec)
@@ -225,26 +245,21 @@ class Evaluator:
         theta, theta_z, _, cos_t, _, k3s2 = theta_terms
         sin_2t = np.sin(theta + theta)
         den = self._k2 * cos_t * cos_t + k3s2
-        twist = self._wt1 * (self._sin_theta_T @ (self._w * (self._k1x2 * theta_z)))
+        twist = self._wt1 * (self._sin_theta_T @ (self.weights * (self._k1x2 * theta_z)))
         return sin_2t, self._chi1 * sin_2t / (den * den), twist
 
     def _rho_grad_terms(self, rho_terms: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """2 lambda1 L and dphi/drho without W: d rho - e rho^2 + f rho^3 + 2 lambda1 L q^2, in that order."""
+        """2 lambda1 L and dphi/drho without W: d rho + f rho^3 + 2 lambda1 L q^2, in that order."""
         rho, _, rho2, lay = rho_terms
         l2 = self._l1x2 * lay  # 2 lambda1 L
-        dphi_drho = self._d * rho
-        if self._cubic:
-            dphi_drho -= self._e * rho2
-        dphi_drho += self._f * rho2 * rho
-        dphi_drho += l2 * self._q2
-        return l2, dphi_drho
+        return l2, self._d * rho + self._f * rho2 * rho + l2 * self._q2
 
     def _assemble(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> np.ndarray:
         """The gradient from each block's terms and gradient terms and from W."""
         sin2, rho_zz = theta[4], rho[1]
         sin_2t, chi_t, twist_t = theta_grad
         l2, rho_only = rho_grad
-        w = self._w
+        w = self.weights
         w2 = self._l2x2 * cw  # 2 lambda2 W
         dphi_dtheta = chi_t + w2 * sin_2t * rho_zz
         dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
@@ -305,8 +320,8 @@ class Evaluator:
         field synthesis of the last energy or gradient at ``vec``.
         """
         p = self.params
-        (theta, _, sin_t, cos_t, sin2, _), (rho, rho_zz, rho2, _), cw = self._pointwise(vec)
-        w = self.weight
+        (theta, _, sin_t, cos_t, sin2, _), (_, rho_zz, rho2, _), cw = self._pointwise(vec)
+        w = self.weights
         q2, cos2t0 = p.q * p.q, math.cos(p.theta0) ** 2
         l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2
         wt1, wr2 = self._wt1, self._wr2
@@ -319,7 +334,7 @@ class Evaluator:
             + l2 * (dw_dtheta * dw_dtheta + 2.0 * cw * cos_2t * rho_zz)
         phi_tr = (l2 * q2 * cos2t0) * dw_dtheta
         phi_tq = l2 * sin_2t * (sin2 * rho_zz + cw)
-        phi_rr = p.d - 2.0 * p.e * rho + 3.0 * p.f * rho2 + (l1 + l2 * cos2t0 * cos2t0) * q2 * q2
+        phi_rr = p.d + 3.0 * p.f * rho2 + (l1 + l2 * cos2t0 * cos2t0) * q2 * q2
         phi_rq = (l1 + l2 * cos2t0 * sin2) * q2
         phi_qq = l1 + l2 * sin2 * sin2
 
@@ -329,7 +344,7 @@ class Evaluator:
         # B(theta_z) = -sin_t_tab . diag(wt1), B(rho_zz) = -sin_r_tab . diag(wr2);
         # theta_z mixes with no field (phi_{theta_z a} = 0 for a != theta_z)
         cos_t_tab, sin_t_tab, sin_r_tab = self._cos, self._sin_theta, self._sin
-        h_tt = gram(cos_t_tab, phi_tt, cos_t_tab) + wt1[:, None] * (2.0 * p.k1 * w) * (sin_t_tab.T @ sin_t_tab) * wt1
+        h_tt = gram(cos_t_tab, phi_tt, cos_t_tab) + wt1[:, None] * gram(sin_t_tab, self._k1x2, sin_t_tab) * wt1
         h_tr = gram(cos_t_tab, phi_tr, sin_r_tab) - gram(cos_t_tab, phi_tq, sin_r_tab) * wr2
         s_rq = gram(sin_r_tab, phi_rq, sin_r_tab)
         h_rr = gram(sin_r_tab, phi_rr, sin_r_tab) - s_rq * wr2 - wr2[:, None] * s_rq \
@@ -348,7 +363,8 @@ def energy(state: SpectralState, params: ModelParams1D) -> EnergyBreakdown:
     """Energy of a state, broken into its five contributions.
 
     Evaluated by quadrature of the exact integrand on the alias-free grid
-    M = 4(N+2); deterministic for fixed inputs.
+    M = 4(N+2), summed over its M/2+1 nodes z_0 ... z_{M/2} (the integrand
+    is even in z; see :class:`Evaluator`); deterministic for fixed inputs.
     """
     _check_state(state, params)
     return Evaluator(state.n, params).breakdown(state.pack())

@@ -5,9 +5,10 @@ d = alpha2*(T - T2star) at each point, minimizes from the previous converged
 state (warm start) plus fresh seeds, and keeps the lowest-energy converged
 result.  The sweep has two branches, the two signs of the layer pitchfork,
 rho and -rho.  The energy is even in rho: rho is a sine series, odd in z, so
-the cubic term e rho^3 integrates to zero over the cell and e breaks the
-symmetry by rounding only.  So only the "+" branch is relaxed, and the "-"
-branch is read off it as its mirror image.  Transitions are read off the
+the cubic term e rho^3 integrates to zero over the cell; the evaluator omits
+it, so the energy does not depend on e at all.  So only the "+" branch is
+relaxed, and the "-" branch, read off it as its mirror image, is bit for bit
+what relaxing the "-" seed gives, at every e.  Transitions are read off the
 amplitude records: the layering onset from delta_rho_max, the tilt onset
 from theta_max, both refined by linear interpolation of the squared
 amplitude (the pitchfork normal form makes amplitude^2 linear in T).

@@ -88,51 +88,51 @@ def _evaluation_digests(n: int, e: float, kind: str) -> dict[str, str]:
 EVALUATION_DIGESTS = {
     (16, 0.0, "layers"): {
         "energy": "93afa44313182707",
-        "breakdown": "f60013662c1ec047",
-        "gradient": "9be4925a651fcbbf",
-        "hessian": "73c6693891b171fa",
-        "fd_hessian": "703793c7b4b02ce7",
-        "spectrum": "dc0a237755bd8191",
+        "breakdown": "80c906c704e40957",
+        "gradient": "c2bf2b3ab7790633",
+        "hessian": "2b0e4308e3f0fbd0",
+        "fd_hessian": "1203c589b9e7d2cb",
+        "spectrum": "f9f90a77e8db2edd",
     },
     (16, 0.05, "layers"): {
         "energy": "0dcf6a27f7b285c7",
-        "breakdown": "59b46df8f0d0e9dc",
-        "gradient": "ad02b2c16636a454",
-        "hessian": "7fc25b769f78d714",
-        "fd_hessian": "24498292b8b44fbf",
-        "spectrum": "6c5734fd86a19da3",
+        "breakdown": "47172357383cac8f",
+        "gradient": "d34ddf613624e586",
+        "hessian": "e2b50d421e672bb9",
+        "fd_hessian": "0073cf3a8fa484c5",
+        "spectrum": "280494cdc2d86c0c",
     },
     (64, 0.0, "layers"): {
-        "energy": "7f4d7bcec8045f36",
-        "breakdown": "298a19f6ba0da3a3",
-        "gradient": "776d4852c1c46067",
-        "hessian": "494f75082602f47a",
-        "fd_hessian": "38956a1883117b23",
-        "spectrum": "673a04f879816255",
+        "energy": "8050e7f01e747ff1",
+        "breakdown": "0206edca6ef3c16a",
+        "gradient": "31d33f4f6e756327",
+        "hessian": "9e9ef1e61ad56cef",
+        "fd_hessian": "0b897ab0fe186147",
+        "spectrum": "968ded6abf69db92",
     },
     (64, 0.05, "layers"): {
-        "energy": "0aae2f5babc51af4",
-        "breakdown": "9a2de115c7ef75bb",
-        "gradient": "ddbd8adc752c6132",
-        "hessian": "ba91e8c123a31fc1",
-        "fd_hessian": "1c81d3649c8688d7",
-        "spectrum": "2b055d2c6022ba04",
+        "energy": "e81a2551e989d08e",
+        "breakdown": "2053c181551d1cdc",
+        "gradient": "f8d7d23f0c6535e3",
+        "hessian": "70134b37e125b4f6",
+        "fd_hessian": "f876cab546cba20e",
+        "spectrum": "1cdaf45e5ed565cf",
     },
     (16, 0.0, "no-layers"): {
         "energy": "b664a4840a612a51",
-        "breakdown": "ce90873131c3f64f",
-        "gradient": "b1f1458152db1155",
-        "hessian": "3d5a770176521dad",
-        "fd_hessian": "d82645c63272e15b",
-        "spectrum": "0677da8e469c3447",
+        "breakdown": "67927094e47ee5db",
+        "gradient": "dac58300f72aa790",
+        "hessian": "a372c6bcc8b89925",
+        "fd_hessian": "cdfab8bf084cab97",
+        "spectrum": "a76367215381588f",
     },
     (64, 0.0, "untilted"): {
-        "energy": "ba831ad7db409540",
-        "breakdown": "81db6ffe254d1420",
-        "gradient": "22c3765c832a629c",
-        "hessian": "3757ff94858661ac",
-        "fd_hessian": "2ae6a61afb8c3efa",
-        "spectrum": "54ff0d91b8edffdb",
+        "energy": "34fa76db862beb82",
+        "breakdown": "7c0efc9e0edcfef3",
+        "gradient": "334158252811e868",
+        "hessian": "60c2b6bf0a12ff7b",
+        "fd_hessian": "558c484a29502af9",
+        "spectrum": "f9c0747b3ee35103",
     },
 }
 
@@ -149,12 +149,12 @@ def tilt_onset_records(fig3_params):
 
 
 def test_fig3_sweep_records(fig3_sweep):
-    assert _records_digest(fig3_sweep) == "50f93f5fc311de59"
+    assert _records_digest(fig3_sweep) == "31cd417a76a4b274"
 
 
 def test_tilt_sweep_records(tilt_sweep):
-    assert _records_digest(tilt_sweep) == "dc3ffda5451dd55e"
+    assert _records_digest(tilt_sweep) == "b12110b05dad9020"
 
 
 def test_tilt_onset_records(tilt_onset_records):
-    assert _records_digest(tilt_onset_records) == "6520a58aef22b69f"
+    assert _records_digest(tilt_onset_records) == "3743c17e2716c438"

@@ -159,8 +159,8 @@ class TestBatchOutputsUnchanged:
     DIGESTS = {
         "0:validate-params:stdout": "89d27d5b6aa4b952",
         "1:thresholds:stdout": "91e6498b54b5a530",
-        "2:minimize:stderr": "a12120dea9b9f0fe",
-        "2:minimize:stdout": "a34bdf2772fbc780",
+        "2:minimize:stderr": "843063f60b9c72ad",
+        "2:minimize:stdout": "c3cbe7941a173584",
         "3:spectrum:stdout": "e3b0c44298fc1c14",
         "4:sweep:stdout": "17e1a1e5d830f826",
         "5:plot:stdout": "e3b0c44298fc1c14",
@@ -168,12 +168,12 @@ class TestBatchOutputsUnchanged:
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "69764fc5c1761c5e",
-        "k.csv": "3bf83ccea2d2cc1a",
-        "k.svg": "924da169e351357d",
-        "profile.csv": "7d5682f81b500313",
+        "k.csv": "b596926a1a7122dd",
+        "k.svg": "79f85ae7db9c7775",
+        "profile.csv": "b0814f1f34226916",
         "profile.svg": "5ab2fa1d15d98c90",
-        "spectrum.csv": "d697a64b7e3c863c",
-        "sweep.csv": "d0b3b59b9e210d6f",
+        "spectrum.csv": "63bab03d12fc8609",
+        "sweep.csv": "58f42f9fd1be2e43",
         "sweep.svg": "0a75912006edf038",
     }
 

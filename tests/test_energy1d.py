@@ -12,10 +12,12 @@ from smectic1d import (
     energy,
     gradient,
     minimize,
+    quadrature,
     reconstruct_director,
     seed_state,
     synthesize,
 )
+from smectic1d.stability import HESSIAN_FD_STEP
 
 TWO_PI = 2.0 * math.pi
 
@@ -216,24 +218,108 @@ class TestSymmetries:
             assert np.array_equal(ev.gradient(x_rho), mirrored)
 
     def test_cubic_term_invisible_to_sine_restricted_energy(self):
-        # products of three sine modes integrate to zero over the cell, so a
-        # nonzero e cannot shift the energy (or break the sign symmetry) in
-        # this space; it does enter the pointwise stationarity residual
+        # products of three sine modes integrate to zero over the cell, so
+        # within the ansatz the energy, gradient and Hessian do not depend
+        # on e, bit for bit, and e cannot break the sign symmetry; it does
+        # enter the pointwise stationarity residual
         p0 = ModelParams1D()
-        pe = ModelParams1D(e=1.0)
-        x = np.zeros(35)
-        x[18 + 3] = 0.2
-        ev0, eve = Evaluator(16, p0), Evaluator(16, pe)
-        assert eve.energy(x) == pytest.approx(ev0.energy(x), abs=1e-14)
-        x_rho = x.copy()
-        x_rho[18:] = -x_rho[18:]
-        assert eve.energy(x_rho) == pytest.approx(eve.energy(x), abs=1e-14)
-        state = SpectralState.from_vector(x, 16, pe.h)
-        _, r_rho_e = el_residual(state, pe)
-        _, r_rho_0 = el_residual(state, p0)
-        grid = default_grid(16, pe.h)
-        rho = state.rho_values(grid)
-        assert np.max(np.abs((r_rho_e - r_rho_0) + pe.e * rho * rho)) < 1e-12
+        ev0 = Evaluator(16, p0)
+        rng = np.random.default_rng(33)
+        for kind in ("tilted", "layered"):
+            x = rng.normal(size=35) * 0.3
+            if kind == "layered":
+                x[:18] = 0.0
+            x_rho = x.copy()
+            x_rho[18:] = -x_rho[18:]
+            state = SpectralState.from_vector(x, 16, p0.h)
+            rho = state.rho_values(default_grid(16, p0.h))
+            _, r_rho_0 = el_residual(state, p0)
+            for e in (0.0, -0.0, 1.0):
+                pe = ModelParams1D(e=e)
+                eve = Evaluator(16, pe)
+                for name in ("energy", "gradient", "hessian"):
+                    got, want = getattr(eve, name)(x), getattr(ev0, name)(x)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (kind, e, name)
+                assert eve.energy(x_rho) == eve.energy(x), (kind, e)
+                _, r_rho_e = el_residual(state, pe)
+                assert np.max(np.abs((r_rho_e - r_rho_0) + pe.e * rho * rho)) < 1e-12, (kind, e)
+
+
+class TestHalfGridQuadrature:
+    """The evaluator sums over nodes 0 ... M/2; a reference sums over all M nodes."""
+
+    @staticmethod
+    def _vectors(n: int) -> list[np.ndarray]:
+        """A tilted and an untilted layered vector with amplitudes 0.3/(1+k), as in criterion 08."""
+        rng = np.random.default_rng(n)
+        scale = 0.3 / (1.0 + np.arange(n + 2))
+        tilted = np.concatenate([rng.normal(size=n + 2) * scale, rng.normal(size=n + 1) * scale[1:]])
+        layered = tilted.copy()
+        layered[: n + 2] = 0.0
+        return [tilted, layered]
+
+    @staticmethod
+    def _full_grid_energy(vec: np.ndarray, n: int, p: ModelParams1D) -> float:
+        """The functional, cubic term included, by the trapezoid rule on all M nodes of ``default_grid``."""
+        grid = default_grid(n, p.h)
+        tc, rs = vec[: n + 2], vec[n + 2 :]
+        theta, theta_z = synthesize(tc, "cosine", grid), synthesize(tc, "cosine", grid, 1)
+        rho, rho_zz = synthesize(rs, "sine", grid), synthesize(rs, "sine", grid, 2)
+        c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+        density = (
+            p.k1 * theta_z**2
+            - p.k2**2 * p.sigma**2 * c2 / (p.k2 * c2 + p.k3 * s2)
+            + p.d / 2.0 * rho**2 - p.e / 3.0 * rho**3 + p.f / 4.0 * rho**4
+            + p.lambda1 * (rho_zz + p.q**2 * rho) ** 2
+            + p.lambda2 * (s2 * rho_zz + p.q**2 * math.cos(p.theta0) ** 2 * rho) ** 2
+        )
+        assert density.size == grid.m
+        return quadrature(density, p.h)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("e", [0.0, 0.5])
+    def test_energy_matches_the_full_grid_sum(self, n, e):
+        p = ModelParams1D(d=-0.8, e=e)
+        ev = Evaluator(n, p)
+        for vec in self._vectors(n):
+            assert ev.energy(vec) == pytest.approx(self._full_grid_energy(vec, n, p), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_gradient_matches_finite_differences(self, n):
+        # the check of criterion 08: central differences of the energy, eps = 1e-6
+        p = ModelParams1D()
+        ev = Evaluator(n, p)
+        eps = 1e-6
+        for vec in self._vectors(n):
+            g = ev.gradient(vec)
+            fd = np.empty_like(g)
+            for i in range(vec.size):
+                delta = np.zeros(vec.size)
+                delta[i] = eps
+                fd[i] = (ev.energy(vec + delta) - ev.energy(vec - delta)) / (2.0 * eps)
+            assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_hessian_matches_finite_differences(self, n):
+        # the tolerance of test_stability.py::TestExactHessian
+        p = ModelParams1D()
+        ev = Evaluator(n, p)
+        for vec in self._vectors(n):
+            exact = ev.hessian(vec)
+            fd = ev.fd_hessian(vec, HESSIAN_FD_STEP)
+            assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) < 1e-10
+            assert np.array_equal(exact, exact.T)
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_weights_fold_the_trapezoid_rule(self, n):
+        p = ModelParams1D()
+        ev = Evaluator(n, p)
+        m, w = ev.grid.m, p.h / ev.grid.m
+        assert m % 2 == 0
+        assert ev.weights.shape == (m // 2 + 1,)
+        assert ev.weights[0] == ev.weights[-1] == w
+        assert np.all(ev.weights[1:-1] == 2.0 * w)
+        assert ev.weights.sum() == pytest.approx(p.h, rel=1e-15)
 
 
 class TestEulerLagrangeResidual:
