@@ -28,15 +28,12 @@ _EXPORTS = {
             "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
         ),
         "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "quadrature", "synthesize"),
-        "energy1d": ("EnergyBreakdown", "Evaluator", "el_residual", "energy", "gradient", "reconstruct_director"),
+        "energy1d": ("EnergyBreakdown", "Evaluator", "energy", "gradient", "reconstruct_director"),
         "minimize": ("DivergenceError", "MinimizeReport", "minimize", "seed_state"),
-        "stability": (
-            "StabilityReport", "analytic_cholesteric_spectrum", "hessian", "morse_index_analytic",
-            "optimal_constant_tilt", "second_variation_tilt", "spectrum",
-        ),
+        "stability": ("StabilityReport", "hessian", "spectrum"),
         "sweep": (
             "ElasticRecord", "SweepConfig", "SweepError", "SweepRecord", "detect_transitions",
-            "elastic_sweep", "pitchfork_exponent", "sweep_temperature",
+            "elastic_sweep", "sweep_temperature",
         ),
     }.items()
     for name in names

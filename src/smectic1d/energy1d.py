@@ -20,9 +20,11 @@ variational derivative of the integrand followed by the adjoint transform.
 
 theta is a cosine series, even in z, and rho a sine series, odd in z.  The
 cubic term is odd in z, so it integrates to zero over the cell for every
-state of the ansatz, and the evaluator omits it: e enters only the pointwise
-residual of :func:`el_residual`.  Every other term is even in z, which lets
-the evaluator sum over half the grid (see :class:`Evaluator`).
+state of the ansatz, and the evaluator omits it: e enters no computation of
+this module.  Every other term is even in z, which lets the evaluator sum
+over half the grid (see :class:`Evaluator`).  The pointwise (strong-form)
+Euler-Lagrange residual, which keeps e, is a test-side cross-check of the
+gradient, in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "Evaluator",
     "energy",
     "gradient",
-    "el_residual",
     "reconstruct_director",
 ]
 
@@ -54,15 +55,6 @@ class EnergyBreakdown(NamedTuple):
     bulk_smectic: float
     layer: float
     coupling: float
-
-
-def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
-    """d/dtheta of the chiral density: k2^2 k3 sigma^2 sin(2 theta) / (k2 cos^2 + k3 sin^2)^2.
-
-    Takes c = cos(theta), s = sin(theta) and sin_2t = sin(2 theta).
-    """
-    den = k2 * c * c + k3 * s * s
-    return (k2 * k2 * k3 * sigma * sigma) * sin_2t / (den * den)
 
 
 def _chi_second(
@@ -374,49 +366,6 @@ def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
     """Gradient of the discretized energy with respect to (theta_c, rho_s)."""
     _check_state(state, params)
     return Evaluator(state.n, params).gradient(state.pack())
-
-
-def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray, np.ndarray]:
-    """Strong-form stationarity residuals on the grid.
-
-    The residuals are the pointwise variational derivatives of the energy:
-
-        R_theta = -2 k1 theta_zz + chi'(theta) + 2 lambda2 W sin(2 theta) rho_zz
-        R_rho   = d rho - e rho^2 + f rho^3
-                  + 2 lambda1 (rho_zzzz + 2 q^2 rho_zz + q^4 rho)
-                  + 2 lambda2 ( (sin^2(theta) W)_zz + q^2 cos^2(theta0) W )
-
-    with W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  Second derivatives
-    of products are taken spectrally (analysis up to the grid band limit);
-    at a converged minimizer both residuals vanish to solver tolerance.
-    """
-    _check_state(state, params)
-    p = params
-    g = default_grid(state.n, params.h)
-    theta = state.theta_values(g)
-    rho = state.rho_values(g)
-    rho_zz = state.rho_values(g, order=2)
-    rho_zzzz = state.rho_values(g, order=4)
-    theta_zz = state.theta_values(g, order=2)
-    q2 = p.q * p.q
-    cos2t0 = math.cos(p.theta0) ** 2
-    # explicit products, as in Evaluator: numpy's rho**3 is not exactly odd
-    sin_t = np.sin(theta)
-    sin2 = sin_t * sin_t
-    rho2 = rho * rho
-    w_field = sin2 * rho_zz + q2 * cos2t0 * rho
-
-    sin_2t = np.sin(2.0 * theta)
-    r_theta = -2.0 * p.k1 * theta_zz + _chi_prime(np.cos(theta), sin_t, sin_2t, p.k2, p.k3, p.sigma) \
-        + 2.0 * p.lambda2 * w_field * sin_2t * rho_zz
-
-    band = g.m // 2 - 1
-    prod = sin2 * w_field  # odd in z: sine series
-    prod_zz = synthesize(analyze(prod, "sine", g, band), "sine", g, order=2)
-    r_rho = p.d * rho - p.e * rho2 + p.f * rho2 * rho \
-        + 2.0 * p.lambda1 * (rho_zzzz + 2.0 * q2 * rho_zz + q2 * q2 * rho) \
-        + 2.0 * p.lambda2 * (prod_zz + q2 * cos2t0 * w_field)
-    return r_theta, r_rho
 
 
 def reconstruct_director(

@@ -21,7 +21,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 #: Supported derivative orders for synthesis.
-DERIVATIVE_ORDERS = (0, 1, 2, 4)
+DERIVATIVE_ORDERS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def synthesize(coeffs: np.ndarray, basis: str, grid: Grid, order: int = 0) -> np
     """Evaluate sum_k c_k * d^r/dz^r [cos|sin](2*k*pi*z/h) on the grid nodes.
 
     For the cosine basis ``coeffs[k]`` multiplies mode k starting at k = 0;
-    for the sine basis mode k starts at k = 1.  Derivative orders 0, 1, 2, 4
+    for the sine basis mode k starts at k = 1.  Derivative orders 0, 1 and 2
     are supported; each mode picks up the frequency factor (2*k*pi/h)^r with
     the standard sign/phase alternation.
     """
@@ -90,10 +90,10 @@ def synthesize(coeffs: np.ndarray, basis: str, grid: Grid, order: int = 0) -> np
     # columns are basic slices so the product runs on the table's own layout
     if basis == "cosine":
         cols = sin_t if order == 1 else cos_t
-        sign = {0: 1.0, 1: -1.0, 2: -1.0, 4: 1.0}[order]
+        sign = {0: 1.0, 1: -1.0, 2: -1.0}[order]
     else:
         cols = (cos_t if order == 1 else sin_t)[:, 1:]
-        sign = {0: 1.0, 1: 1.0, 2: -1.0, 4: 1.0}[order]
+        sign = {0: 1.0, 1: 1.0, 2: -1.0}[order]
     return cols @ (sign * omega**order * c)
 
 

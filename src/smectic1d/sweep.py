@@ -11,7 +11,9 @@ relaxed, and the "-" branch, read off it as its mirror image, is bit for bit
 what relaxing the "-" seed gives, at every e.  Transitions are read off the
 amplitude records: the layering onset from delta_rho_max, the tilt onset
 from theta_max, both refined by linear interpolation of the squared
-amplitude (the pitchfork normal form makes amplitude^2 linear in T).
+amplitude (the pitchfork normal form makes amplitude^2 linear in T).  The
+fit of the pitchfork exponent itself, which checks that law on a sweep, is
+test code in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "ElasticRecord",
     "sweep_temperature",
     "detect_transitions",
-    "pitchfork_exponent",
     "elastic_sweep",
 ]
 
@@ -231,35 +232,6 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     t_chs = _onset(seq, [r.delta_rho_max for r in seq], eps_detect)
     t_hssc = _onset(seq, [r.theta_max for r in seq], eps_detect)
     return t_chs, t_hssc
-
-
-def pitchfork_exponent(
-    records: list[SweepRecord],
-    d0: float,
-    window: float,
-    eps_detect: float = 1e-3,
-) -> float:
-    """Least-squares slope of log(delta_rho_max) against log(d0 - d).
-
-    Uses the layered records with d in (d0 - window, d0); a clean pitchfork
-    gives slope 1/2.
-
-    Raises
-    ------
-    ValueError
-        If fewer than five usable records fall inside the window.
-    """
-    pts = [
-        (r.d, r.delta_rho_max)
-        for r in records
-        if d0 - window < r.d < d0 and r.delta_rho_max >= eps_detect and r.converged
-    ]
-    if len(pts) < 5:
-        raise ValueError(f"insufficient records for the pitchfork fit: {len(pts)} inside the window, need >= 5")
-    x = np.log([d0 - d for d, _ in pts])
-    y = np.log([amp for _, amp in pts])
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
 
 
 def elastic_sweep(

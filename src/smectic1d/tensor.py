@@ -4,7 +4,9 @@ Everything here is a pure function over immutable values: the five densities
 of the tensor model (elastic, nematic bulk, smectic bulk, layer, angle
 coupling), the uniaxial lift, and the numerical check that on the uniaxial
 manifold the tensor elastic density reduces to the director (Oseen-Frank)
-form up to the additive constant eta1*s^2*sigma^2/3.
+form up to the additive constant eta1*s^2*sigma^2/3.  The elastic density
+is given in its defining curl form only; its expanded twin, the
+independent check of it, is test code in ``tests/crosscheck.py``.
 
 Sign conventions: the Levi-Civita symbol has eps_123 = +1 and the tensor
 curl is (curl Q)_{i,beta} = eps_{ijk} d_j Q_{k,beta}.  Gradients are stored
@@ -156,31 +158,6 @@ def f_el(q: QTensor, g: QGradient, eta1: float, eta2: float, eta24: float, sigma
         0.5 * eta1 * float(np.sum(chiral * chiral))
         + 0.5 * eta2 * div2
         + 0.5 * eta24 * (_mixed_contraction(g) - div2)
-    )
-
-
-def f_el_expanded(q: QTensor, g: QGradient, eta1: float, eta2: float, eta24: float, sigma: float) -> float:
-    """Tensor elastic density in the expanded (quadratic-form) arrangement.
-
-    (eta1/2)|grad Q|^2 + ((eta2-eta24)/2) Q_{ij,j} Q_{ik,k}
-    + ((eta24-eta1)/2) Q_{ij,k} Q_{ik,j}
-    + 2 eta1 sigma eps_{ikl} Q_{lj,k} Q_{ij} + 2 eta1 sigma^2 |Q|^2.
-
-    Agrees with :func:`f_el` identically; kept as an independent route for
-    verification.
-    """
-    a = g.g
-    div = tensor_divergence(g)
-    div2 = float(div @ div)
-    grad2 = float(np.sum(a * a))
-    mixed = _mixed_contraction(g)
-    cross = float(np.sum(tensor_curl(g) * q.m))
-    return (
-        0.5 * eta1 * grad2
-        + 0.5 * (eta2 - eta24) * div2
-        + 0.5 * (eta24 - eta1) * mixed
-        + 2.0 * eta1 * sigma * cross
-        + 2.0 * eta1 * sigma * sigma * q.tr2()
     )
 
 

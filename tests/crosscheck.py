@@ -1,0 +1,292 @@
+"""Independent routes that check the library's results; only the tests call them.
+
+The library computes stationarity, stability and the bifurcation by
+relaxation and Hessian spectra.  The routes here reach the same quantities
+another way, so that a test can compare the two:
+
+- :func:`el_residual`: the strong-form Euler-Lagrange residuals on the grid,
+  pointwise and with the cubic term e rho^2, against the weak-form gradient
+  of :class:`smectic1d.Evaluator`.
+- :func:`analytic_cholesteric_spectrum` and :func:`morse_index_analytic`: the
+  closed-form second variation at the trivial state, against
+  :func:`smectic1d.spectrum`.
+- :func:`second_variation_tilt` and :func:`optimal_constant_tilt`: the
+  frozen-layer analysis by quadrature and by golden section, against the
+  closed forms :func:`smectic1d.tilt_thresholds` and
+  :func:`smectic1d.theta_star`.
+- :func:`pitchfork_exponent`: the amplitude exponent of a sweep's layering
+  onset.
+- :func:`f_el_expanded`: the tensor elastic density in its expanded
+  arrangement, against the curl form :func:`smectic1d.tensor.f_el`.
+
+This module is not a ``test_*`` file, so pytest does not collect it; tests
+import it as ``from crosscheck import ...``.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from smectic1d import Evaluator, ModelParams1D, SpectralState, SweepRecord, d_critical, default_grid
+from smectic1d.energy1d import _check_state
+from smectic1d.minimize import frozen_layer_state
+from smectic1d.spectral import TWO_PI, Grid, analyze, quadrature, synthesize
+from smectic1d.tensor import QGradient, QTensor, tensor_curl, tensor_divergence
+
+# -- Euler-Lagrange residual -------------------------------------------------
+
+
+def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: float, sigma: float) -> np.ndarray:
+    """d/dtheta of the chiral density: k2^2 k3 sigma^2 sin(2 theta) / (k2 cos^2 + k3 sin^2)^2.
+
+    Takes c = cos(theta), s = sin(theta) and sin_2t = sin(2 theta).
+    """
+    den = k2 * c * c + k3 * s * s
+    return (k2 * k2 * k3 * sigma * sigma) * sin_2t / (den * den)
+
+
+def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray, np.ndarray]:
+    """Strong-form stationarity residuals on the grid.
+
+    The residuals are the pointwise variational derivatives of the energy:
+
+        R_theta = -2 k1 theta_zz + chi'(theta) + 2 lambda2 W sin(2 theta) rho_zz
+        R_rho   = d rho - e rho^2 + f rho^3
+                  + 2 lambda1 (rho_zzzz + 2 q^2 rho_zz + q^4 rho)
+                  + 2 lambda2 ( (sin^2(theta) W)_zz + q^2 cos^2(theta0) W )
+
+    with W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  Second derivatives
+    of products are taken spectrally (analysis up to the grid band limit);
+    at a converged minimizer both residuals vanish to solver tolerance.
+    """
+    _check_state(state, params)
+    p = params
+    g = default_grid(state.n, params.h)
+    theta = state.theta_values(g)
+    rho = state.rho_values(g)
+    rho_zz = state.rho_values(g, order=2)
+    # the fourth derivative scales sine mode k by omega_k^4 = (2 pi k / h)^4
+    omega = (TWO_PI / g.h) * np.arange(1, state.n + 2)
+    rho_zzzz = synthesize(omega**4 * state.rho_s, "sine", g)
+    theta_zz = state.theta_values(g, order=2)
+    q2 = p.q * p.q
+    cos2t0 = math.cos(p.theta0) ** 2
+    # explicit products, as in Evaluator: numpy's rho**3 is not exactly odd
+    sin_t = np.sin(theta)
+    sin2 = sin_t * sin_t
+    rho2 = rho * rho
+    w_field = sin2 * rho_zz + q2 * cos2t0 * rho
+
+    sin_2t = np.sin(2.0 * theta)
+    r_theta = -2.0 * p.k1 * theta_zz + _chi_prime(np.cos(theta), sin_t, sin_2t, p.k2, p.k3, p.sigma) \
+        + 2.0 * p.lambda2 * w_field * sin_2t * rho_zz
+
+    band = g.m // 2 - 1
+    prod = sin2 * w_field  # odd in z: sine series
+    prod_zz = synthesize(analyze(prod, "sine", g, band), "sine", g, order=2)
+    r_rho = p.d * rho - p.e * rho2 + p.f * rho2 * rho \
+        + 2.0 * p.lambda1 * (rho_zzzz + 2.0 * q2 * rho_zz + q2 * q2 * rho) \
+        + 2.0 * p.lambda2 * (prod_zz + q2 * cos2t0 * w_field)
+    return r_theta, r_rho
+
+
+# -- closed-form spectrum at the trivial state --------------------------------
+
+
+class AnalyticMode(NamedTuple):
+    """One closed-form eigenvalue: which family, which mode index, which value."""
+
+    kind: str  # "rho_const" | "rho_sin" | "rho_cos" | "theta"
+    n: int
+    value: float
+
+
+def _rho_mode_eigenvalue(params: ModelParams1D, n: int) -> float:
+    p = params
+    omega2 = (2.0 * math.pi * n / p.h) ** 2
+    return p.d - d_critical(p) + 2.0 * p.lambda1 * (omega2 - p.q * p.q) ** 2
+
+
+def _theta_mode_eigenvalue(params: ModelParams1D, n: int) -> float:
+    p = params
+    omega2 = (2.0 * math.pi * n / p.h) ** 2
+    return 2.0 * p.k1 * (omega2 + p.sigma * p.sigma)
+
+
+def analytic_cholesteric_spectrum(params: ModelParams1D, n_max: int) -> list[AnalyticMode]:
+    """Closed-form second-variation spectrum at the trivial state.
+
+    Smectic perturbations: the constant mode has eigenvalue
+    d + 2 lambda2 q^4 cos^4(theta0) + 2 lambda1 q^4 and each oscillatory mode
+    n >= 1 contributes a degenerate sine/cosine pair with eigenvalue
+    d + 2 lambda2 q^4 cos^4(theta0) + 2 lambda1 ((2 pi n / h)^2 - q^2)^2.
+    Tilt perturbations contribute 2 k1 ((2 pi n / h)^2 + sigma^2) for
+    n = 0..n_max (one-constant case k1 = k2 = k3).
+    """
+    if n_max < params.n0:
+        raise ValueError(f"n_max = {n_max} must reach the layer mode n0 = {params.n0}")
+    p = params
+    modes = [AnalyticMode("rho_const", 0, p.d - d_critical(p) + 2.0 * p.lambda1 * p.q**4)]
+    for n in range(1, n_max + 1):
+        val = _rho_mode_eigenvalue(params, n)
+        modes.append(AnalyticMode("rho_sin", n, val))
+        modes.append(AnalyticMode("rho_cos", n, val))
+    for n in range(n_max + 1):
+        modes.append(AnalyticMode("theta", n, _theta_mode_eigenvalue(params, n)))
+    return modes
+
+
+def morse_index_analytic(params: ModelParams1D) -> int:
+    """Morse index of the trivial state in the full perturbation space.
+
+    2 * card{n >= 1 : rho-mode eigenvalue < 0} + m0 with m0 = 1 iff the
+    constant-mode eigenvalue d + 2 lambda2 q^4 cos^4(theta0) + 2 lambda1 q^4
+    is negative.  Tilt modes never contribute (their eigenvalues are
+    positive).
+    """
+    p = params
+    base = p.d - d_critical(p)
+    if p.lambda1 == 0:
+        if base < 0:
+            raise ValueError("morse index diverges: lambda1 = 0 leaves every layering mode unstable")
+        return 0
+    count = 0
+    n = 1
+    while True:
+        val = _rho_mode_eigenvalue(params, n)
+        if val < 0:
+            count += 1
+        elif n > p.n0:
+            break
+        n += 1
+    m0 = 1 if base + 2.0 * p.lambda1 * p.q**4 < 0 else 0
+    return 2 * count + m0
+
+
+# -- frozen-layer tilt analysis -----------------------------------------------
+
+
+def second_variation_tilt(
+    t: float,
+    params: ModelParams1D,
+    theta_bar: np.ndarray,
+    grid: Grid,
+) -> float:
+    """Second variation of the energy in a tilt direction at frozen layering.
+
+    2 * int_0^h  k1 theta_bar_z^2 + k1 sigma^2 theta_bar^2
+                 - 2 lambda2 t^2 q^4 sin^2(q z) cos^2(theta0) theta_bar^2  dz
+
+    for the untilted state with layer profile t*sin(q z); ``theta_bar`` is a
+    perturbation sampled on ``grid`` (differentiated spectrally).  Assumes
+    k1 = k2 = k3.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    p = params
+    tb = np.asarray(theta_bar, dtype=float)
+    if tb.shape != (grid.m,):
+        raise ValueError(f"expected {grid.m} perturbation samples, got {tb.shape}")
+    band = grid.m // 2 - 1
+    tb_z = synthesize(analyze(tb, "cosine", grid, band), "cosine", grid, order=1)
+    z = grid.nodes
+    weight = 2.0 * p.lambda2 * t * t * p.q**4 * np.sin(p.q * z) ** 2 * math.cos(p.theta0) ** 2
+    integrand = p.k1 * tb_z**2 + p.k1 * p.sigma**2 * tb**2 - weight * tb**2
+    return 2.0 * quadrature(integrand, p.h)
+
+
+def optimal_constant_tilt(
+    t: float,
+    params: ModelParams1D,
+    n: int = 16,
+    tol: float = 1e-6,
+) -> float:
+    """Golden-section minimizer of the energy over constant tilt at frozen layering.
+
+    Independent numeric counterpart of :func:`smectic1d.params.theta_star`: minimizes the full
+    energy of the state (theta = const, rho = t*sin(q z)) over
+    theta in [0, pi/2).
+    """
+    ev = Evaluator(n, params)
+
+    def energy_at(theta: float) -> float:
+        return ev.energy(frozen_layer_state(t, theta, params, n).pack())
+
+    lo, hi = 0.0, math.pi / 2 - 1e-9
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = energy_at(c), energy_at(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = energy_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = energy_at(d)
+    return 0.5 * (a + b)
+
+
+# -- pitchfork exponent of a sweep --------------------------------------------
+
+
+def pitchfork_exponent(
+    records: list[SweepRecord],
+    d0: float,
+    window: float,
+    eps_detect: float = 1e-3,
+) -> float:
+    """Least-squares slope of log(delta_rho_max) against log(d0 - d).
+
+    Uses the layered records with d in (d0 - window, d0); a clean pitchfork
+    gives slope 1/2.
+
+    Raises
+    ------
+    ValueError
+        If fewer than five usable records fall inside the window.
+    """
+    pts = [
+        (r.d, r.delta_rho_max)
+        for r in records
+        if d0 - window < r.d < d0 and r.delta_rho_max >= eps_detect and r.converged
+    ]
+    if len(pts) < 5:
+        raise ValueError(f"insufficient records for the pitchfork fit: {len(pts)} inside the window, need >= 5")
+    x = np.log([d0 - d for d, _ in pts])
+    y = np.log([amp for _, amp in pts])
+    slope, _ = np.polyfit(x, y, 1)
+    return float(slope)
+
+
+# -- tensor elastic density, expanded form ------------------------------------
+
+
+def f_el_expanded(q: QTensor, g: QGradient, eta1: float, eta2: float, eta24: float, sigma: float) -> float:
+    """Tensor elastic density in the expanded (quadratic-form) arrangement.
+
+    (eta1/2)|grad Q|^2 + ((eta2-eta24)/2) Q_{ij,j} Q_{ik,k}
+    + ((eta24-eta1)/2) Q_{ij,k} Q_{ik,j}
+    + 2 eta1 sigma eps_{ikl} Q_{lj,k} Q_{ij} + 2 eta1 sigma^2 |Q|^2.
+
+    Agrees with :func:`smectic1d.tensor.f_el` identically.
+    """
+    a = g.g
+    div = tensor_divergence(g)
+    div2 = float(div @ div)
+    grad2 = float(np.sum(a * a))
+    mixed = float(np.sum(a * a.transpose(0, 2, 1)))  # Q_{ij,k} Q_{ik,j}
+    cross = float(np.sum(tensor_curl(g) * q.m))
+    return (
+        0.5 * eta1 * grad2
+        + 0.5 * (eta2 - eta24) * div2
+        + 0.5 * (eta24 - eta1) * mixed
+        + 2.0 * eta1 * sigma * cross
+        + 2.0 * eta1 * sigma * sigma * q.tr2()
+    )

@@ -26,16 +26,11 @@ import pytest
 from smectic1d import (
     Evaluator,
     SpectralState,
-    analytic_cholesteric_spectrum,
     d_critical,
     default_grid,
     detect_transitions,
     hessian,
     minimize,
-    morse_index_analytic,
-    optimal_constant_tilt,
-    pitchfork_exponent,
-    second_variation_tilt,
     seed_state,
     spectrum,
     synthesize,
@@ -45,6 +40,14 @@ from smectic1d import (
     tilt_thresholds,
 )
 from smectic1d.spectral import gram_diagonal
+
+from crosscheck import (
+    analytic_cholesteric_spectrum,
+    morse_index_analytic,
+    optimal_constant_tilt,
+    pitchfork_exponent,
+    second_variation_tilt,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

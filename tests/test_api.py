@@ -46,6 +46,19 @@ def test_package_minimize_is_the_function_in_any_import_order(child_env, prelude
     assert proc.returncode == 0, proc.stderr
 
 
+def test_spectrum_layer_does_not_import_the_minimizer(child_env):
+    # a fresh process: the spectrum reads the evaluator only, so importing
+    # it leaves the minimizer and sweep layers unloaded
+    child = (
+        "import sys\n"
+        "import smectic1d.stability\n"
+        "loaded = [m for m in ('smectic1d.minimize', 'smectic1d.sweep') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dir_lists_every_export():
     assert set(smectic1d.__all__) <= set(dir(smectic1d))
 

@@ -8,7 +8,6 @@ from smectic1d import (
     ModelParams1D,
     SpectralState,
     default_grid,
-    el_residual,
     energy,
     gradient,
     minimize,
@@ -18,6 +17,8 @@ from smectic1d import (
     synthesize,
 )
 from smectic1d.stability import HESSIAN_FD_STEP
+
+from crosscheck import el_residual
 
 TWO_PI = 2.0 * math.pi
 

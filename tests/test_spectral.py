@@ -28,16 +28,16 @@ class TestSynthesize:
 
     def test_unsupported_order(self):
         grid = sp.Grid(32, TWO_PI)
-        with pytest.raises(ValueError, match="order"):
-            sp.synthesize(np.zeros(4), "cosine", grid, order=3)
+        for order in (3, 4):
+            with pytest.raises(ValueError, match="order"):
+                sp.synthesize(np.zeros(4), "cosine", grid, order=order)
 
-    def test_first_and_fourth_derivatives(self):
+    def test_first_derivatives(self):
         grid = sp.Grid(128, 3.0)
         c = np.array([0.0, 0.0, 1.0])
         omega = 2.0 * TWO_PI / 3.0  # mode 2 frequency
         z = grid.nodes
         assert np.allclose(sp.synthesize(c, "cosine", grid, 1), -omega * np.sin(omega * z), atol=1e-12)
-        assert np.allclose(sp.synthesize(c, "cosine", grid, 4), omega**4 * np.cos(omega * z), atol=1e-9)
         s = np.zeros(2)
         s[1] = 1.0  # sine mode 2
         assert np.allclose(sp.synthesize(s, "sine", grid, 1), omega * np.cos(omega * z), atol=1e-12)

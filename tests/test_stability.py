@@ -9,14 +9,10 @@ from smectic1d import (
     ModelParams1D,
     SpectralState,
     StabilityReport,
-    analytic_cholesteric_spectrum,
     d_critical,
     default_grid,
     hessian,
     minimize,
-    morse_index_analytic,
-    optimal_constant_tilt,
-    second_variation_tilt,
     seed_state,
     spectrum,
     synthesize,
@@ -26,6 +22,8 @@ from smectic1d import (
 from smectic1d.spectral import gram_diagonal
 from smectic1d.minimize import frozen_layer_state
 from smectic1d.stability import HESSIAN_FD_STEP
+
+from crosscheck import analytic_cholesteric_spectrum, morse_index_analytic, optimal_constant_tilt, second_variation_tilt
 
 
 def _bulk_offset(p: ModelParams1D) -> float:

@@ -16,11 +16,12 @@ from smectic1d import (
     detect_transitions,
     elastic_sweep,
     minimize,
-    pitchfork_exponent,
     seed_state,
     sweep_temperature,
     temperature_from_d,
 )
+
+from crosscheck import pitchfork_exponent
 
 
 def _quick_config(**kw) -> SweepConfig:

@@ -5,6 +5,8 @@ import pytest
 
 from smectic1d import tensor as tn
 
+from crosscheck import f_el_expanded
+
 
 def _random_unit(rng):
     v = rng.normal(size=3)
@@ -163,7 +165,7 @@ class TestElasticDensity:
             g = _random_qgradient(rng)
             e1, e2, e24, sigma = rng.uniform(0.1, 2.0, size=4)
             direct = tn.f_el(q, g, e1, e2, e24, sigma)
-            expanded = tn.f_el_expanded(q, g, e1, e2, e24, sigma)
+            expanded = f_el_expanded(q, g, e1, e2, e24, sigma)
             assert direct == pytest.approx(expanded, rel=1e-12, abs=1e-13)
 
 
