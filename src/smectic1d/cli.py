@@ -103,24 +103,23 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
+    """The run configuration: the ``--config`` file or the defaults, then the flags of ``_add_common``."""
+    if args.config:
         with open(args.config, "r") as fh:
             config = parse_config(fh.read())
     else:
         config = RunConfig()
     p = config.params
-    if getattr(args, "T", None) is not None and getattr(args, "d", None) is not None:
+    if args.T is not None and args.d is not None:
         raise ValueError("give either --d or --T, not both")
-    if getattr(args, "d", None) is not None:
+    if args.d is not None:
         p = p.with_d(args.d)
-    elif getattr(args, "T", None) is not None:
+    elif args.T is not None:
         p = p.at_temperature(args.T)
     # N is checked before the solver settings, as in a config file
-    n_modes = config.n_modes if getattr(args, "n_modes", None) is None else args.n_modes
+    n_modes = config.n_modes if args.n_modes is None else args.n_modes
     config = replace(config, params=p, n_modes=n_modes)
-    overrides = {
-        f.name: getattr(args, f.name) for f in fields(config.options) if getattr(args, f.name, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(config.options) if getattr(args, f.name) is not None}
     return replace(config, options=replace(config.options, **overrides))
 
 
@@ -355,10 +354,6 @@ def _print_thresholds(p: ModelParams1D) -> None:
 
 def _cmd_validate_params(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    p = config.params
-    if args.echo:
-        sys.stdout.write(format_config(config))
-        return 0
     abc, etas = (args.A, args.B, args.C), (args.eta1, args.eta2, args.eta24)
     if None in abc and abc != (None,) * 3:
         raise ValueError("--A, --B and --C must be given together")
@@ -372,7 +367,10 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
             raise ValueError(verdict.violation)
     s_plus = None if args.A is None else params_mod.compute_s_plus(*abc)
     of = None if args.eta1 is None else params_mod.map_to_oseen_frank(*etas, s_plus)
-    _print_thresholds(p)
+    if args.echo:
+        sys.stdout.write(format_config(config))
+        return 0
+    _print_thresholds(config.params)
     if s_plus is not None:
         print(f"s_plus = {_fmt(s_plus)}")
     if of is not None:

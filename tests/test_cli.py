@@ -75,6 +75,21 @@ class TestValidateParams:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--A", "1"], "--A, --B and --C must be given together"),
+            (["--A", "-1", "--B", "1", "--C", "-1"], "C must be positive, got -1.0"),
+        ],
+        ids=["partial-ABC", "negative-C"],
+    )
+    def test_echo_checks_the_tensor_flags(self, capsys, flags, message):
+        # --echo used to print the configuration and exit 0 before any flag check
+        assert run(["validate-params", "--echo", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_echo_round_trips(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path)
         assert run(["validate-params", "--config", cfg, "--echo"]) == 0
