@@ -27,7 +27,7 @@ import numpy as np
 # here while a wrapper sat on them (bench/probe.py) would keep it after removal
 from . import stability
 from .energy1d import Evaluator, mean_tilt
-from .minimize import MinimizeOptions, seed_state
+from .minimize import FLOAT_EPS, MinimizeOptions, seed_state
 from .params import ModelParams1D
 from .spectral import SpectralState, default_grid
 
@@ -122,7 +122,11 @@ def _relax(
     """Minimize from every candidate; lowest-energy converged result wins.
 
     A converged result always beats a non-converged one; non-converged best
-    iterates are reported only when nothing converged.
+    iterates are reported only when nothing converged.  Among equals, a
+    later candidate wins only when its energy is lower by more than the
+    line search's floating-point slack, 4 eps max(1, |E_best|): two
+    candidates that relax to the same state end a few ulps apart, and the
+    earlier one (the warm start) is kept whatever the sign of those ulps.
     """
     from .minimize import minimize
 
@@ -134,7 +138,7 @@ def _relax(
             best = key
         elif key[0] and not best[0]:
             best = key
-        elif key[0] == best[0] and key[1] < best[1]:
+        elif key[0] == best[0] and key[1] < best[1] - 4.0 * FLOAT_EPS * max(1.0, abs(best[1])):
             best = key
     assert best is not None
     return best[2], best[1], best[0]

@@ -149,12 +149,12 @@ def tilt_onset_records(fig3_params):
 
 
 def test_fig3_sweep_records(fig3_sweep):
-    assert _records_digest(fig3_sweep) == "31cd417a76a4b274"
+    assert _records_digest(fig3_sweep) == "58360d85339f9d2d"
 
 
 def test_tilt_sweep_records(tilt_sweep):
-    assert _records_digest(tilt_sweep) == "b12110b05dad9020"
+    assert _records_digest(tilt_sweep) == "cdb88bab0ef4f5ec"
 
 
 def test_tilt_onset_records(tilt_onset_records):
-    assert _records_digest(tilt_onset_records) == "3743c17e2716c438"
+    assert _records_digest(tilt_onset_records) == "7486df730f126ada"

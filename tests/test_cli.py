@@ -183,8 +183,8 @@ class TestBatchOutputsUnchanged:
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "69764fc5c1761c5e",
-        "k.csv": "b596926a1a7122dd",
-        "k.svg": "79f85ae7db9c7775",
+        "k.csv": "f0702f9d8b6384c8",
+        "k.svg": "924da169e351357d",
         "profile.csv": "b0814f1f34226916",
         "profile.svg": "5ab2fa1d15d98c90",
         "spectrum.csv": "63bab03d12fc8609",

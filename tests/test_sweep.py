@@ -139,6 +139,40 @@ class TestSweepTemperature:
             sweep_temperature(fig3_params, config)
 
 
+class TestRelax:
+    """The winning candidate of one sweep point, with ``minimize`` replaced by fixed outcomes."""
+
+    @staticmethod
+    def _winner(monkeypatch, fig3_params, outcomes):
+        # outcomes: (converged, final energy) per candidate, in candidate order
+        from smectic1d import MinimizeReport, sweep
+
+        candidates = [seed_state("smectic-seed", fig3_params, 4) for _ in outcomes]
+        by_id = {id(c): o for c, o in zip(candidates, outcomes)}
+
+        def fake_minimize(cand, params, options, evaluator=None):
+            converged, energy_val = by_id[id(cand)]
+            return cand, MinimizeReport(converged, 0, 0.0, energy_val)
+
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "minimize", fake_minimize)
+        state, energy_val, converged = sweep._relax(candidates, fig3_params, MinimizeOptions(), None)
+        return next(i for i, c in enumerate(candidates) if c is state), energy_val, converged
+
+    @pytest.mark.parametrize("energy_val", [-3.0, -0.25, 0.0, 17.5])
+    def test_a_later_candidate_one_ulp_lower_loses(self, monkeypatch, fig3_params, energy_val):
+        lower = math.nextafter(energy_val, -math.inf)
+        assert self._winner(monkeypatch, fig3_params, [(True, energy_val), (True, lower)]) == (0, energy_val, True)
+
+    @pytest.mark.parametrize("energy_val", [-3.0, -0.25, 0.0, 17.5])
+    def test_a_later_candidate_1e_12_lower_wins(self, monkeypatch, fig3_params, energy_val):
+        lower = energy_val - 1e-12
+        assert self._winner(monkeypatch, fig3_params, [(True, energy_val), (True, lower)]) == (1, lower, True)
+
+    def test_converged_beats_non_converged(self, monkeypatch, fig3_params):
+        assert self._winner(monkeypatch, fig3_params, [(False, -3.0), (True, -1.0)]) == (1, -1.0, True)
+        assert self._winner(monkeypatch, fig3_params, [(True, -1.0), (False, -3.0)]) == (0, -1.0, True)
+
+
 class TestReferenceSweepInvariants:
     def test_energy_monotone_within_phase_segments(self, fig3_sweep):
         # cooling deepens the well: within each phase segment of a branch the
