@@ -126,7 +126,8 @@ def _relax(
     later candidate wins only when its energy is lower by more than the
     line search's floating-point slack, 4 eps max(1, |E_best|): two
     candidates that relax to the same state end a few ulps apart, and the
-    earlier one (the warm start) is kept whatever the sign of those ulps.
+    earlier one (the warm start of a temperature sweep, the smectic seed of
+    an elastic sweep) is kept whatever the sign of those ulps.
     """
     from .minimize import minimize
 
