@@ -211,6 +211,30 @@ class TestBatchOutputsUnchanged:
         assert self.outputs(tmp_path, child_env) == self.DIGESTS
 
 
+class TestMorseOutputsUnchanged:
+    """A sweep CSV with a non-empty morse_index column and its dashed bifurcation plot, byte for byte.
+
+    From T = -20.8 down to -21.2 the records have Morse index 0, 2 and 3, so
+    each branch is one dashed run in each panel plus a stable single-point
+    marker.  Recorded on the platform of ``TestBatchOutputsUnchanged``.
+    """
+
+    DIGESTS = {"morse.csv": "54116b5fb1a91a26", "morse.svg": "f30b5d95dc37d3ba"}
+
+    def test_bytes_match_the_recorded_digests(self, tmp_path):
+        data, svg = tmp_path / "morse.csv", tmp_path / "morse.svg"
+        assert run(["sweep", "--n-modes", "64", "--t-start", "-20.8", "--t-end", "-21.2", "--dt", "0.2",
+                    "--record-morse", "--out", str(data)]) == 0
+        assert run(["plot", "--kind", "bifurcation", "--data", str(data), "--out", str(svg)]) == 0
+        with open(data, newline="") as fh:
+            assert sorted({r["morse_index"] for r in csv.DictReader(fh)}) == ["0", "2", "3"]
+        text = svg.read_text()
+        assert text.count("stroke-dasharray") == 4
+        assert text.count("<circle") == 4
+        found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (data, svg)}
+        assert found == self.DIGESTS
+
+
 class TestMinimizeCommand:
     def test_profile_output(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path)
