@@ -31,14 +31,8 @@ import re
 import sys
 import tempfile
 from dataclasses import fields, replace
-from typing import TYPE_CHECKING
-
 from . import params as params_mod
 from .params import SEED_KINDS, ModelParams1D, RunConfig, format_config, parse_config
-
-if TYPE_CHECKING:
-    from .stability import StabilityReport
-    from .sweep import ElasticRecord, SweepRecord
 
 __all__ = ["run", "main", "emit_svg"]
 
@@ -123,66 +117,39 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return replace(config, options=replace(config.options, **overrides))
 
 
-# --- CSV helpers ----------------------------------------------------------------
+# --- CSV and SVG output ------------------------------------------------------------
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV text of equal-length columns: a float to 17 digits, an int with ``str``, None empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    # the csv module writes None as empty and any other non-string with str
+    writer.writerows([_fmt(c) if isinstance(c, float) else c for c in row] for row in zip(*columns, strict=True))
     return buf.getvalue()
 
 
-def _profile_csv(state, params: ModelParams1D, grid) -> str:
-    from .energy1d import reconstruct_director
-
-    theta = state.theta_values(grid)
-    rho = state.rho_values(grid)
-    phi, n1, n2, n3 = reconstruct_director(state, params)
-    rows = [
-        [_fmt(z), _fmt(th), _fmt(r), _fmt(p), _fmt(a), _fmt(b), _fmt(c)]
-        for z, th, r, p, a, b, c in zip(grid.nodes, theta, rho, phi, n1, n2, n3)
-    ]
-    return _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], rows)
-
-
-def _spectrum_csv(report: StabilityReport) -> str:
-    rows = [[str(i), _fmt(v)] for i, v in enumerate(report.eigenvalues)]
-    return _csv_text(["index", "eigenvalue"], rows)
-
-
-def _sweep_csv(records: list[SweepRecord]) -> str:
-    rows = [
-        [
-            _fmt(r.T),
-            _fmt(r.d),
-            r.branch,
-            _fmt(r.delta_rho_max),
-            _fmt(r.theta_max),
-            _fmt(r.energy),
-            "" if r.morse_index is None else str(r.morse_index),
-        ]
-        for r in records
-    ]
-    return _csv_text(["T", "d", "branch", "delta_rho_max", "theta_max", "energy", "morse_index"], rows)
-
-
-def _elastic_csv(records: list[ElasticRecord]) -> str:
-    rows = [[_fmt(r.value), _fmt(r.theta_bar), _fmt(r.delta_rho_max), _fmt(r.energy)] for r in records]
-    return _csv_text(["value", "theta_bar", "delta_rho_max", "energy"], rows)
-
-
-# --- SVG emission ----------------------------------------------------------------
-
 _SVG_W, _SVG_H = 640, 420
 _MARGIN = 56
+#: (top, height) of each panel, by the number of panels of a plot
+_PANEL_BOXES = {1: ((20, 340),), 2: ((20, 160), (230, 160))}
+
+#: Each plot kind: its x column and x label, the column whose values split
+#: the rows into series (or None), and a (column, label) pair per panel from
+#: top to bottom.  A "morse_index" column, where present, dashes the runs
+#: with a positive index.
+_PLOTS = {
+    "bifurcation": ("T", "T", "branch", (("delta_rho_max", "delta_rho_max"), ("theta_max", "theta_max"))),
+    "profile": ("z", "z", None, (("theta", "theta"), ("delta_rho", "delta_rho"))),
+    "elastic": ("value", "elastic constant", None, (("theta_bar", "mean tilt"),)),
+}
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -197,79 +164,58 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-class _Panel:
-    """One cartesian panel of polyline series inside an SVG document."""
-
-    def __init__(self, x0: float, y0: float, width: float, height: float, xlabel: str, ylabel: str):
-        self.x0, self.y0, self.w, self.h = x0, y0, width, height
-        self.xlabel, self.ylabel = xlabel, ylabel
-        self.series: list[tuple[list[tuple[float, float]], bool]] = []
-
-    def add(self, points: list[tuple[float, float]], dashed: bool = False) -> None:
-        if points:
-            self.series.append((points, dashed))
-
-    def render(self) -> list[str]:
-        pts = [p for s, _ in self.series for p in s]
-        if not pts:
-            return []
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        xlo, xhi = min(xs), max(xs)
-        ylo, yhi = min(ys), max(ys)
-        if xhi == xlo:
-            xlo, xhi = xlo - 1.0, xhi + 1.0
-        if yhi == ylo:
-            ylo, yhi = ylo - 1.0, yhi + 1.0
-        pad = 0.05 * (yhi - ylo)
-        ylo, yhi = ylo - pad, yhi + pad
-
-        def sx(x: float) -> float:
-            return self.x0 + (x - xlo) / (xhi - xlo) * self.w
-
-        def sy(y: float) -> float:
-            return self.y0 + self.h - (y - ylo) / (yhi - ylo) * self.h
-
-        out = [
-            f'<rect x="{self.x0:.2f}" y="{self.y0:.2f}" width="{self.w:.2f}" height="{self.h:.2f}" '
-            'fill="none" stroke="black" stroke-width="1"/>'
-        ]
-        for t in _nice_ticks(xlo, xhi):
-            x = sx(t)
-            out.append(f'<line x1="{x:.2f}" y1="{self.y0 + self.h:.2f}" x2="{x:.2f}" y2="{self.y0 + self.h + 4:.2f}" stroke="black"/>')
-            out.append(f'<text x="{x:.2f}" y="{self.y0 + self.h + 16:.2f}" font-size="10" text-anchor="middle">{t:.6g}</text>')
-        for t in _nice_ticks(ylo, yhi):
-            y = sy(t)
-            out.append(f'<line x1="{self.x0 - 4:.2f}" y1="{y:.2f}" x2="{self.x0:.2f}" y2="{y:.2f}" stroke="black"/>')
-            out.append(f'<text x="{self.x0 - 6:.2f}" y="{y + 3:.2f}" font-size="10" text-anchor="end">{t:.6g}</text>')
-        out.append(
-            f'<text x="{self.x0 + self.w / 2:.2f}" y="{self.y0 + self.h + 32:.2f}" font-size="12" text-anchor="middle">{self.xlabel}</text>'
-        )
-        out.append(
-            f'<text x="{self.x0 - 44:.2f}" y="{self.y0 + self.h / 2:.2f}" font-size="12" text-anchor="middle" '
-            f'transform="rotate(-90 {self.x0 - 44:.2f} {self.y0 + self.h / 2:.2f})">{self.ylabel}</text>'
-        )
-        for points, dashed in self.series:
-            style = ' stroke-dasharray="6 4"' if dashed else ""
-            if len(points) == 1:
-                x, y = points[0]
-                out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="black"/>')
-            else:
-                coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
-                out.append(f'<polyline points="{coords}" fill="none" stroke="black" stroke-width="1.5"{style}/>')
-        return out
+def _axis(values: list[float], pad: float) -> tuple[float, float]:
+    """The drawn range of a column: its extent, widened by 1 each way when flat, then padded by ``pad`` of it."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    margin = pad * (hi - lo)
+    return lo - margin, hi + margin
 
 
-def _svg_document(panels: list[_Panel], width: int, height: int) -> str:
-    body: list[str] = []
-    for panel in panels:
-        body.extend(panel.render())
-    content = "\n".join(body)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n<rect width="{width}" height="{height}" fill="white"/>\n'
-        f"{content}\n</svg>\n"
+def _panel(
+    top: float, height: float, xaxis: tuple[float, float], yaxis: tuple[float, float], xlabel: str, ylabel: str,
+    series: list[tuple[list[tuple[float, float]], bool]],
+) -> list[str]:
+    """SVG elements of one cartesian panel: frame, ticks, labels and a polyline (or marker) per series."""
+    x0, w = _MARGIN, _SVG_W - 2 * _MARGIN
+    xlo, xhi = xaxis
+    ylo, yhi = yaxis
+
+    def sx(x: float) -> float:
+        return x0 + (x - xlo) / (xhi - xlo) * w
+
+    def sy(y: float) -> float:
+        return top + height - (y - ylo) / (yhi - ylo) * height
+
+    out = [
+        f'<rect x="{x0:.2f}" y="{top:.2f}" width="{w:.2f}" height="{height:.2f}" '
+        'fill="none" stroke="black" stroke-width="1"/>'
+    ]
+    for t in _nice_ticks(xlo, xhi):
+        x = sx(t)
+        out.append(f'<line x1="{x:.2f}" y1="{top + height:.2f}" x2="{x:.2f}" y2="{top + height + 4:.2f}" stroke="black"/>')
+        out.append(f'<text x="{x:.2f}" y="{top + height + 16:.2f}" font-size="10" text-anchor="middle">{t:.6g}</text>')
+    for t in _nice_ticks(ylo, yhi):
+        y = sy(t)
+        out.append(f'<line x1="{x0 - 4:.2f}" y1="{y:.2f}" x2="{x0:.2f}" y2="{y:.2f}" stroke="black"/>')
+        out.append(f'<text x="{x0 - 6:.2f}" y="{y + 3:.2f}" font-size="10" text-anchor="end">{t:.6g}</text>')
+    out.append(
+        f'<text x="{x0 + w / 2:.2f}" y="{top + height + 32:.2f}" font-size="12" text-anchor="middle">{xlabel}</text>'
     )
+    out.append(
+        f'<text x="{x0 - 44:.2f}" y="{top + height / 2:.2f}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 {x0 - 44:.2f} {top + height / 2:.2f})">{ylabel}</text>'
+    )
+    for points, dashed in series:
+        style = ' stroke-dasharray="6 4"' if dashed else ""
+        if len(points) == 1:
+            x, y = points[0]
+            out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="black"/>')
+        else:
+            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="black" stroke-width="1.5"{style}/>')
+    return out
 
 
 def _segments(points: list[tuple[float, float, bool]]) -> list[tuple[list[tuple[float, float]], bool]]:
@@ -289,54 +235,40 @@ def _segments(points: list[tuple[float, float, bool]]) -> list[tuple[list[tuple[
     return runs
 
 
-#: The CSV columns each plot kind reads; "morse_index" is optional.
-_PLOT_COLUMNS = {
-    "bifurcation": ("T", "branch", "delta_rho_max", "theta_max"),
-    "profile": ("z", "theta", "delta_rho"),
-    "elastic": ("value", "theta_bar"),
-}
-
-
 def emit_svg(kind: str, rows: list[dict]) -> str:
     """Render parsed CSV rows into a standalone SVG document.
 
     Kinds: "bifurcation" (delta_rho_max and theta_max against T, one series
-    per branch, dashed where the recorded Morse index is positive),
-    "profile" (theta and delta_rho against z), "elastic" (mean tilt against
-    the swept constant).  Output bytes are a pure function of the input.
+    per branch), "profile" (theta and delta_rho against z), "elastic" (mean
+    tilt against the swept constant).  Runs whose Morse index is positive
+    are dashed.  Output bytes are a pure function of the input.
     """
     if not rows:
         raise ValueError("no data to plot")
-    if kind not in _PLOT_COLUMNS:
+    if kind not in _PLOTS:
         raise ValueError(f"unknown plot kind {kind!r}")
-    missing = [c for c in _PLOT_COLUMNS[kind] if c not in rows[0]]
+    x, xlabel, group, panels = _PLOTS[kind]
+    missing = [c for c in (x, group, *(c for c, _ in panels)) if c is not None and c not in rows[0]]
     if missing:
         raise ValueError(f"a {kind} plot needs the column(s) {', '.join(missing)}")
-    if kind == "bifurcation":
-        top = _Panel(_MARGIN, 20, _SVG_W - 2 * _MARGIN, 160, "", "delta_rho_max")
-        bottom = _Panel(_MARGIN, 230, _SVG_W - 2 * _MARGIN, 160, "T", "theta_max")
-        branches = sorted({r["branch"] for r in rows})
-        for branch in branches:
-            sel = [r for r in rows if r["branch"] == branch]
-            sel.sort(key=lambda r: float(r["T"]))
-            def unstable(r: dict) -> bool:
-                return bool(r.get("morse_index")) and int(r["morse_index"]) > 0
-            for seg, dashed in _segments([(float(r["T"]), float(r["delta_rho_max"]), unstable(r)) for r in sel]):
-                top.add(seg, dashed)
-            for seg, dashed in _segments([(float(r["T"]), float(r["theta_max"]), unstable(r)) for r in sel]):
-                bottom.add(seg, dashed)
-        return _svg_document([top, bottom], _SVG_W, _SVG_H)
-    if kind == "profile":
-        top = _Panel(_MARGIN, 20, _SVG_W - 2 * _MARGIN, 160, "", "theta")
-        bottom = _Panel(_MARGIN, 230, _SVG_W - 2 * _MARGIN, 160, "z", "delta_rho")
-        pts = sorted(rows, key=lambda r: float(r["z"]))
-        top.add([(float(r["z"]), float(r["theta"])) for r in pts])
-        bottom.add([(float(r["z"]), float(r["delta_rho"])) for r in pts])
-        return _svg_document([top, bottom], _SVG_W, _SVG_H)
-    panel = _Panel(_MARGIN, 20, _SVG_W - 2 * _MARGIN, 340, "elastic constant", "mean tilt")
-    pts = sorted(rows, key=lambda r: float(r["value"]))
-    panel.add([(float(r["value"]), float(r["theta_bar"])) for r in pts])
-    return _svg_document([panel], _SVG_W, _SVG_H)
+    values = {c: [float(r[c]) for r in rows] for c in (x, *(c for c, _ in panels))}
+    xs = values[x]
+    dashed = [bool(r.get("morse_index")) and int(r["morse_index"]) > 0 for r in rows]
+    order = sorted(range(len(rows)), key=xs.__getitem__)  # stable: ties keep their file order
+    keys = sorted({r[group] for r in rows}) if group else [None]
+    runs = [[i for i in order if key is None or rows[i][group] == key] for key in keys]
+    xaxis = _axis(xs, 0.0)
+    body: list[str] = []
+    for k, ((column, label), (top, height)) in enumerate(zip(panels, _PANEL_BOXES[len(panels)], strict=True)):
+        ys = values[column]
+        series = [seg for run in runs for seg in _segments([(xs[i], ys[i], dashed[i]) for i in run])]
+        body += _panel(top, height, xaxis, _axis(ys, 0.05), xlabel if k == len(panels) - 1 else "", label, series)
+    content = "\n".join(body)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}">\n<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>\n'
+        f"{content}\n</svg>\n"
+    )
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -399,7 +331,10 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     print(f"delta_rho_max = {_fmt(float(state.rho_values(grid).max()))}")
     print(f"theta_max = {_fmt(float(state.theta_values(grid).max()))}")
     if args.profile:
-        _write_text_atomic(args.profile, _profile_csv(state, p, grid))
+        from .energy1d import reconstruct_director
+
+        columns = [grid.nodes, state.theta_values(grid), state.rho_values(grid), *reconstruct_director(state, p)]
+        _write_text_atomic(args.profile, _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], columns))
     if not report.converged:
         print("minimization did not reach the gradient tolerance", file=sys.stderr)
         return 2
@@ -423,7 +358,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             print("minimization did not reach the gradient tolerance", file=sys.stderr)
             return 2
     report = stability.spectrum(state, p)
-    text = _spectrum_csv(report)
+    text = _csv_text(["index", "eigenvalue"], [range(len(report.eigenvalues)), report.eigenvalues])
     if args.out:
         _write_text_atomic(args.out, text)
     else:
@@ -464,7 +399,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         options=config.options,
     )
     records = sweep_temperature(config.params, sweep_config)
-    _write_text_atomic(args.out, _sweep_csv(records))
+    header = ["T", "d", "branch", "delta_rho_max", "theta_max", "energy", "morse_index"]
+    _write_text_atomic(args.out, _csv_text(header, [[getattr(r, c) for r in records] for c in header]))
     t_chs, t_hssc = detect_transitions(records, args.eps_detect)
     print(f"T_CHS = {'absent' if t_chs is None else _fmt(t_chs)}")
     print(f"T_HSSC = {'absent' if t_hssc is None else _fmt(t_hssc)}")
@@ -480,7 +416,8 @@ def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ValueError("no values supplied")
     records = elastic_sweep(config.params, values, args.vary, n_modes=config.n_modes, options=config.options)
-    _write_text_atomic(args.out, _elastic_csv(records))
+    header = ["value", "theta_bar", "delta_rho_max", "energy"]
+    _write_text_atomic(args.out, _csv_text(header, [[getattr(r, c) for r in records] for c in header]))
     return 0
 
 
@@ -611,7 +548,7 @@ def _parser() -> _Parser:
     sp.set_defaults(func=_cmd_tensor_check)
 
     sp = subs.add_parser("plot", help="render a CSV into an SVG")
-    sp.add_argument("--kind", choices=tuple(_PLOT_COLUMNS), required=True)
+    sp.add_argument("--kind", choices=tuple(_PLOTS), required=True)
     sp.add_argument("--data", required=True, help="input CSV")
     sp.add_argument("--out", required=True, help="output SVG")
     sp.set_defaults(func=_cmd_plot)
