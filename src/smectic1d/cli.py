@@ -147,30 +147,44 @@ _PLOTS = {
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round tick values from lo to hi; a bounded list for any finite lo < hi."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / 5
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
+    if raw == math.inf:  # a span wider than the largest float
+        raw = hi / 5 - lo / 5
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw else 0.0
+    if not mag:  # a span of one or two subnormals has no decade to round to
+        return [lo, hi]
+    step = next((mult * mag for mult in (1.0, 2.0, 5.0) if raw <= mult * mag), 10.0 * mag)
+    # a tick may pass hi by rounding, never by half a step and never to inf
+    limit = min(hi + min(1e-12 * max(1.0, abs(hi)), step / 2), sys.float_info.max)
     ticks = []
-    t = first
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
+    t = math.ceil(lo / step) * step
+    while t <= limit:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # the step is below the spacing of the floats at t
+            break
         t += step
     return ticks
 
 
-def _axis(values: list[float], pad: float) -> tuple[float, float]:
-    """The drawn range of a column: its extent, widened by 1 each way when flat, then padded by ``pad`` of it."""
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        lo, hi = lo - 1.0, hi + 1.0
+def _axis(column: str, values: list[float], pad: float) -> tuple[float, float]:
+    """The drawn range of a column: its extent, widened by 1 each way when flat, then padded by ``pad`` of it.
+
+    Raises ValueError, naming the column, on a non-finite value and on a
+    range whose width is not a positive finite number.
+    """
+    bad = next((v for v in values if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"column {column} holds the non-finite value {bad}")
+    vmin, vmax = min(values), max(values)
+    lo, hi = (vmin - 1.0, vmax + 1.0) if vmax == vmin else (vmin, vmax)
     margin = pad * (hi - lo)
-    return lo - margin, hi + margin
+    lo, hi = lo - margin, hi + margin
+    if not 0 < hi - lo < math.inf:
+        raise ValueError(f"column {column} runs from {vmin} to {vmax}, a range that cannot be drawn")
+    return lo, hi
 
 
 def _panel(
@@ -241,7 +255,8 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
     Kinds: "bifurcation" (delta_rho_max and theta_max against T, one series
     per branch), "profile" (theta and delta_rho against z), "elastic" (mean
     tilt against the swept constant).  Runs whose Morse index is positive
-    are dashed.  Output bytes are a pure function of the input.
+    are dashed.  Every value drawn must be finite, and so must the width of
+    each axis.  Output bytes are a pure function of the input.
     """
     if not rows:
         raise ValueError("no data to plot")
@@ -257,12 +272,12 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
     order = sorted(range(len(rows)), key=xs.__getitem__)  # stable: ties keep their file order
     keys = sorted({r[group] for r in rows}) if group else [None]
     runs = [[i for i in order if key is None or rows[i][group] == key] for key in keys]
-    xaxis = _axis(xs, 0.0)
+    xaxis = _axis(x, xs, 0.0)
     body: list[str] = []
     for k, ((column, label), (top, height)) in enumerate(zip(panels, _PANEL_BOXES[len(panels)], strict=True)):
         ys = values[column]
         series = [seg for run in runs for seg in _segments([(xs[i], ys[i], dashed[i]) for i in run])]
-        body += _panel(top, height, xaxis, _axis(ys, 0.05), xlabel if k == len(panels) - 1 else "", label, series)
+        body += _panel(top, height, xaxis, _axis(column, ys, 0.05), xlabel if k == len(panels) - 1 else "", label, series)
     content = "\n".join(body)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
@@ -383,6 +398,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # after the whole sweep had run
     if args.t_end > args.t_start:
         raise ValueError("sweeps run cooling only: --t-end must not exceed --t-start")
+    if not math.isfinite(args.eps_detect):
+        raise ValueError(f"--eps-detect must be finite, got {args.eps_detect}")
     if not args.eps_detect > 0:
         raise ValueError(f"--eps-detect must be positive, got {args.eps_detect}")
     _check_output_path(args.out)

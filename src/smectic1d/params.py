@@ -291,16 +291,17 @@ CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
 class MinimizeOptions:
     """Stopping criteria of ``minimize.minimize``.
 
-    ``tol_grad`` is a sup-norm threshold on the coefficient gradient and
-    ``max_iters`` caps the number of accepted steps.
+    ``tol_grad`` is a finite positive sup-norm threshold on the coefficient
+    gradient and ``max_iters`` caps the number of accepted steps.
     """
 
     tol_grad: float = 1e-8
     max_iters: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not self.tol_grad > 0:
-            raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
+        # an infinite tolerance would report the unrelaxed seed as converged
+        if not (math.isfinite(self.tol_grad) and self.tol_grad > 0):
+            raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

@@ -223,10 +223,10 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     lie inside their bracket.  A transition is reported only when the sweep
     brackets it: None when it is absent from the swept range, and None when
     it is not bracketed because the first record is already past the
-    threshold.  ``eps_detect`` must be positive.
+    threshold.  ``eps_detect`` must be finite and positive.
     """
-    if not eps_detect > 0:
-        raise ValueError(f"eps_detect must be positive, got {eps_detect}")
+    if not (math.isfinite(eps_detect) and eps_detect > 0):
+        raise ValueError(f"eps_detect must be finite and positive, got {eps_detect}")
     if not records:
         return None, None
     branch = records[0].branch

@@ -265,6 +265,20 @@ class TestMinimizeCommand:
         code = run(["minimize", "--config", cfg, "--max-iters", "1", "--tol-grad", "1e-15"])
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_tolerance_exits_1(self, tmp_path, capsys, monkeypatch, source):
+        # used to exit 0 with converged = True and iterations = 0 on the unrelaxed seed
+        relaxed = []
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "minimize", lambda *a, **k: relaxed.append(a))
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("tol_grad = inf\n")
+        flags = ["--tol-grad", "inf"] if source == "flag" else ["--config", str(cfg)]
+        assert run(["minimize", *flags, "--d", "-0.7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol_grad must be finite and positive, got inf\n"
+        assert not relaxed
+
     def test_conflicting_d_and_t_rejected(self, tmp_path):
         cfg = _write_fig3_config(tmp_path)
         assert run(["minimize", "--config", cfg, "--d", "-0.5", "--T", "-10.5"]) == 1
@@ -353,6 +367,8 @@ class TestSweepCommand:
              "--eps-detect must be positive"),
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "-nan"], "dt must be finite, got nan"),
             (["--t-start", "-10.3", "--t-end", "-Inf", "--dt", "0.05"], "t_end must be finite, got -inf"),
+            (["--t-start", "-10", "--t-end", "-10.5", "--dt", "0.25", "--eps-detect", "inf"],
+             "--eps-detect must be finite, got inf"),
         ],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, capsys, monkeypatch, flags, message):
@@ -551,6 +567,68 @@ class TestPlot:
         data.write_text("z,theta,delta_rho\n0,0.1,0.2\n1,0.3\n")
         assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(tmp_path / "p.svg")]) == 1
         assert str(data) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [
+            ("z", ["0", "inf"], "column z holds the non-finite value inf"),
+            ("z", ["nan", "1"], "column z holds the non-finite value nan"),
+            ("theta", ["0.1", "-inf"], "column theta holds the non-finite value -inf"),
+            ("z", ["1e308", "-1e308"], "column z runs from -1e+308 to 1e+308, a range that cannot be drawn"),
+            ("delta_rho", ["-1.7e308", "0"], "column delta_rho runs from -1.7e+308 to 0.0, a range that cannot be drawn"),
+            ("z", ["1e17", "1e17"], "column z runs from 1e+17 to 1e+17, a range that cannot be drawn"),
+        ],
+        ids=["inf", "nan", "minus-inf-in-a-panel", "x-span-overflows", "padded-span-overflows", "flat-past-2**53"],
+    )
+    def test_undrawable_values_exit_1_naming_the_column(self, tmp_path, capsys, column, values, message):
+        # inf and the overflowing spans ended in an OverflowError traceback,
+        # nan in "cannot convert float NaN to integer", and a flat column
+        # that +-1 cannot widen in a ZeroDivisionError traceback
+        columns = {"z": ["0", "1"], "theta": ["0.1", "0.2"], "delta_rho": ["0.3", "0.4"], column: values}
+        data = tmp_path / "p.csv"
+        data.write_text("z,theta,delta_rho\n" + "".join(f"{z},{t},{r}\n" for z, t, r in zip(*columns.values())))
+        svg = tmp_path / "p.svg"
+        assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not svg.exists()
+
+    # Each case runs in a child with 256 MB of address space and a timeout:
+    # the tick loop of the earlier code never ended on them and grew its list
+    # until memory ran out.
+    BOUNDED_CHILD = "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+
+    def test_step_below_the_float_spacing_is_drawn(self, tmp_path, child_env):
+        # x = 1e16 and 1e16 + 4 give a tick step of 1.0, and 1e16 + 1.0 == 1e16
+        (tmp_path / "p.csv").write_text("z,theta,delta_rho\n1e16,0.1,0.2\n10000000000000004,0.3,0.4\n")
+        child = self.BOUNDED_CHILD + "from smectic1d.cli import run\nprint(run(sys.argv[1:]))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "plot", "--kind", "profile", "--data", "p.csv", "--out", "p.svg"],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=child_env,
+        )
+        assert (proc.stdout, proc.stderr) == ("0\n", "")
+        # the two values are drawn at both ends of each panel, under one x tick
+        svg = (tmp_path / "p.svg").read_text()
+        assert svg.count(">1e+16</text>") == 2
+        assert svg.count('<polyline points="56.00,') == 2
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1e16, 1e16 + 4), (1e-20, 2e-20), (0.0, 5e-324), (-1.7e308, 1.7e308), (1.7e308, 1.7976931348623157e308)],
+        ids=["step-below-spacing", "tiny-magnitude", "subnormal-span", "span-overflows", "up-to-the-largest-float"],
+    )
+    def test_ticks_are_bounded_and_finite(self, child_env, lo, hi):
+        child = self.BOUNDED_CHILD + (
+            "from smectic1d.cli import _nice_ticks\n"
+            "ticks = _nice_ticks(float(sys.argv[1]), float(sys.argv[2]))\n"
+            "print(len(ticks), all(abs(t) < float('inf') for t in ticks))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, repr(lo), repr(hi)], capture_output=True, text=True, timeout=60, env=child_env
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, finite = proc.stdout.split()
+        assert 1 <= int(count) <= 12
+        assert finite == "True"
 
     def test_single_point_gets_marker(self):
         svg = emit_svg("elastic", [{"value": "1.0", "theta_bar": "0.5", "delta_rho_max": "0", "energy": "0"}])

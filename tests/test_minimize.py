@@ -228,6 +228,9 @@ class TestOptions:
             MinimizeOptions(tol_grad=0.0)
         with pytest.raises(ValueError):
             MinimizeOptions(max_iters=0)
+        # with tol_grad = inf the unrelaxed seed was reported as converged
+        with pytest.raises(ValueError, match="tol_grad must be finite"):
+            MinimizeOptions(tol_grad=math.inf)
 
 
 class TestCanonicalForm:

@@ -183,6 +183,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="bad value"):
             pm.parse_config("d = banana")
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity"])
+    def test_infinite_tol_grad_rejected(self, value):
+        with pytest.raises(ValueError, match="tol_grad must be finite"):
+            pm.parse_config(f"tol_grad = {value}")
+
     def test_round_trip_exact(self):
         config = pm.RunConfig(params=pm.ModelParams1D(d=-0.37, k1=0.013, k2=0.013, k3=0.013), n_modes=48)
         assert pm.parse_config(pm.format_config(config)) == config

@@ -259,7 +259,8 @@ class TestDetectTransitions:
         _, t_hssc = detect_transitions(records, 1e-3)
         assert -11.8 <= t_hssc <= -11.6
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+    # an infinite threshold reported every onset as absent
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
     def test_nonpositive_threshold_rejected(self, eps):
         with pytest.raises(ValueError, match="eps_detect"):
             detect_transitions([], eps)
