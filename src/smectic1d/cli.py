@@ -13,7 +13,8 @@ This is the only module with I/O side effects.  Subcommands:
 
 Exit codes: 0 success, 1 invalid parameters or configuration, 2 solver
 non-convergence, 3 I/O failure.  Data goes to files or stdout; diagnostics
-go to stderr.
+go to stderr.  ``--tol-grad`` and ``--eps-detect`` must be finite and
+positive, and ``plot`` draws finite values only.
 
 Each subcommand imports the solver modules it needs when it runs, so
 ``validate-params``, ``thresholds`` and ``plot`` never import numpy.
@@ -31,6 +32,7 @@ import re
 import sys
 import tempfile
 from dataclasses import fields, replace
+
 from . import params as params_mod
 from .params import SEED_KINDS, ModelParams1D, RunConfig, format_config, parse_config
 
