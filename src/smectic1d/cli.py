@@ -344,13 +344,14 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     print(f"grad_norm = {_fmt(report.final_grad_norm)}", file=sys.stderr)
     print(f"theta_within_range = {state.theta_in_range()}", file=sys.stderr)
     grid = default_grid(config.n_modes, p.h)
+    theta, rho = state.theta_values(grid), state.rho_values(grid)
     print(f"energy = {_fmt(report.final_energy)}")
-    print(f"delta_rho_max = {_fmt(float(state.rho_values(grid).max()))}")
-    print(f"theta_max = {_fmt(float(state.theta_values(grid).max()))}")
+    print(f"delta_rho_max = {_fmt(float(rho.max()))}")
+    print(f"theta_max = {_fmt(float(theta.max()))}")
     if args.profile:
         from .energy1d import reconstruct_director
 
-        columns = [grid.nodes, state.theta_values(grid), state.rho_values(grid), *reconstruct_director(state, p)]
+        columns = [grid.nodes, theta, rho, *reconstruct_director(state, p)]
         _write_text_atomic(args.profile, _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], columns))
     if not report.converged:
         print("minimization did not reach the gradient tolerance", file=sys.stderr)
