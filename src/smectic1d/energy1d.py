@@ -30,12 +30,13 @@ gradient, in ``tests/crosscheck.py``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import ModelParams1D
-from .spectral import TWO_PI, SpectralState, _tables, analyze, default_grid, quadrature, synthesize
+from .spectral import TWO_PI, Grid, SpectralState, _tables, analyze, default_grid, quadrature, synthesize
 
 __all__ = [
     "EnergyBreakdown",
@@ -57,52 +58,65 @@ class EnergyBreakdown(NamedTuple):
     coupling: float
 
 
-def _chi_second(
-    c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, cos_2t: np.ndarray, k2: float, k3: float, sigma: float
-) -> np.ndarray:
-    """d^2/dtheta^2 of the chiral density.
+@lru_cache(maxsize=32)
+def _operators(grid: Grid, n: int) -> tuple[np.ndarray, ...]:
+    """The read-only half-grid weights w, B_theta, B_rho and contiguous adjoints (diag(w) B)^T of order N.
 
-    2 k2^2 k3 sigma^2 (cos(2 theta) D - (k3 - k2) sin^2(2 theta)) / D^3 with
-    D = k2 cos^2 + k3 sin^2.
+    B_theta = [C; -S diag(k)] samples (theta, theta_z) and B_rho = [S; -S diag(k^2)] samples
+    (rho, rho_zz); C, S are the first M/2+1 rows of the trig table and k = 2 pi j / h.
     """
-    den = k2 * c * c + k3 * s * s
-    return (2.0 * k2 * k2 * k3 * sigma * sigma) * (cos_2t * den - (k3 - k2) * sin_2t * sin_2t) / (den * den * den)
+    half = grid.m // 2 + 1
+    # the periodic trapezoid rule folded onto the half grid: nodes j and
+    # M - j carry equal values, so each interior node counts twice
+    w = grid.h / grid.m
+    weights = np.full(half, 2.0 * w)
+    weights[[0, -1]] = w
+    c, s = (table[:half] for table in _tables(grid.m, n + 1))
+    omega = (TWO_PI / grid.h) * np.arange(n + 2)
+    b = np.concatenate((c, -s * omega)), np.concatenate((s[:, 1:], -s[:, 1:] * omega[1:] ** 2))
+    w2 = np.concatenate((weights, weights))
+    ops = (weights, *b, *(np.ascontiguousarray((w2[:, None] * op).T) for op in b))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 class Evaluator:
     """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
-    Reads the shared trig table (``spectral._tables``) for order N on its
-    alias-free grid ``default_grid(N, h)`` of M = 4(N+2) nodes, so that
-    repeated evaluations (line searches, sweeps, finite differences) cost a
-    handful of dense matrix-vector products each.
+    Works on the alias-free grid ``default_grid(N, h)`` of M = 4(N+2) nodes
+    in the Galerkin operator form (Boyd, *Chebyshev and Fourier Spectral
+    Methods*): the samples of a block are u = B c, its gradient is
+    B^T (w * dphi/du) and its Hessian B^T diag(w * d^2phi/du^2) B, with w the
+    quadrature weights.  B_theta stacks theta over theta_z and B_rho rho
+    over rho_zz, so an energy costs one matrix-vector product per block and
+    a gradient one more, with the weighted adjoint (diag(w) B)^T.  The
+    operators (about 560 KB at N = 64) are cached per (M, N, h) by
+    :func:`_operators`, not built per evaluator: a sweep builds one
+    evaluator per point and callers may keep many alive, so per-instance
+    copies would grow the memory with the number kept.
 
-    Only the nodes z_j, j = 0 ... M/2, are used.  theta and its cosine
-    modes are even in z; rho, theta_z, rho_zz and the sine modes are odd.
-    Every integrand of the energy, gradient and Hessian is a product with an
-    even number of odd factors, so it is even in z, and its values at z_j
-    and z_{M-j} are equal.  The periodic trapezoid sum over all M nodes is
-    then the sum over the M/2+1 nodes of the half grid with the weights
-    (1, 2, ..., 2, 1) h/M (:attr:`weights`); M is even for every N.  A term
-    added to the functional must be even in z too, or it needs the full
-    grid: the odd cubic term e rho^3 is omitted for that reason.
+    Only the nodes z_j, j = 0 ... M/2, are used.  theta and the cosine modes
+    are even in z; rho, theta_z, rho_zz and the sine modes are odd.  Every
+    integrand of the energy, gradient and Hessian has an even number of odd
+    factors, so it is even in z, and the periodic trapezoid sum over all M
+    nodes is the sum over the half grid with the weights (1, 2, ..., 2, 1) h/M
+    (:attr:`weights`).  A term added to the functional must be even in z
+    too, or it needs the full grid: the odd cubic term e rho^3 is omitted.
 
     At N = 64 an evaluation is about fifty numpy calls on 133-node arrays,
-    so the overhead per call, not the arithmetic, sets the cost.  The
-    constant factors of the energy and gradient terms are therefore computed
-    once per parameter set, each grouped as in the left-to-right expression
-    it stands for, and stored as half-grid arrays: numpy multiplies two
-    arrays faster than an array by a Python float, with the same IEEE
-    products.  Every result is the one the plain expressions give, bit for
-    bit.
+    so the overhead per call sets the cost.  The constant factors are
+    therefore stored once per parameter set as half-grid arrays, each
+    grouped as in the left-to-right expression it stands for: numpy
+    multiplies two arrays faster than an array by a Python float, with the
+    same IEEE products, bit for bit.
 
     The pointwise terms of the last vector evaluated are the one kept
     entry, so the gradient at an accepted line-search point reuses the
     fields its energy synthesized.  The entry is keyed on the bytes of the
-    vector, not on its identity: a caller may mutate the array it passed, or
-    pass one with the same bytes built anew, and either way gets the result
-    of a fresh evaluation bit for bit (-0.0 and +0.0 have different bytes,
-    so a sign flip of a zero is a miss).  The terms are computed per block
+    vector, so a caller may mutate the array it passed or build one with the
+    same bytes anew and still get a fresh evaluation's result bit for bit
+    (-0.0 and +0.0 differ in bytes).  The terms are computed per block
     (theta, rho), then the coupling W that mixes both, so the
     finite-difference Hessian (:meth:`fd_hessian`) computes the block that a
     column does not move once and re-synthesizes only the block it moves.
@@ -110,23 +124,9 @@ class Evaluator:
 
     def __init__(self, n: int, params: ModelParams1D):
         grid = default_grid(n, params.h)
-        self.n = n
-        self.params = params
-        self.grid = grid
-        half = grid.m // 2 + 1
-
-        # the first M/2+1 rows of the one trig table: nodes z_0 ... z_{M/2}
-        cos_tab, sin_tab = _tables(grid.m, n + 1)
-        self._cos, self._sin_theta = cos_tab[:half], sin_tab[:half]
-        self._sin = self._sin_theta[:, 1:]
-        self._cos_T, self._sin_theta_T, self._sin_T = self._cos.T, self._sin_theta.T, self._sin.T
-        # frequency factors of theta_z and rho_zz; the minus sign of each
-        # derivative table rides on a negated copy: A @ ((-w) * c) is
-        # -(A @ (w * c)) exactly
-        self._wt1 = (TWO_PI / grid.h) * np.arange(n + 2)
-        self._wr2 = self._wt1[1:] ** 2
-        self._neg_wt1 = -self._wt1
-        self._neg_wr2 = -self._wr2
+        self.n, self.params, self.grid = n, params, grid
+        self._half = half = grid.m // 2 + 1
+        self.weights, self._b_theta, self._b_rho, self._adj_theta, self._adj_rho = _operators(grid, n)
         # constant factors as half-grid arrays, each grouped as in the
         # expression it stands for: 2.0 * p.lambda2 * cw is
         # (2.0 * p.lambda2) * cw, and 2.0 * theta is theta + theta
@@ -137,11 +137,6 @@ class Evaluator:
         def full(value: float) -> np.ndarray:
             return np.full(half, value)
 
-        # the periodic trapezoid rule folded onto the half grid: nodes j and
-        # M - j carry equal values, so each interior node counts twice
-        w = grid.h / grid.m
-        self.weights = full(2.0 * w)
-        self.weights[[0, -1]] = w
         self._q2, self._cos2t0, self._q2_cos2t0 = full(q2), full(cos2t0), full(q2 * cos2t0)
         self._k1, self._k2, self._k3 = full(p.k1), full(p.k2), full(p.k3)
         self._k1x2 = full(2.0 * p.k1)
@@ -158,11 +153,7 @@ class Evaluator:
     # -- field synthesis -------------------------------------------------
 
     def fields(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Samples (theta, theta_z, rho, rho_zz) on the full grid ``self.grid``, for diagnostics.
-
-        Synthesized anew on all M nodes; the evaluation itself uses only the
-        half grid.
-        """
+        """Samples (theta, theta_z, rho, rho_zz) on all M nodes of ``self.grid``, synthesized anew; for diagnostics."""
         tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
         return (synthesize(tc, "cosine", self.grid), synthesize(tc, "cosine", self.grid, 1),
                 synthesize(rs, "sine", self.grid), synthesize(rs, "sine", self.grid, 2))
@@ -173,15 +164,15 @@ class Evaluator:
         Powers are explicit products throughout: numpy's vectorized ** is not exactly
         even in its argument, which would break the exact rho -> -rho energy symmetry.
         """
-        theta = self._cos @ tc
+        u = self._b_theta @ tc
+        theta, theta_z = u[: self._half], u[self._half :]
         sin_t = np.sin(theta)
-        theta_z = self._sin_theta @ (self._neg_wt1 * tc)
         return theta, theta_z, sin_t, np.cos(theta), sin_t * sin_t, self._k3 * sin_t * sin_t
 
     def _rho_terms(self, rs: np.ndarray) -> tuple[np.ndarray, ...]:
         """rho, rho_zz, rho^2 and the layer term L = rho_zz + q^2 rho."""
-        rho = self._sin @ rs
-        rho_zz = self._sin @ (self._neg_wr2 * rs)
+        u = self._b_rho @ rs
+        rho, rho_zz = u[: self._half], u[self._half :]
         return rho, rho_zz, rho * rho, rho_zz + self._q2 * rho
 
     def _coupling(self, theta: tuple, rho: tuple) -> np.ndarray:
@@ -233,12 +224,11 @@ class Evaluator:
         return self._assemble(theta, rho, cw, self._theta_grad_terms(theta), self._rho_grad_terms(rho))
 
     def _theta_grad_terms(self, theta_terms: tuple) -> tuple[np.ndarray, ...]:
-        """sin(2 theta), chi'(theta) and the twist part wt1 * (sin_tab^T (w 2 k1 theta_z))."""
+        """sin(2 theta), chi'(theta) and dphi/dtheta_z = 2 k1 theta_z."""
         theta, theta_z, _, cos_t, _, k3s2 = theta_terms
         sin_2t = np.sin(theta + theta)
         den = self._k2 * cos_t * cos_t + k3s2
-        twist = self._wt1 * (self._sin_theta_T @ (self.weights * (self._k1x2 * theta_z)))
-        return sin_2t, self._chi1 * sin_2t / (den * den), twist
+        return sin_2t, self._chi1 * sin_2t / (den * den), self._k1x2 * theta_z
 
     def _rho_grad_terms(self, rho_terms: tuple) -> tuple[np.ndarray, np.ndarray]:
         """2 lambda1 L and dphi/drho without W: d rho + f rho^3 + 2 lambda1 L q^2, in that order."""
@@ -247,11 +237,10 @@ class Evaluator:
         return l2, self._d * rho + self._f * rho2 * rho + l2 * self._q2
 
     def _assemble(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> np.ndarray:
-        """The gradient from each block's terms and gradient terms and from W."""
+        """The gradient B^T (w * dphi/du) of each block from its terms and gradient terms and from W."""
         sin2, rho_zz = theta[4], rho[1]
-        sin_2t, chi_t, twist_t = theta_grad
+        sin_2t, chi_t, dphi_dtheta_z = theta_grad
         l2, rho_only = rho_grad
-        w = self.weights
         w2 = self._l2x2 * cw  # 2 lambda2 W
         dphi_dtheta = chi_t + w2 * sin_2t * rho_zz
         dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
@@ -259,11 +248,8 @@ class Evaluator:
 
         n = self.n
         g = np.empty(2 * n + 3)
-        g_theta, g_rho = g[: n + 2], g[n + 2 :]
-        np.matmul(self._cos_T, w * dphi_dtheta, out=g_theta)
-        g_theta -= twist_t
-        np.matmul(self._sin_T, w * dphi_drho, out=g_rho)
-        g_rho -= self._wr2 * (self._sin_T @ (w * dphi_drho_zz))
+        np.matmul(self._adj_theta, np.concatenate((dphi_dtheta, dphi_dtheta_z)), out=g[: n + 2])
+        np.matmul(self._adj_rho, np.concatenate((dphi_drho, dphi_drho_zz)), out=g[n + 2 :])
         return g
 
     def fd_hessian(self, vec: np.ndarray, step: float) -> np.ndarray:
@@ -303,44 +289,35 @@ class Evaluator:
     def hessian(self, vec: np.ndarray) -> np.ndarray:
         """Exact Hessian of the discretized energy with respect to the coefficients.
 
-        Assembled as sum_ab B_a^T diag(w d^2phi/da db) B_b over the field
-        blocks a, b in (theta, theta_z, rho, rho_zz), where B_a maps the
-        coefficients to the grid samples of field a.  The derivative blocks
-        are column-scaled trig tables, so each product is a table product
-        scaled by the frequency factors.  Returned as (H + H^T)/2, exactly
-        symmetric; the asymmetry this removes is rounding only.  Shares the
-        field synthesis of the last energy or gradient at ``vec``.
+        B^T diag(w d^2phi/du^2) B per pair of blocks, u the stacked samples of
+        B_theta and B_rho; returned as (H + H^T)/2, exactly symmetric (the
+        asymmetry removed is rounding only).  Shares the field synthesis of
+        the last energy or gradient at ``vec``.
         """
         p = self.params
         (theta, _, sin_t, cos_t, sin2, _), (_, rho_zz, rho2, _), cw = self._pointwise(vec)
-        w = self.weights
         q2, cos2t0 = p.q * p.q, math.cos(p.theta0) ** 2
         l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2
-        wt1, wr2 = self._wt1, self._wr2
 
-        sin_2t = np.sin(2.0 * theta)
-        cos_2t = np.cos(2.0 * theta)
+        sin_2t, cos_2t = np.sin(2.0 * theta), np.cos(2.0 * theta)
         dw_dtheta = sin_2t * rho_zz  # dW/dtheta
         # second derivatives of the integrand phi: t = theta, r = rho, q = rho_zz
-        phi_tt = _chi_second(cos_t, sin_t, sin_2t, cos_2t, p.k2, p.k3, p.sigma) \
-            + l2 * (dw_dtheta * dw_dtheta + 2.0 * cw * cos_2t * rho_zz)
+        # the chiral term's is 2 k2^2 k3 sigma^2 (cos(2 theta) D - (k3 - k2) sin^2(2 theta)) / D^3
+        den = p.k2 * cos_t * cos_t + p.k3 * sin_t * sin_t  # D
+        phi_tt = (2.0 * p.k2 * p.k2 * p.k3 * p.sigma * p.sigma) * (cos_2t * den - (p.k3 - p.k2) * sin_2t * sin_2t) \
+            / (den * den * den) + l2 * (dw_dtheta * dw_dtheta + 2.0 * cw * cos_2t * rho_zz)
         phi_tr = (l2 * q2 * cos2t0) * dw_dtheta
         phi_tq = l2 * sin_2t * (sin2 * rho_zz + cw)
         phi_rr = p.d + 3.0 * p.f * rho2 + (l1 + l2 * cos2t0 * cos2t0) * q2 * q2
         phi_rq = (l1 + l2 * cos2t0 * sin2) * q2
         phi_qq = l1 + l2 * sin2 * sin2
 
-        def gram(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return a.T @ ((w * d)[:, None] * b)
-
-        # B(theta_z) = -sin_t_tab . diag(wt1), B(rho_zz) = -sin_r_tab . diag(wr2);
-        # theta_z mixes with no field (phi_{theta_z a} = 0 for a != theta_z)
-        cos_t_tab, sin_t_tab, sin_r_tab = self._cos, self._sin_theta, self._sin
-        h_tt = gram(cos_t_tab, phi_tt, cos_t_tab) + wt1[:, None] * gram(sin_t_tab, self._k1x2, sin_t_tab) * wt1
-        h_tr = gram(cos_t_tab, phi_tr, sin_r_tab) - gram(cos_t_tab, phi_tq, sin_r_tab) * wr2
-        s_rq = gram(sin_r_tab, phi_rq, sin_r_tab)
-        h_rr = gram(sin_r_tab, phi_rr, sin_r_tab) - s_rq * wr2 - wr2[:, None] * s_rq \
-            + wr2[:, None] * gram(sin_r_tab, phi_qq, sin_r_tab) * wr2
+        half, b_rho, adj_theta, adj_rho = self._half, self._b_rho, self._adj_theta, self._adj_rho
+        # each product is (diag(w) B_a)^T diag(d^2phi/da db) B_b; theta_z mixes with no field
+        h_tt = adj_theta @ (np.concatenate((phi_tt, self._k1x2))[:, None] * self._b_theta)
+        h_tr = adj_theta[:, :half] @ (phi_tr[:, None] * b_rho[:half] + phi_tq[:, None] * b_rho[half:])
+        h_rq = adj_rho[:, :half] @ (phi_rq[:, None] * b_rho[half:])
+        h_rr = adj_rho @ (np.concatenate((phi_rr, phi_qq))[:, None] * b_rho) + h_rq + h_rq.T
         # symmetrized per diagonal block, so the assembled matrix is exactly
         # symmetric without a full-size temporary
         return np.block([[0.5 * (h_tt + h_tt.T), h_tr], [h_tr.T, 0.5 * (h_rr + h_rr.T)]])

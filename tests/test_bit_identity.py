@@ -88,51 +88,51 @@ def _evaluation_digests(n: int, e: float, kind: str) -> dict[str, str]:
 EVALUATION_DIGESTS = {
     (16, 0.0, "layers"): {
         "energy": "93afa44313182707",
-        "breakdown": "80c906c704e40957",
-        "gradient": "c2bf2b3ab7790633",
-        "hessian": "2b0e4308e3f0fbd0",
-        "fd_hessian": "1203c589b9e7d2cb",
-        "spectrum": "f9f90a77e8db2edd",
+        "breakdown": "8a61e1d6100134a6",
+        "gradient": "d5e209e4daf6a436",
+        "hessian": "21ad3ba972108d2e",
+        "fd_hessian": "f3ec7b1e099190f0",
+        "spectrum": "d5ce62c03c52a310",
     },
     (16, 0.05, "layers"): {
         "energy": "0dcf6a27f7b285c7",
-        "breakdown": "47172357383cac8f",
-        "gradient": "d34ddf613624e586",
-        "hessian": "e2b50d421e672bb9",
-        "fd_hessian": "0073cf3a8fa484c5",
-        "spectrum": "280494cdc2d86c0c",
+        "breakdown": "b08d7e92d23cd683",
+        "gradient": "0e53b6a05b4190a1",
+        "hessian": "54bcfc634c52987f",
+        "fd_hessian": "9f3e7fd136345576",
+        "spectrum": "dcfbc93f6a55269b",
     },
     (64, 0.0, "layers"): {
-        "energy": "8050e7f01e747ff1",
-        "breakdown": "0206edca6ef3c16a",
-        "gradient": "31d33f4f6e756327",
-        "hessian": "9e9ef1e61ad56cef",
-        "fd_hessian": "0b897ab0fe186147",
-        "spectrum": "968ded6abf69db92",
+        "energy": "cf8f10d3e29b513f",
+        "breakdown": "5325eddb847e9998",
+        "gradient": "1e58147d5b65794a",
+        "hessian": "a43e7143d5d07e34",
+        "fd_hessian": "07ff1ec24d72abb1",
+        "spectrum": "f34ecfc467e63949",
     },
     (64, 0.05, "layers"): {
         "energy": "e81a2551e989d08e",
         "breakdown": "2053c181551d1cdc",
-        "gradient": "f8d7d23f0c6535e3",
-        "hessian": "70134b37e125b4f6",
-        "fd_hessian": "f876cab546cba20e",
-        "spectrum": "1cdaf45e5ed565cf",
+        "gradient": "016f7c995367b551",
+        "hessian": "4bee7b8fe5565424",
+        "fd_hessian": "a184ed673cb3eaa5",
+        "spectrum": "5bd988454aa1b133",
     },
     (16, 0.0, "no-layers"): {
         "energy": "b664a4840a612a51",
         "breakdown": "67927094e47ee5db",
-        "gradient": "dac58300f72aa790",
-        "hessian": "a372c6bcc8b89925",
-        "fd_hessian": "cdfab8bf084cab97",
-        "spectrum": "a76367215381588f",
+        "gradient": "00244e898fca83f5",
+        "hessian": "59be41db863b169e",
+        "fd_hessian": "0d64a91166c61498",
+        "spectrum": "ef1d2036dd3f776f",
     },
     (64, 0.0, "untilted"): {
-        "energy": "34fa76db862beb82",
-        "breakdown": "7c0efc9e0edcfef3",
-        "gradient": "334158252811e868",
-        "hessian": "60c2b6bf0a12ff7b",
-        "fd_hessian": "558c484a29502af9",
-        "spectrum": "f9c0747b3ee35103",
+        "energy": "f3d8a90afb81ca49",
+        "breakdown": "09c5adadebcfbd9b",
+        "gradient": "154934f622128bf4",
+        "hessian": "6269c0debdc28108",
+        "fd_hessian": "875a3c7c0ed34680",
+        "spectrum": "539d053817f7b95a",
     },
 }
 
@@ -149,12 +149,12 @@ def tilt_onset_records(fig3_params):
 
 
 def test_fig3_sweep_records(fig3_sweep):
-    assert _records_digest(fig3_sweep) == "58360d85339f9d2d"
+    assert _records_digest(fig3_sweep) == "e1fff22819ad9e7a"
 
 
 def test_tilt_sweep_records(tilt_sweep):
-    assert _records_digest(tilt_sweep) == "cdb88bab0ef4f5ec"
+    assert _records_digest(tilt_sweep) == "6987bbf5ff8d4abb"
 
 
 def test_tilt_onset_records(tilt_onset_records):
-    assert _records_digest(tilt_onset_records) == "7486df730f126ada"
+    assert _records_digest(tilt_onset_records) == "6400df0c25465d45"

@@ -174,8 +174,8 @@ class TestBatchOutputsUnchanged:
     DIGESTS = {
         "0:validate-params:stdout": "89d27d5b6aa4b952",
         "1:thresholds:stdout": "91e6498b54b5a530",
-        "2:minimize:stderr": "843063f60b9c72ad",
-        "2:minimize:stdout": "c3cbe7941a173584",
+        "2:minimize:stderr": "b329af000e105582",
+        "2:minimize:stdout": "a0dfe277211cb06e",
         "3:spectrum:stdout": "e3b0c44298fc1c14",
         "4:sweep:stdout": "17e1a1e5d830f826",
         "5:plot:stdout": "e3b0c44298fc1c14",
@@ -183,12 +183,12 @@ class TestBatchOutputsUnchanged:
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "69764fc5c1761c5e",
-        "k.csv": "f0702f9d8b6384c8",
+        "k.csv": "7c0d96c0f16ece28",
         "k.svg": "924da169e351357d",
-        "profile.csv": "b0814f1f34226916",
+        "profile.csv": "fd8d571825a74abc",
         "profile.svg": "5ab2fa1d15d98c90",
-        "spectrum.csv": "63bab03d12fc8609",
-        "sweep.csv": "58f42f9fd1be2e43",
+        "spectrum.csv": "b003767faa43bab7",
+        "sweep.csv": "de0a2ffd31f52b89",
         "sweep.svg": "0a75912006edf038",
     }
 
@@ -219,7 +219,7 @@ class TestMorseOutputsUnchanged:
     marker.  Recorded on the platform of ``TestBatchOutputsUnchanged``.
     """
 
-    DIGESTS = {"morse.csv": "54116b5fb1a91a26", "morse.svg": "f30b5d95dc37d3ba"}
+    DIGESTS = {"morse.csv": "f315a3624ed75bf5", "morse.svg": "f30b5d95dc37d3ba"}
 
     def test_bytes_match_the_recorded_digests(self, tmp_path):
         data, svg = tmp_path / "morse.csv", tmp_path / "morse.svg"
