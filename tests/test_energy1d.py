@@ -16,6 +16,8 @@ from smectic1d import (
     seed_state,
     synthesize,
 )
+from smectic1d.energy1d import _operators
+from smectic1d.spectral import _tables
 from smectic1d.stability import HESSIAN_FD_STEP
 
 from crosscheck import el_residual
@@ -321,6 +323,54 @@ class TestHalfGridQuadrature:
         assert ev.weights[0] == ev.weights[-1] == w
         assert np.all(ev.weights[1:-1] == 2.0 * w)
         assert ev.weights.sum() == pytest.approx(p.h, rel=1e-15)
+
+
+class TestSharedOperators:
+    """Every evaluator of one (N, h) reads the same cached operators and holds no copy of them.
+
+    A sweep builds an evaluator per point and callers keep some alive, so a
+    per-instance copy (about 560 KB at N = 64) grows the memory with their number.
+    """
+
+    SHARED = ("weights", "_b_theta", "_b_rho", "_adj_theta", "_adj_rho")
+
+    @staticmethod
+    def _owners(ev: Evaluator) -> list[np.ndarray]:
+        """The array owning the memory of each array the evaluator's attributes hold, in tuples too."""
+        found, stack = [], list(vars(ev).values())
+        while stack:
+            v = stack.pop()
+            if isinstance(v, tuple):
+                stack.extend(v)
+            elif isinstance(v, np.ndarray):
+                found.append(v if v.base is None else v.base)
+        return found
+
+    def test_same_grid_shares_the_operators(self):
+        p = ModelParams1D()
+        a, b = Evaluator(64, p), Evaluator(64, p.with_d(-2.0))
+        for name in self.SHARED:
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+
+    @pytest.mark.parametrize("n, h", [(32, TWO_PI), (64, 2.0 * TWO_PI)], ids=["other-N", "other-h"])
+    def test_another_grid_gets_other_operators(self, n, h):
+        a, b = Evaluator(64, ModelParams1D()), Evaluator(n, ModelParams1D(h=h))
+        for name in self.SHARED:
+            assert getattr(a, name) is not getattr(b, name)
+        if n == 64:
+            assert not np.array_equal(a._b_theta, b._b_theta)
+
+    def test_no_evaluator_owns_more_than_a_few_grid_vectors(self):
+        p = ModelParams1D()
+        ev = Evaluator(64, p)
+        x = seed_state("smectic-seed", p, 64).pack()
+        ev.gradient(x)
+        ev.hessian(x)
+        shared = {id(a) for a in (*_operators(ev.grid, 64), *_tables(ev.grid.m, 65))}  # the caches
+        owned = [a for a in self._owners(ev) if id(a) not in shared]
+        assert owned
+        assert max(a.nbytes for a in owned) <= 4 * ev.weights.nbytes
 
 
 class TestEulerLagrangeResidual:
