@@ -268,9 +268,16 @@ def emit_svg(kind: str, rows: list[dict]) -> str:
     missing = [c for c in (x, group, *(c for c, _ in panels)) if c is not None and c not in rows[0]]
     if missing:
         raise ValueError(f"a {kind} plot needs the column(s) {', '.join(missing)}")
-    values = {c: [float(r[c]) for r in rows] for c in (x, *(c for c, _ in panels))}
+
+    def cell(i: int, c: str, kind: type) -> float:
+        try:
+            return kind(rows[i][c])
+        except ValueError:
+            raise ValueError(f"column {c}, data row {i + 1}: {kind.__name__} expected, got {rows[i][c]!r}") from None
+
+    values = {c: [cell(i, c, float) for i in range(len(rows))] for c in (x, *(c for c, _ in panels))}
     xs = values[x]
-    dashed = [bool(r.get("morse_index")) and int(r["morse_index"]) > 0 for r in rows]
+    dashed = [bool(r.get("morse_index")) and cell(i, "morse_index", int) > 0 for i, r in enumerate(rows)]
     order = sorted(range(len(rows)), key=xs.__getitem__)  # stable: ties keep their file order
     keys = sorted({r[group] for r in rows}) if group else [None]
     runs = [[i for i in order if key is None or rows[i][group] == key] for key in keys]

@@ -569,6 +569,25 @@ class TestPlot:
         assert str(data) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("profile", "z,theta,delta_rho\n0,0.1,0.2\n1,abc,0.3\n",
+             "column theta, data row 2: float expected, got 'abc'"),
+            ("bifurcation", "T,branch,delta_rho_max,theta_max,morse_index\n-10,+,0.1,0,0\n-10.1,+,0.2,0,x\n",
+             "column morse_index, data row 2: int expected, got 'x'"),
+        ],
+        ids=["float", "morse-index"],
+    )
+    def test_unreadable_cell_exits_1_naming_the_column_and_row(self, tmp_path, capsys, kind, text, message):
+        # both used to name only the file and repeat the conversion's own error
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        svg = tmp_path / "d.svg"
+        assert run(["plot", "--kind", kind, "--data", str(data), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not svg.exists()
+
+    @pytest.mark.parametrize(
         "column, values, message",
         [
             ("z", ["0", "inf"], "column z holds the non-finite value inf"),
