@@ -32,6 +32,14 @@ COMMENSURABILITY_TOL = 1e-9
 SEED_KINDS = ("cholesteric", "smectic-seed", "conical-seed")
 
 
+class ParamError(ValueError):
+    """A rejected parameter value; ``keys`` are the config keys its check reads."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
 class ElasticVerdict(NamedTuple):
     """Outcome of the elastic-constant validity check."""
 
@@ -184,22 +192,22 @@ class ModelParams1D:
         for name in ("k1", "k2", "k3", "f", "h", "q", "alpha2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+                raise ParamError(f"{name} must be positive and finite, got {v}", name)
         for name in ("lambda1", "lambda2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {v}")
+                raise ParamError(f"{name} must be nonnegative and finite, got {v}", name)
         for name in ("sigma", "d", "e", "T2star"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise ParamError(f"{name} must be finite, got {v}", name)
         if not 0 < self.theta0 < math.pi / 2:
-            raise ValueError(f"theta0 must lie in (0, pi/2), got {self.theta0}")
+            raise ParamError(f"theta0 must lie in (0, pi/2), got {self.theta0}", "theta0")
         ratio = self.q * self.h / TWO_PI
         n0 = round(ratio)
         if n0 < 1 or abs(ratio - n0) > COMMENSURABILITY_TOL * max(1.0, abs(n0)):
-            raise ValueError(
-                f"incommensurate layer wavenumber: q*h/(2*pi) = {ratio!r} is not a positive integer"
+            raise ParamError(
+                f"incommensurate layer wavenumber: q*h/(2*pi) = {ratio!r} is not a positive integer", "q", "h"
             )
 
     @property
@@ -301,9 +309,9 @@ class MinimizeOptions:
     def __post_init__(self) -> None:
         # an infinite tolerance would report the unrelaxed seed as converged
         if not (math.isfinite(self.tol_grad) and self.tol_grad > 0):
-            raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
+            raise ParamError(f"tol_grad must be finite and positive, got {self.tol_grad}", "tol_grad")
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ParamError(f"max_iters must be >= 1, got {self.max_iters}", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -316,7 +324,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.n_modes < 2 or self.n_modes % 2 != 0:
-            raise ValueError(f"N must be an even integer >= 2, got {self.n_modes}")
+            raise ParamError(f"N must be an even integer >= 2, got {self.n_modes}", "N")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -324,9 +332,11 @@ def parse_config(text: str) -> RunConfig:
 
     Blank lines and ``#`` comments are ignored; unknown keys are a hard
     error.  Missing keys fall back to the defaults of :class:`ModelParams1D`
-    and :class:`RunConfig`.
+    and :class:`RunConfig`.  A value those reject is reported with the line
+    of each key its check reads.
     """
     seen: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -340,6 +350,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        lines[key] = lineno
         try:
             if key in _INT_KEYS:
                 seen[key] = int(value)
@@ -348,9 +359,13 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
     param_kw = {k: v for k, v in seen.items() if k in _FLOAT_KEYS and k != "tol_grad"}
-    config = RunConfig(params=ModelParams1D(**param_kw), **({"n_modes": seen["N"]} if "N" in seen else {}))
     options = {f.name: seen[f.name] for f in fields(MinimizeOptions) if f.name in seen}
-    return replace(config, options=MinimizeOptions(**options))
+    try:
+        config = RunConfig(params=ModelParams1D(**param_kw), **({"n_modes": seen["N"]} if "N" in seen else {}))
+        return replace(config, options=MinimizeOptions(**options))
+    except ParamError as exc:
+        at = sorted(lines[k] for k in exc.keys if k in lines)  # the defaults pass every check
+        raise ValueError(f"config line{'s' * (len(at) > 1)} {' and '.join(map(str, at))}: {exc}") from None
 
 
 def format_config(config: RunConfig) -> str:

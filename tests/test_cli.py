@@ -26,6 +26,27 @@ def _write_fig3_config(tmp_path, **overrides):
 
 
 class TestValidateParams:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("k2 = 0.025\n\nk1 = -1\n", "config line 3: k1 must be positive and finite, got -1.0"),
+            ("q = 3.5\nk1 = 0.025\nh = 6.283185307179586\n",
+             "config lines 1 and 3: incommensurate layer wavenumber: q*h/(2*pi) = 3.5 is not a positive integer"),
+            ("# q only\nq = 3.5\n",
+             "config line 2: incommensurate layer wavenumber: q*h/(2*pi) = 3.5 is not a positive integer"),
+            ("N = 15\n", "config line 1: N must be an even integer >= 2, got 15"),
+        ],
+        ids=["one-key", "q-and-h", "q-only", "N"],
+    )
+    def test_rejected_config_value_names_its_line(self, tmp_path, capsys, text, message):
+        # used to print the flag's message, without the line
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["validate-params", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_prints_derived_quantities(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path)
         assert run(["validate-params", "--config", cfg]) == 0
@@ -271,12 +292,14 @@ class TestMinimizeCommand:
         relaxed = []
         monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "minimize", lambda *a, **k: relaxed.append(a))
         cfg = tmp_path / "inf.cfg"
-        cfg.write_text("tol_grad = inf\n")
+        cfg.write_text("N = 16\ntol_grad = inf\n")
         flags = ["--tol-grad", "inf"] if source == "flag" else ["--config", str(cfg)]
         assert run(["minimize", *flags, "--d", "-0.7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: tol_grad must be finite and positive, got inf\n"
+        # a config value is reported with its line, a flag as it is
+        where = "config line 2: " if source == "config" else ""
+        assert captured.err == f"error: {where}tol_grad must be finite and positive, got inf\n"
         assert not relaxed
 
     def test_conflicting_d_and_t_rejected(self, tmp_path):
