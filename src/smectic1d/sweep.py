@@ -150,9 +150,9 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
 
     Returns records ordered as the temperature grid, one per (T, branch).
     Only the "+" branch is relaxed.  The "-" record is the "+" state with rho
-    negated: the same energy, convergence flag and Morse index (the Hessian
-    there is P H P with P = diag(+-1), which has the same spectrum), and
-    amplitudes read off the mirrored state.  Non-converged points are
+    negated: the same energy, convergence flag, Morse index (the Hessian
+    there is P H P with P = diag(+-1), which has the same spectrum) and
+    theta_max, and delta_rho_max = -min(rho) read off the "+" samples.  Non-converged points are
     recorded with ``converged=False``, the mirrored record too; the sweep
     aborts only when more than ``MAX_FAILURE_FRACTION`` of all records
     failed to converge.
@@ -172,15 +172,17 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
         morse = stability.spectrum(state, params_t).morse_index if config.record_morse else None
         if converged:
             warm = state
-        mirrored = SpectralState(n=state.n, h=state.h, theta_c=state.theta_c, rho_s=-state.rho_s)
-        for branch, branch_state in (("+", state), ("-", mirrored)):
+        rho = state.rho_values(grid)
+        theta_max = float(np.max(state.theta_values(grid)))
+        # the mirror's samples are -rho and their max is 0.0 - min(rho): -min(rho) is -0.0 at rho = 0
+        for branch, delta_rho_max in (("+", float(np.max(rho))), ("-", 0.0 - float(np.min(rho)))):
             records.append(
                 SweepRecord(
                     T=float(t_val),
                     d=params_t.d,
                     branch=branch,
-                    delta_rho_max=float(np.max(branch_state.rho_values(grid))),
-                    theta_max=float(np.max(branch_state.theta_values(grid))),
+                    delta_rho_max=delta_rho_max,
+                    theta_max=theta_max,
                     energy=energy_val,
                     morse_index=morse,
                     converged=converged,
