@@ -30,7 +30,7 @@ _EXPORTS = {
         "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "quadrature", "synthesize"),
         "energy1d": ("EnergyBreakdown", "Evaluator", "energy", "gradient", "reconstruct_director"),
         "minimize": ("DivergenceError", "MinimizeReport", "minimize", "seed_state"),
-        "stability": ("StabilityReport", "hessian", "spectrum"),
+        "stability": ("StabilityReport", "spectrum"),
         "sweep": (
             "ElasticRecord", "SweepConfig", "SweepError", "SweepRecord", "detect_transitions",
             "elastic_sweep", "sweep_temperature",

@@ -58,6 +58,10 @@ class EnergyBreakdown(NamedTuple):
     coupling: float
 
 
+#: Base relative step of the finite-difference Hessian (:meth:`Evaluator.fd_hessian`).
+HESSIAN_FD_STEP = 1e-5
+
+
 @lru_cache(maxsize=32)
 def _operators(grid: Grid, n: int) -> tuple[np.ndarray, ...]:
     """The read-only half-grid weights w, B_theta, B_rho and contiguous adjoints (diag(w) B)^T of order N.
@@ -151,12 +155,6 @@ class Evaluator:
         self._last: tuple[bytes, tuple] | None = None
 
     # -- field synthesis -------------------------------------------------
-
-    def fields(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Samples (theta, theta_z, rho, rho_zz) on all M nodes of ``self.grid``, synthesized anew; for diagnostics."""
-        tc, rs = vec[: self.n + 2], vec[self.n + 2 :]
-        return (synthesize(tc, "cosine", self.grid), synthesize(tc, "cosine", self.grid, 1),
-                synthesize(rs, "sine", self.grid), synthesize(rs, "sine", self.grid, 2))
 
     def _theta_terms(self, tc: np.ndarray) -> tuple[np.ndarray, ...]:
         """theta, theta_z, sin, cos, sin^2 and k3 sin^2 of theta, the last as (k3 sin) sin like the chiral denominators.
@@ -252,15 +250,18 @@ class Evaluator:
         np.matmul(self._adj_rho, np.concatenate((dphi_drho, dphi_drho_zz)), out=g[n + 2 :])
         return g
 
-    def fd_hessian(self, vec: np.ndarray, step: float) -> np.ndarray:
+    def fd_hessian(self, vec: np.ndarray) -> np.ndarray:
         """Hessian by central differences of the gradient, as (H + H^T)/2.
 
         Column j differences the gradient at vec +- delta e_j and
-        vec +- 2 delta e_j, delta = step * max(1, |vec|_inf), and combines
-        them as (4 col_delta - col_2delta) / 3 (Richardson).  Every probe is
-        vec + 0.0 with coefficient j moved, so the block that j does not lie
-        in is synthesized once and each probe synthesizes only the block it
-        moves; each column is, bit for bit, what fresh gradient calls give.
+        vec +- 2 delta e_j, delta = HESSIAN_FD_STEP * max(1, |vec|_inf), and
+        combines them as (4 col_delta - col_2delta) / 3 (Richardson), which
+        cancels the leading O(delta^2) error exactly for the polynomial
+        terms; the asymmetry that (H + H^T)/2 removes is at the
+        finite-difference noise floor.  Every probe is vec + 0.0 with
+        coefficient j moved, so the block that j does not lie in is
+        synthesized once and each probe synthesizes only the block it moves;
+        each column is, bit for bit, what fresh gradient calls give.
         """
         n = self.n
         probe = vec + 0.0
@@ -275,7 +276,7 @@ class Evaluator:
             moved = self._rho_terms(probe[n + 2 :])
             return self._assemble(theta, moved, self._coupling(theta, moved), theta_grad, self._rho_grad_terms(moved))
 
-        delta = step * max(1.0, float(np.max(np.abs(vec))))
+        delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(vec))))
         delta2 = 2.0 * delta
         h_mat = np.empty((probe.size, probe.size))
         for j in range(probe.size):
@@ -346,19 +347,17 @@ def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
 
 
 def reconstruct_director(
-    state: SpectralState, params: ModelParams1D
+    theta: np.ndarray, g: Grid, params: ModelParams1D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Azimuth and director profile (phi, n1, n2, n3) on ``default_grid(N, h)``.
+    """Azimuth and director profile (phi, n1, n2, n3) from the tilt samples ``theta`` on grid ``g``.
 
     phi(z) = int_0^z sigma k2 / (k2 cos^2 theta + k3 sin^2 theta) dzeta with
     phi(0) = 0, integrated spectrally (exact mean plus periodic
     antiderivative), and n = (cos phi cos theta, sin phi cos theta,
-    sin theta).
+    sin theta).  It takes samples, so a caller that has them already does
+    not synthesize theta again.
     """
-    _check_state(state, params)
     p = params
-    g = default_grid(state.n, params.h)
-    theta = state.theta_values(g)
     c2 = np.cos(theta) ** 2
     s2 = np.sin(theta) ** 2
     integrand = p.sigma * p.k2 / (p.k2 * c2 + p.k3 * s2)

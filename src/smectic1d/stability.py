@@ -21,13 +21,10 @@ from .energy1d import Evaluator
 from .params import ModelParams1D
 from .spectral import SpectralState, gram_diagonal
 
-__all__ = ["StabilityReport", "hessian", "spectrum"]
+__all__ = ["StabilityReport", "spectrum"]
 
 #: Eigenvalues below -TOL_EIG count as unstable directions.
 TOL_EIG = 1e-8
-
-#: Base relative step for Hessian finite differences.
-HESSIAN_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,26 +57,15 @@ class StabilityReport:
         return float(self.eigenvalues[0])
 
 
-def hessian(state: SpectralState, params: ModelParams1D) -> np.ndarray:
-    """Coefficient Hessian by central differences of the analytic gradient.
-
-    Columns are differenced at steps delta and 2*delta with
-    delta = HESSIAN_FD_STEP * max(1, |c|_inf) and Richardson-combined, which
-    cancels the leading O(delta^2) error exactly for the polynomial terms.
-    The column matrix H is returned as (H + H^T)/2; the asymmetry that this
-    removes is at the finite-difference noise floor.
-    """
-    return Evaluator(state.n, params).fd_hessian(state.pack(), HESSIAN_FD_STEP)
-
-
 def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     """Mass-normalized Hessian spectrum at a state, in the sine-restricted space.
 
     Eigenvalues are Rayleigh quotients per unit L2 norm: the generalized
-    problem H v = mu G v with the diagonal Gram matrix G of the basis.
+    problem H v = mu G v with the finite-difference coefficient Hessian H of
+    :meth:`Evaluator.fd_hessian` and the diagonal Gram matrix G of the basis.
     ``eigvalsh`` returns them ascending.
     """
-    h_mat = hessian(state, params)
+    h_mat = Evaluator(state.n, params).fd_hessian(state.pack())
     scale = 1.0 / np.sqrt(gram_diagonal(state.n, state.h))
     normalized = h_mat * np.outer(scale, scale)
     try:

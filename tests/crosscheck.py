@@ -113,7 +113,7 @@ def _rho_mode_eigenvalue(params: ModelParams1D, n: int) -> float:
 def _theta_mode_eigenvalue(params: ModelParams1D, n: int) -> float:
     p = params
     omega2 = (2.0 * math.pi * n / p.h) ** 2
-    return 2.0 * p.k1 * (omega2 + p.sigma * p.sigma)
+    return 2.0 * (p.k1 * omega2 + p.k3 * p.sigma * p.sigma)
 
 
 def analytic_cholesteric_spectrum(params: ModelParams1D, n_max: int) -> list[AnalyticMode]:
@@ -123,8 +123,10 @@ def analytic_cholesteric_spectrum(params: ModelParams1D, n_max: int) -> list[Ana
     d + 2 lambda2 q^4 cos^4(theta0) + 2 lambda1 q^4 and each oscillatory mode
     n >= 1 contributes a degenerate sine/cosine pair with eigenvalue
     d + 2 lambda2 q^4 cos^4(theta0) + 2 lambda1 ((2 pi n / h)^2 - q^2)^2.
-    Tilt perturbations contribute 2 k1 ((2 pi n / h)^2 + sigma^2) for
-    n = 0..n_max (one-constant case k1 = k2 = k3).
+    Tilt perturbations contribute 2 (k1 (2 pi n / h)^2 + k3 sigma^2) for
+    n = 0..n_max: to second order in theta the chiral term is
+    -k2 sigma^2 + k3 sigma^2 theta^2, so the twist stiffness of the tilt is
+    k3.  Every constant k1, k2, k3 is covered.
     """
     if n_max < params.n0:
         raise ValueError(f"n_max = {n_max} must reach the layer mode n0 = {params.n0}")

@@ -29,7 +29,6 @@ from smectic1d import (
     d_critical,
     default_grid,
     detect_transitions,
-    hessian,
     minimize,
     seed_state,
     spectrum,
@@ -82,7 +81,7 @@ def _theta_block_min_eigenvalue(params, t_val: float, n: int = 64) -> float:
     state, report = minimize(SpectralState(n=n, h=seed.h, theta_c=np.zeros(n + 2), rho_s=seed.rho_s), p)
     assert report.converged, f"T={t_val}: untilted relaxation did not converge"
     assert not np.any(state.theta_c), f"T={t_val}: relaxation left the untilted state"
-    block = hessian(state, p)[: n + 2, : n + 2]
+    block = Evaluator(n, p).fd_hessian(state.pack())[: n + 2, : n + 2]
     scale = 1.0 / np.sqrt(gram_diagonal(n, p.h)[: n + 2])
     return float(np.linalg.eigvalsh(block * np.outer(scale, scale))[0])
 

@@ -80,7 +80,7 @@ def _evaluation_digests(n: int, e: float, kind: str) -> dict[str, str]:
         "breakdown": _digest(tuple(breakdown)),
         "gradient": _digest(grad),
         "hessian": _digest(hess),
-        "fd_hessian": _digest(stability.hessian(state, params)),
+        "fd_hessian": _digest(ev.fd_hessian(x)),
         "spectrum": _digest(stability.spectrum(state, params).eigenvalues),
     }
 

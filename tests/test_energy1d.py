@@ -18,7 +18,6 @@ from smectic1d import (
 )
 from smectic1d.energy1d import _operators
 from smectic1d.spectral import _tables
-from smectic1d.stability import HESSIAN_FD_STEP
 
 from crosscheck import el_residual
 
@@ -80,22 +79,6 @@ class TestEnergy:
         state = SpectralState.zeros(16, 1.0)
         with pytest.raises(ValueError, match="cell"):
             energy(state, p)
-
-
-class TestFieldSynthesis:
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_fields_equal_synthesize_bit_for_bit(self, n):
-        # the evaluator and synthesize read the same trig table, so they
-        # must agree exactly, not just to rounding
-        p = ModelParams1D()
-        ev = Evaluator(n, p)
-        vec = np.random.default_rng(n).normal(size=2 * n + 3)
-        tc, rs = vec[: n + 2], vec[n + 2 :]
-        theta, theta_z, rho, rho_zz = ev.fields(vec)
-        assert np.array_equal(theta, synthesize(tc, "cosine", ev.grid, 0))
-        assert np.array_equal(theta_z, synthesize(tc, "cosine", ev.grid, 1))
-        assert np.array_equal(rho, synthesize(rs, "sine", ev.grid, 0))
-        assert np.array_equal(rho_zz, synthesize(rs, "sine", ev.grid, 2))
 
 
 class TestLastPointReuse:
@@ -251,6 +234,11 @@ class TestSymmetries:
 class TestHalfGridQuadrature:
     """The evaluator sums over nodes 0 ... M/2; a reference sums over all M nodes."""
 
+    #: A set that breaks the default coincidences q = sigma, k1 = k2 = k3,
+    #: n0 = 4 and lambda1 = lambda2 (here n0 = 6), so that a term with q and
+    #: sigma, or k2 and k3, swapped does not match the reference.
+    OFF_DEFAULT = dict(q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002, lambda2=0.0007)
+
     @staticmethod
     def _vectors(n: int) -> list[np.ndarray]:
         """A tilted and an untilted layered vector with amplitudes 0.3/(1+k), as in criterion 08."""
@@ -282,25 +270,25 @@ class TestHalfGridQuadrature:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("e", [0.0, 0.5])
     def test_energy_matches_the_full_grid_sum(self, n, e):
-        p = ModelParams1D(d=-0.8, e=e)
-        ev = Evaluator(n, p)
-        for vec in self._vectors(n):
-            assert ev.energy(vec) == pytest.approx(self._full_grid_energy(vec, n, p), rel=1e-13, abs=0.0)
+        for p in (ModelParams1D(d=-0.8, e=e), ModelParams1D(d=-0.8, e=e, **self.OFF_DEFAULT)):
+            ev = Evaluator(n, p)
+            for vec in self._vectors(n):
+                assert ev.energy(vec) == pytest.approx(self._full_grid_energy(vec, n, p), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_gradient_matches_finite_differences(self, n):
         # the check of criterion 08: central differences of the energy, eps = 1e-6
-        p = ModelParams1D()
-        ev = Evaluator(n, p)
         eps = 1e-6
-        for vec in self._vectors(n):
-            g = ev.gradient(vec)
-            fd = np.empty_like(g)
-            for i in range(vec.size):
-                delta = np.zeros(vec.size)
-                delta[i] = eps
-                fd[i] = (ev.energy(vec + delta) - ev.energy(vec - delta)) / (2.0 * eps)
-            assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
+        for p in (ModelParams1D(), ModelParams1D(**self.OFF_DEFAULT)):
+            ev = Evaluator(n, p)
+            for vec in self._vectors(n):
+                g = ev.gradient(vec)
+                fd = np.empty_like(g)
+                for i in range(vec.size):
+                    delta = np.zeros(vec.size)
+                    delta[i] = eps
+                    fd[i] = (ev.energy(vec + delta) - ev.energy(vec - delta)) / (2.0 * eps)
+                assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_hessian_matches_finite_differences(self, n):
@@ -309,7 +297,7 @@ class TestHalfGridQuadrature:
         ev = Evaluator(n, p)
         for vec in self._vectors(n):
             exact = ev.hessian(vec)
-            fd = ev.fd_hessian(vec, HESSIAN_FD_STEP)
+            fd = ev.fd_hessian(vec)
             assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) < 1e-10
             assert np.array_equal(exact, exact.T)
 
@@ -429,7 +417,7 @@ class TestDirectorReconstruction:
     def test_trivial_state_gives_helix(self):
         p = ModelParams1D()
         grid = default_grid(64, p.h)
-        phi, n1, n2, n3 = reconstruct_director(seed_state("cholesteric", p, 64), p)
+        phi, n1, n2, n3 = reconstruct_director(seed_state("cholesteric", p, 64).theta_values(grid), grid, p)
         z = grid.nodes
         assert np.max(np.abs(phi - p.sigma * z)) < 1e-12
         assert np.max(np.abs(n1 - np.cos(p.sigma * z))) < 1e-12
@@ -440,7 +428,7 @@ class TestDirectorReconstruction:
         p = ModelParams1D()
         state = _single_mode_state(0.0, p, theta0_const=math.pi / 2 - p.theta0)
         grid = default_grid(64, p.h)
-        phi, n1, n2, n3 = reconstruct_director(state, p)
+        phi, n1, n2, n3 = reconstruct_director(state.theta_values(grid), grid, p)
         # k2 = k3 makes the azimuth advance uniform even at constant tilt
         assert np.max(np.abs(phi - p.sigma * grid.nodes)) < 1e-10
         assert np.max(np.abs(n3 - math.cos(p.theta0))) < 1e-12
@@ -448,14 +436,16 @@ class TestDirectorReconstruction:
     def test_unit_norm_for_random_states(self):
         p = ModelParams1D()
         rng = np.random.default_rng(29)
+        grid = default_grid(16, p.h)
         for _ in range(10):
             state = SpectralState.from_vector(rng.normal(size=35) * 0.2, 16, p.h)
-            _, n1, n2, n3 = reconstruct_director(state, p)
+            _, n1, n2, n3 = reconstruct_director(state.theta_values(grid), grid, p)
             assert np.max(np.abs(n1**2 + n2**2 + n3**2 - 1.0)) < 1e-12
 
     def test_phi_normalized_at_origin(self):
         p = ModelParams1D()
         rng = np.random.default_rng(31)
         state = SpectralState.from_vector(rng.normal(size=35) * 0.2, 16, p.h)
-        phi, *_ = reconstruct_director(state, p)
+        grid = default_grid(16, p.h)
+        phi, *_ = reconstruct_director(state.theta_values(grid), grid, p)
         assert phi[0] == 0.0

@@ -7,11 +7,9 @@ import pytest
 from smectic1d import (
     Evaluator,
     ModelParams1D,
-    SpectralState,
     StabilityReport,
     d_critical,
     default_grid,
-    hessian,
     minimize,
     seed_state,
     spectrum,
@@ -21,7 +19,7 @@ from smectic1d import (
 )
 from smectic1d.spectral import gram_diagonal
 from smectic1d.minimize import frozen_layer_state
-from smectic1d.stability import HESSIAN_FD_STEP
+from smectic1d.energy1d import HESSIAN_FD_STEP
 
 from crosscheck import analytic_cholesteric_spectrum, morse_index_analytic, optimal_constant_tilt, second_variation_tilt
 
@@ -40,7 +38,7 @@ def _restricted_analytic(p: ModelParams1D, n: int) -> np.ndarray:
 class TestHessian:
     def test_block_diagonal_at_trivial_state(self):
         p = ModelParams1D().with_d(-0.2)
-        h = hessian(seed_state("cholesteric", p, 16), p)
+        h = Evaluator(16, p).fd_hessian(seed_state("cholesteric", p, 16).pack())
         theta_dim = 18
         cross = h[:theta_dim, theta_dim:]
         assert np.max(np.abs(cross)) < 1e-8
@@ -48,7 +46,7 @@ class TestHessian:
     def test_diagonal_entries_match_closed_form(self):
         p = ModelParams1D().with_d(-0.2)
         n = 16
-        h = hessian(seed_state("cholesteric", p, n), p)
+        h = Evaluator(n, p).fd_hessian(seed_state("cholesteric", p, n).pack())
         gram = gram_diagonal(n, p.h)
         for mode in range(1, 6):
             # theta mode: 2 k1 ((2 pi n / h)^2 + sigma^2) per unit L2 norm
@@ -65,11 +63,11 @@ class TestHessian:
     def test_symmetric(self):
         p = ModelParams1D().with_d(-0.5)
         state, _ = minimize(seed_state("smectic-seed", p, 16), p)
-        h = hessian(state, p)
+        h = Evaluator(16, p).fd_hessian(state.pack())
         assert np.array_equal(h, h.T)
 
     def test_asymmetry_before_symmetrization(self):
-        # the raw central-difference column matrix, before hessian()
+        # the raw central-difference column matrix, before fd_hessian()
         # symmetrizes it, is symmetric to the finite-difference noise floor
         p = ModelParams1D().with_d(-0.5)
         state, _ = minimize(seed_state("smectic-seed", p, 16), p)
@@ -103,8 +101,7 @@ class TestHessian:
         p = ModelParams1D()
         rng = np.random.default_rng(7)
         rho_s = 0.1 * rng.standard_normal(65) / np.arange(1, 66)
-        state = SpectralState(n=64, h=p.h, theta_c=np.full(66, -0.0), rho_s=rho_s)
-        spectrum(state, p)
+        Evaluator(64, p).fd_hessian(np.concatenate((np.full(66, -0.0), rho_s)))
         assert syntheses == {"theta": 265, "rho": 261}
 
     @pytest.mark.parametrize("kind", ["layered", "untilted", "no-layers"])
@@ -122,7 +119,6 @@ class TestHessian:
             x[: n + 2] = -0.0
         elif kind == "no-layers":
             x[n + 2 :] = -0.0
-        state = SpectralState.from_vector(x, n, p.h)
         delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(x))))
 
         def fresh_gradient(j, step):
@@ -135,7 +131,7 @@ class TestHessian:
             col_1 = (fresh_gradient(j, delta) - fresh_gradient(j, -delta)) / (2.0 * delta)
             col_2 = (fresh_gradient(j, 2.0 * delta) - fresh_gradient(j, -2.0 * delta)) / (4.0 * delta)
             ref[:, j] = (4.0 * col_1 - col_2) / 3.0
-        assert hessian(state, p).tobytes() == (0.5 * (ref + ref.T)).tobytes()
+        assert Evaluator(n, p).fd_hessian(x).tobytes() == (0.5 * (ref + ref.T)).tobytes()
 
 
 class TestExactHessian:
@@ -166,8 +162,9 @@ class TestExactHessian:
     @pytest.mark.parametrize("name", ["trivial", "layered", "tilted", "e=0.05", "k2!=k3"])
     def test_matches_finite_differences(self, states, name):
         state, p = states[name]
-        exact = Evaluator(state.n, p).hessian(state.pack())
-        fd = hessian(state, p)
+        ev = Evaluator(state.n, p)
+        exact = ev.hessian(state.pack())
+        fd = ev.fd_hessian(state.pack())
         assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) < 1e-10
         assert np.array_equal(exact, exact.T)
 
@@ -219,6 +216,17 @@ class TestSpectrum:
             expected = _restricted_analytic(p, n)
             rel = np.abs(report.eigenvalues - expected) / np.maximum(np.abs(expected), 1e-30)
             assert np.max(rel) < 1e-6
+
+    def test_theta_block_matches_analytic_with_distinct_elastic_constants(self):
+        # the twist stiffness of the tilt is k3 sigma^2: at k1 = k2 = k3 the
+        # one-constant form 2 k1 (omega^2 + sigma^2) agrees, here it is 5x off at omega = 0
+        n = 16
+        p = replace(ModelParams1D(), k1=0.01, k2=0.03, k3=0.05, d=1.0)
+        h = Evaluator(n, p).fd_hessian(seed_state("cholesteric", p, n).pack())
+        scale = 1.0 / np.sqrt(gram_diagonal(n, p.h)[: n + 2])
+        numeric = np.linalg.eigvalsh(h[: n + 2, : n + 2] * np.outer(scale, scale))
+        expected = np.sort([m.value for m in analytic_cholesteric_spectrum(p, n + 1) if m.kind == "theta"])
+        assert np.max(np.abs(numeric - expected) / expected) < 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_report_rejects_non_finite_eigenvalues(self, bad):
@@ -402,7 +410,7 @@ class TestSecondVariationTilt:
         n = 16
         t = 0.7
         state = frozen_layer_state(t, 0.0, p, n)
-        h = hessian(state, p)
+        h = Evaluator(n, p).fd_hessian(state.pack())
         grid = default_grid(n, p.h)
         rng = np.random.default_rng(45)
         c = np.zeros(n + 2)
