@@ -347,9 +347,9 @@ def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
 
 
 def reconstruct_director(
-    theta: np.ndarray, g: Grid, params: ModelParams1D
+    theta: np.ndarray, grid: Grid, params: ModelParams1D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Azimuth and director profile (phi, n1, n2, n3) from the tilt samples ``theta`` on grid ``g``.
+    """Azimuth and director profile (phi, n1, n2, n3) from the tilt samples ``theta`` on ``grid``.
 
     phi(z) = int_0^z sigma k2 / (k2 cos^2 theta + k3 sin^2 theta) dzeta with
     phi(0) = 0, integrated spectrally (exact mean plus periodic
@@ -361,11 +361,11 @@ def reconstruct_director(
     c2 = np.cos(theta) ** 2
     s2 = np.sin(theta) ** 2
     integrand = p.sigma * p.k2 / (p.k2 * c2 + p.k3 * s2)
-    band = g.m // 2 - 1
-    coeff = analyze(integrand, "cosine", g, band)
+    band = grid.m // 2 - 1
+    coeff = analyze(integrand, "cosine", grid, band)
     # antiderivative of cos(2 pi k z / h) is (h / 2 pi k) sin(2 pi k z / h)
     k = np.arange(1, band + 1)
-    phi = coeff[0] * g.nodes + synthesize(coeff[1:] * g.h / (TWO_PI * k), "sine", g)
+    phi = coeff[0] * grid.nodes + synthesize(coeff[1:] * grid.h / (TWO_PI * k), "sine", grid)
     n1 = np.cos(phi) * np.cos(theta)
     n2 = np.sin(phi) * np.cos(theta)
     n3 = np.sin(theta)

@@ -152,10 +152,10 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
     Only the "+" branch is relaxed.  The "-" record is the "+" state with rho
     negated: the same energy, convergence flag, Morse index (the Hessian
     there is P H P with P = diag(+-1), which has the same spectrum) and
-    theta_max, and delta_rho_max = -min(rho) read off the "+" samples.  Non-converged points are
-    recorded with ``converged=False``, the mirrored record too; the sweep
-    aborts only when more than ``MAX_FAILURE_FRACTION`` of all records
-    failed to converge.
+    theta_max, and delta_rho_max = -min(rho) read off the "+" samples.
+    Non-converged points are recorded with ``converged=False``, the
+    mirrored record too; the sweep aborts only when more than
+    ``MAX_FAILURE_FRACTION`` of all records failed to converge.
     """
     temps = config.temperatures()
     grid = default_grid(config.n_modes, params.h)
