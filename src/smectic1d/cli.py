@@ -358,7 +358,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     if args.profile:
         from .energy1d import reconstruct_director
 
-        columns = [grid.nodes, theta, rho, *reconstruct_director(theta, grid, p)]
+        columns = [grid.nodes, theta, rho, *reconstruct_director(theta, p)]
         _write_text_atomic(args.profile, _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], columns))
     if not report.converged:
         print("minimization did not reach the gradient tolerance", file=sys.stderr)

@@ -347,9 +347,9 @@ def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
 
 
 def reconstruct_director(
-    theta: np.ndarray, grid: Grid, params: ModelParams1D
+    theta: np.ndarray, params: ModelParams1D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Azimuth and director profile (phi, n1, n2, n3) from the tilt samples ``theta`` on ``grid``.
+    """Azimuth and director profile (phi, n1, n2, n3) from tilt samples on ``Grid(theta.size, h)``.
 
     phi(z) = int_0^z sigma k2 / (k2 cos^2 theta + k3 sin^2 theta) dzeta with
     phi(0) = 0, integrated spectrally (exact mean plus periodic
@@ -358,6 +358,7 @@ def reconstruct_director(
     not synthesize theta again.
     """
     p = params
+    grid = Grid(theta.size, p.h)
     c2 = np.cos(theta) ** 2
     s2 = np.sin(theta) ** 2
     integrand = p.sigma * p.k2 / (p.k2 * c2 + p.k3 * s2)

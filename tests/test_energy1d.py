@@ -417,7 +417,7 @@ class TestDirectorReconstruction:
     def test_trivial_state_gives_helix(self):
         p = ModelParams1D()
         grid = default_grid(64, p.h)
-        phi, n1, n2, n3 = reconstruct_director(seed_state("cholesteric", p, 64).theta_values(grid), grid, p)
+        phi, n1, n2, n3 = reconstruct_director(seed_state("cholesteric", p, 64).theta_values(grid), p)
         z = grid.nodes
         assert np.max(np.abs(phi - p.sigma * z)) < 1e-12
         assert np.max(np.abs(n1 - np.cos(p.sigma * z))) < 1e-12
@@ -428,7 +428,7 @@ class TestDirectorReconstruction:
         p = ModelParams1D()
         state = _single_mode_state(0.0, p, theta0_const=math.pi / 2 - p.theta0)
         grid = default_grid(64, p.h)
-        phi, n1, n2, n3 = reconstruct_director(state.theta_values(grid), grid, p)
+        phi, n1, n2, n3 = reconstruct_director(state.theta_values(grid), p)
         # k2 = k3 makes the azimuth advance uniform even at constant tilt
         assert np.max(np.abs(phi - p.sigma * grid.nodes)) < 1e-10
         assert np.max(np.abs(n3 - math.cos(p.theta0))) < 1e-12
@@ -439,7 +439,7 @@ class TestDirectorReconstruction:
         grid = default_grid(16, p.h)
         for _ in range(10):
             state = SpectralState.from_vector(rng.normal(size=35) * 0.2, 16, p.h)
-            _, n1, n2, n3 = reconstruct_director(state.theta_values(grid), grid, p)
+            _, n1, n2, n3 = reconstruct_director(state.theta_values(grid), p)
             assert np.max(np.abs(n1**2 + n2**2 + n3**2 - 1.0)) < 1e-12
 
     def test_phi_normalized_at_origin(self):
@@ -447,5 +447,5 @@ class TestDirectorReconstruction:
         rng = np.random.default_rng(31)
         state = SpectralState.from_vector(rng.normal(size=35) * 0.2, 16, p.h)
         grid = default_grid(16, p.h)
-        phi, *_ = reconstruct_director(state.theta_values(grid), grid, p)
+        phi, *_ = reconstruct_director(state.theta_values(grid), p)
         assert phi[0] == 0.0
