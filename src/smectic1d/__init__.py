@@ -27,7 +27,7 @@ _EXPORTS = {
             "format_config", "map_to_oseen_frank", "parse_config", "temperature_from_d",
             "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
         ),
-        "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "quadrature", "synthesize"),
+        "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "synthesize"),
         "energy1d": ("EnergyBreakdown", "Evaluator", "energy", "gradient", "reconstruct_director"),
         "minimize": ("DivergenceError", "MinimizeReport", "minimize", "seed_state"),
         "stability": ("StabilityReport", "spectrum"),

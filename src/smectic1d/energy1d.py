@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ModelParams1D
-from .spectral import TWO_PI, Grid, SpectralState, _tables, analyze, default_grid, quadrature, synthesize
+from .spectral import TWO_PI, Grid, SpectralState, _tables, analyze, default_grid, synthesize
 
 __all__ = [
     "EnergyBreakdown",
@@ -371,8 +371,3 @@ def reconstruct_director(
     n2 = np.sin(phi) * np.cos(theta)
     n3 = np.sin(theta)
     return phi, n1, n2, n3
-
-
-def mean_tilt(state: SpectralState, params: ModelParams1D) -> float:
-    """Average tilt (1/h) int_0^h theta dz."""
-    return quadrature(state.theta_values(default_grid(state.n, params.h)), params.h) / params.h

@@ -105,10 +105,8 @@ class OFConstants:
     """Director (splay/twist/bend/saddle-splay) elastic constants.
 
     The constants must satisfy the chain
-    ``k1 = k3 >= k2 >= k2 + k4 > 0 >= k4``.  ``C6_floor`` is the positive
-    lower bound appearing in the coercivity argument, taken at its largest
-    admissible value ``k2 + k4``.  The degenerate boundary ``k4 = 0``
-    (eta24 = eta1) is admitted.
+    ``k1 = k3 >= k2 >= k2 + k4 > 0 >= k4``.  The degenerate boundary
+    ``k4 = 0`` (eta24 = eta1) is admitted.
     """
 
     k1: float
@@ -128,10 +126,6 @@ class OFConstants:
             violations.append(f"k2 + k4 > 0 violated (k2 + k4 = {self.k2 + self.k4})")
         if violations:
             raise ValueError("; ".join(violations))
-
-    @property
-    def C6_floor(self) -> float:
-        return self.k2 + self.k4
 
 
 def director_constants(eta1: float, eta2: float, eta24: float, s_plus: float) -> tuple[float, float, float]:

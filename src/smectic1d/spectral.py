@@ -2,9 +2,8 @@
 
 The tilt angle is expanded in cos(2*k*pi*z/h), k = 0..N+1, and the smectic
 order parameter in sin(2*k*pi*z/h), k = 1..N+1, for an even truncation order
-N (2N+3 coefficients in total).  Synthesis, analysis, differentiation and
-quadrature all use the uniform periodic grid z_j = j*h/M, j = 0..M-1, with
-the endpoint omitted.
+N (2N+3 coefficients in total).  Synthesis and analysis use the uniform
+periodic grid z_j = j*h/M, j = 0..M-1, with the endpoint omitted.
 
 Transforms are dense matrix products; at the working truncation (N = 64)
 they are far from being a bottleneck and keep the code transparent.
@@ -19,9 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-#: Supported derivative orders for synthesis.
-DERIVATIVE_ORDERS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -68,33 +64,22 @@ def _tables(m: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_t, sin_t
 
 
-def synthesize(coeffs: np.ndarray, basis: str, grid: Grid, order: int = 0) -> np.ndarray:
-    """Evaluate sum_k c_k * d^r/dz^r [cos|sin](2*k*pi*z/h) on the grid nodes.
+def synthesize(coeffs: np.ndarray, basis: str, grid: Grid) -> np.ndarray:
+    """Evaluate sum_k c_k [cos|sin](2*k*pi*z/h) on the grid nodes.
 
     For the cosine basis ``coeffs[k]`` multiplies mode k starting at k = 0;
-    for the sine basis mode k starts at k = 1.  Derivative orders 0, 1 and 2
-    are supported; each mode picks up the frequency factor (2*k*pi/h)^r with
-    the standard sign/phase alternation.
+    for the sine basis mode k starts at k = 1.
     """
-    if order not in DERIVATIVE_ORDERS:
-        raise ValueError(f"unsupported derivative order {order}; supported: {DERIVATIVE_ORDERS}")
-    c = np.asarray(coeffs, dtype=float)
+    # always a fresh contiguous array, so the product takes one BLAS path
+    # whatever the layout of the input
+    c = np.array(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError("coefficients must be one-dimensional")
-    if basis not in ("cosine", "sine"):
-        raise ValueError(f"unknown basis {basis!r}")
-    first = 0 if basis == "cosine" else 1
-    cos_t, sin_t = _tables(grid.m, c.size - 1 + first)
-    omega = (TWO_PI / grid.h) * np.arange(first, c.size + first)
-    # even derivative orders keep the basis family, odd orders swap it; the
-    # columns are basic slices so the product runs on the table's own layout
     if basis == "cosine":
-        cols = sin_t if order == 1 else cos_t
-        sign = {0: 1.0, 1: -1.0, 2: -1.0}[order]
-    else:
-        cols = (cos_t if order == 1 else sin_t)[:, 1:]
-        sign = {0: 1.0, 1: 1.0, 2: -1.0}[order]
-    return cols @ (sign * omega**order * c)
+        return _tables(grid.m, c.size - 1)[0] @ c
+    if basis == "sine":
+        return _tables(grid.m, c.size)[1][:, 1:] @ c
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def analyze(values: np.ndarray, basis: str, grid: Grid, nmodes: int) -> np.ndarray:
@@ -118,16 +103,6 @@ def analyze(values: np.ndarray, basis: str, grid: Grid, nmodes: int) -> np.ndarr
     if basis == "sine":
         return (2.0 / grid.m) * (sin_t[:, 1:].T @ v)
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def quadrature(values: np.ndarray, h: float) -> float:
-    """Periodic trapezoidal rule (h/M) * sum(values).
-
-    Spectrally accurate for smooth periodic integrands and exact for
-    trigonometric polynomials below the Nyquist limit.
-    """
-    v = np.asarray(values, dtype=float)
-    return float(v.sum() * (h / v.size))
 
 
 @dataclass(frozen=True)
@@ -176,11 +151,11 @@ class SpectralState:
         """Concatenated coefficient vector (theta_c, rho_s), length 2N+3."""
         return np.concatenate([self.theta_c, self.rho_s])
 
-    def theta_values(self, grid: Grid, order: int = 0) -> np.ndarray:
-        return synthesize(self.theta_c, "cosine", grid, order)
+    def theta_values(self, grid: Grid) -> np.ndarray:
+        return synthesize(self.theta_c, "cosine", grid)
 
-    def rho_values(self, grid: Grid, order: int = 0) -> np.ndarray:
-        return synthesize(self.rho_s, "sine", grid, order)
+    def rho_values(self, grid: Grid) -> np.ndarray:
+        return synthesize(self.rho_s, "sine", grid)
 
     def canonical(self) -> "SpectralState":
         """The representative of this state's tilt class with theta_c[0] in [0, pi/2].

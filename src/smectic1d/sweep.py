@@ -26,7 +26,7 @@ import numpy as np
 # minimize and spectrum are read from their modules at each call: a name bound
 # here while a wrapper sat on them (bench/probe.py) would keep it after removal
 from . import stability
-from .energy1d import Evaluator, mean_tilt
+from .energy1d import Evaluator
 from .minimize import FLOAT_EPS, MinimizeOptions, seed_state
 from .params import ModelParams1D
 from .spectral import SpectralState, default_grid
@@ -104,7 +104,12 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class ElasticRecord:
-    """One elastic-constant point: mean tilt of the relaxed state."""
+    """One elastic-constant point: mean tilt of the relaxed state.
+
+    ``theta_bar`` is the constant cosine coefficient theta_c[0], the mean of
+    theta over the cell: every other cosine mode k <= N+1 sums to zero over
+    the M = 4(N+2) grid nodes.
+    """
 
     value: float
     theta_bar: float
@@ -252,7 +257,8 @@ def elastic_sweep(
 
     Each point sets k1 = k2 = k3 = v (or lambda1 = lambda2 = v), relaxes
     from the fresh ``ELASTIC_SEEDS``, keeps the lowest-energy converged state
-    and records its mean tilt.  Cold starts keep the points independent.
+    and records its mean tilt theta_c[0].  Cold starts keep the points
+    independent.
     """
     if vary not in ("k", "lambda"):
         raise ValueError(f"vary must be 'k' or 'lambda', got {vary!r}")
@@ -270,7 +276,7 @@ def elastic_sweep(
         records.append(
             ElasticRecord(
                 value=float(v),
-                theta_bar=mean_tilt(state, params_v),
+                theta_bar=float(state.theta_c[0]),
                 delta_rho_max=float(np.max(state.rho_values(grid))),
                 energy=energy_val,
                 converged=converged,

@@ -19,6 +19,12 @@ another way, so that a test can compare the two:
 - :func:`f_el_expanded`: the tensor elastic density in its expanded
   arrangement, against the curl form :func:`smectic1d.tensor.f_el`.
 
+Two grid tools serve these routes and the tests' own references:
+:func:`synthesize_derivative`, the first and second z-derivatives of a
+cosine or sine series, and :func:`quadrature`, the trapezoid rule on all M
+nodes.  The library needs neither: its evaluator samples the derivatives
+through its own operators and sums over the half grid.
+
 This module is not a ``test_*`` file, so pytest does not collect it; tests
 import it as ``from crosscheck import ...``.
 """
@@ -33,8 +39,43 @@ import numpy as np
 from smectic1d import Evaluator, ModelParams1D, SpectralState, SweepRecord, d_critical, default_grid
 from smectic1d.energy1d import _check_state
 from smectic1d.minimize import frozen_layer_state
-from smectic1d.spectral import TWO_PI, Grid, analyze, quadrature, synthesize
+from smectic1d.spectral import TWO_PI, Grid, _tables, analyze, synthesize
 from smectic1d.tensor import QGradient, QTensor, tensor_curl, tensor_divergence
+
+# -- grid tools ----------------------------------------------------------------
+
+
+def synthesize_derivative(coeffs: np.ndarray, basis: str, grid: Grid, order: int) -> np.ndarray:
+    """d^r/dz^r of sum_k c_k [cos|sin](2*k*pi*z/h) on the grid nodes, for r = 1 or 2.
+
+    Modes are numbered as in :func:`smectic1d.synthesize`.  Each mode picks up
+    the frequency factor (2*k*pi/h)^r; the first derivative swaps the basis
+    family (cos -> -sin, sin -> cos) and the second keeps it with a minus sign.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"unsupported derivative order {order}; supported: 1, 2")
+    if basis not in ("cosine", "sine"):
+        raise ValueError(f"unknown basis {basis!r}")
+    c = np.asarray(coeffs, dtype=float)
+    first = 0 if basis == "cosine" else 1
+    cos_t, sin_t = _tables(grid.m, c.size - 1 + first)
+    omega = (TWO_PI / grid.h) * np.arange(first, c.size + first)
+    if basis == "cosine":
+        cols, sign = (sin_t if order == 1 else cos_t), -1.0
+    else:
+        cols, sign = (cos_t if order == 1 else sin_t)[:, 1:], (1.0 if order == 1 else -1.0)
+    return cols @ (sign * omega**order * c)
+
+
+def quadrature(values: np.ndarray, h: float) -> float:
+    """Periodic trapezoidal rule (h/M) * sum(values) over all M nodes.
+
+    Spectrally accurate for smooth periodic integrands and exact for
+    trigonometric polynomials below the Nyquist limit.
+    """
+    v = np.asarray(values, dtype=float)
+    return float(v.sum() * (h / v.size))
+
 
 # -- Euler-Lagrange residual -------------------------------------------------
 
@@ -67,11 +108,11 @@ def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray
     g = default_grid(state.n, params.h)
     theta = state.theta_values(g)
     rho = state.rho_values(g)
-    rho_zz = state.rho_values(g, order=2)
+    rho_zz = synthesize_derivative(state.rho_s, "sine", g, 2)
     # the fourth derivative scales sine mode k by omega_k^4 = (2 pi k / h)^4
     omega = (TWO_PI / g.h) * np.arange(1, state.n + 2)
     rho_zzzz = synthesize(omega**4 * state.rho_s, "sine", g)
-    theta_zz = state.theta_values(g, order=2)
+    theta_zz = synthesize_derivative(state.theta_c, "cosine", g, 2)
     q2 = p.q * p.q
     cos2t0 = math.cos(p.theta0) ** 2
     # explicit products, as in Evaluator: numpy's rho**3 is not exactly odd
@@ -86,7 +127,7 @@ def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray
 
     band = g.m // 2 - 1
     prod = sin2 * w_field  # odd in z: sine series
-    prod_zz = synthesize(analyze(prod, "sine", g, band), "sine", g, order=2)
+    prod_zz = synthesize_derivative(analyze(prod, "sine", g, band), "sine", g, 2)
     r_rho = p.d * rho - p.e * rho2 + p.f * rho2 * rho \
         + 2.0 * p.lambda1 * (rho_zzzz + 2.0 * q2 * rho_zz + q2 * q2 * rho) \
         + 2.0 * p.lambda2 * (prod_zz + q2 * cos2t0 * w_field)
@@ -193,7 +234,7 @@ def second_variation_tilt(
     if tb.shape != (grid.m,):
         raise ValueError(f"expected {grid.m} perturbation samples, got {tb.shape}")
     band = grid.m // 2 - 1
-    tb_z = synthesize(analyze(tb, "cosine", grid, band), "cosine", grid, order=1)
+    tb_z = synthesize_derivative(analyze(tb, "cosine", grid, band), "cosine", grid, 1)
     z = grid.nodes
     weight = 2.0 * p.lambda2 * t * t * p.q**4 * np.sin(p.q * z) ** 2 * math.cos(p.theta0) ** 2
     integrand = p.k1 * tb_z**2 + p.k1 * p.sigma**2 * tb**2 - weight * tb**2

@@ -46,6 +46,7 @@ from crosscheck import (
     optimal_constant_tilt,
     pitchfork_exponent,
     second_variation_tilt,
+    synthesize_derivative,
 )
 
 
@@ -349,7 +350,7 @@ def test_criterion_10_symmetry_suite(fig3_params, fig3_sweep):
             vec[(n + 2) + (p.n0 - 1)] = c
             state = SpectralState.from_vector(vec, n, p.h)
             rho = state.rho_values(grid)
-            lap = state.rho_values(grid, order=2)
+            lap = synthesize_derivative(state.rho_s, "sine", grid, 2)
             vals = [tensor.f_layer(r, lr, p.lambda1, p.q) for r, lr in zip(rho, lap)]
             assert max(vals) < 1e-12
         ok = True

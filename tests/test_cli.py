@@ -204,7 +204,7 @@ class TestBatchOutputsUnchanged:
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "69764fc5c1761c5e",
-        "k.csv": "7c0d96c0f16ece28",
+        "k.csv": "96702ab9c1bd9fbb",
         "k.svg": "924da169e351357d",
         "profile.csv": "fd8d571825a74abc",
         "profile.svg": "5ab2fa1d15d98c90",

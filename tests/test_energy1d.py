@@ -11,7 +11,6 @@ from smectic1d import (
     energy,
     gradient,
     minimize,
-    quadrature,
     reconstruct_director,
     seed_state,
     synthesize,
@@ -19,7 +18,7 @@ from smectic1d import (
 from smectic1d.energy1d import _operators
 from smectic1d.spectral import _tables
 
-from crosscheck import el_residual
+from crosscheck import el_residual, quadrature, synthesize_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -254,8 +253,8 @@ class TestHalfGridQuadrature:
         """The functional, cubic term included, by the trapezoid rule on all M nodes of ``default_grid``."""
         grid = default_grid(n, p.h)
         tc, rs = vec[: n + 2], vec[n + 2 :]
-        theta, theta_z = synthesize(tc, "cosine", grid), synthesize(tc, "cosine", grid, 1)
-        rho, rho_zz = synthesize(rs, "sine", grid), synthesize(rs, "sine", grid, 2)
+        theta, theta_z = synthesize(tc, "cosine", grid), synthesize_derivative(tc, "cosine", grid, 1)
+        rho, rho_zz = synthesize(rs, "sine", grid), synthesize_derivative(rs, "sine", grid, 2)
         c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
         density = (
             p.k1 * theta_z**2

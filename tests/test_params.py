@@ -81,7 +81,7 @@ class TestOseenFrankMap:
         assert of.k1 == of.k3 == pytest.approx(1.0)
         assert of.k2 == pytest.approx(1.0)
         assert of.k4 == pytest.approx(-0.25)
-        assert of.C6_floor == pytest.approx(0.75)
+        assert of.k2 + of.k4 == pytest.approx(0.75)
 
     def test_positive_k4_rejected(self):
         with pytest.raises(ValueError, match="k4"):
