@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy1d import Evaluator
+from .energy1d import Evaluator, _check_state
 from .params import SEED_KINDS, MinimizeOptions, ModelParams1D, d_critical
 from .spectral import SpectralState, gram_diagonal
 
@@ -140,10 +140,13 @@ def minimize(
 
     Raises
     ------
+    ValueError
+        If the cell height of ``state0`` is not ``params.h``.
     DivergenceError
         If the energy is non-finite at the starting point or turns
         non-finite in a way backtracking cannot repair.
     """
+    _check_state(state0, params)
     ev = evaluator if evaluator is not None else Evaluator(state0.n, params)
     x = state0.pack()
     e = ev.energy(x)

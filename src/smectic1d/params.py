@@ -281,13 +281,6 @@ def theta_star(t: float, params: ModelParams1D) -> float:
 
 # --- configuration file format ------------------------------------------------
 
-_FLOAT_KEYS = (
-    "k1", "k2", "k3", "sigma", "q", "h", "d", "e", "f",
-    "lambda1", "lambda2", "theta0", "alpha2", "T2star", "tol_grad",
-)
-_INT_KEYS = ("N", "max_iters")
-CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
-
 
 @dataclass(frozen=True)
 class MinimizeOptions:
@@ -321,6 +314,16 @@ class RunConfig:
             raise ParamError(f"N must be an even integer >= 2, got {self.n_modes}", "N")
 
 
+#: Each config key, in the order ``format_config`` writes them, with the type
+#: its value parses to (that of the field's default): the fields of
+#: ModelParams1D, then N, then the fields of MinimizeOptions.
+_CONFIG_TYPES = {
+    **{f.name: type(f.default) for f in fields(ModelParams1D)},
+    "N": int,
+    **{f.name: type(f.default) for f in fields(MinimizeOptions)},
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines into a :class:`RunConfig`.
 
@@ -340,19 +343,16 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         lines[key] = lineno
         try:
-            if key in _INT_KEYS:
-                seen[key] = int(value)
-            else:
-                seen[key] = float(value)
+            seen[key] = _CONFIG_TYPES[key](value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
-    param_kw = {k: v for k, v in seen.items() if k in _FLOAT_KEYS and k != "tol_grad"}
+    param_kw = {f.name: seen[f.name] for f in fields(ModelParams1D) if f.name in seen}
     options = {f.name: seen[f.name] for f in fields(MinimizeOptions) if f.name in seen}
     try:
         config = RunConfig(params=ModelParams1D(**param_kw), **({"n_modes": seen["N"]} if "N" in seen else {}))
@@ -367,9 +367,8 @@ def format_config(config: RunConfig) -> str:
 
     ``parse_config(format_config(c))`` reproduces ``c`` exactly.
     """
-    p = config.params
-    lines = [f"{key} = {getattr(p, key):.17g}" for key in _FLOAT_KEYS if key != "tol_grad"]
-    lines.append(f"N = {config.n_modes}")
-    lines.append(f"tol_grad = {config.options.tol_grad:.17g}")
-    lines.append(f"max_iters = {config.options.max_iters}")
-    return "\n".join(lines) + "\n"
+    values = {**vars(config.params), "N": config.n_modes, **vars(config.options)}
+    return "".join(
+        f"{key} = {values[key]:.17g}\n" if kind is float else f"{key} = {values[key]}\n"
+        for key, kind in _CONFIG_TYPES.items()
+    )

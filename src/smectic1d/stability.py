@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy1d import Evaluator
+from .energy1d import Evaluator, _check_state
 from .params import ModelParams1D
 from .spectral import SpectralState, gram_diagonal
 
@@ -63,8 +63,10 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     Eigenvalues are Rayleigh quotients per unit L2 norm: the generalized
     problem H v = mu G v with the finite-difference coefficient Hessian H of
     :meth:`Evaluator.fd_hessian` and the diagonal Gram matrix G of the basis.
-    ``eigvalsh`` returns them ascending.
+    ``eigvalsh`` returns them ascending.  A state whose cell height is not
+    ``params.h`` raises ValueError.
     """
+    _check_state(state, params)
     h_mat = Evaluator(state.n, params).fd_hessian(state.pack())
     scale = 1.0 / np.sqrt(gram_diagonal(state.n, state.h))
     normalized = h_mat * np.outer(scale, scale)

@@ -21,6 +21,12 @@ from smectic1d import (
 )
 from smectic1d.minimize import MEMORY
 
+#: A set that breaks the default coincidences q = sigma, k1 = k2 = k3, n0 = 4
+#: and lambda1 = lambda2 (here n0 = 6).
+OFF_DEFAULT = ModelParams1D(
+    q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002, lambda2=0.0007
+)
+
 
 class _Recording(Evaluator):
     """Records the energy at every gradient call: the accepted energies."""
@@ -94,6 +100,18 @@ class TestMinimize:
         assert amp == pytest.approx(oracle, rel=0.05)
         assert float(np.max(np.abs(state.theta_values(grid)))) < 1e-3
         assert report.final_energy < -p.k2 * p.sigma**2 * p.h
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3])
+    def test_layered_minimizer_off_the_default_point(self, gap):
+        # just below the pitchfork d0 the amplitude is sqrt(4 (d0 - d) / (3 f))
+        # up to a relative O(d0 - d): here 5.2e-6 and 4.8e-7 at N = 32
+        p = OFF_DEFAULT.with_d(d_critical(OFF_DEFAULT) - gap)
+        state, report = minimize(seed_state("smectic-seed", p, 32), p)
+        assert report.converged
+        grid = default_grid(32, p.h)
+        amp = float(np.max(state.rho_values(grid)))
+        assert amp == pytest.approx(math.sqrt(4.0 * gap / (3.0 * p.f)), rel=1e-4)
+        assert float(np.max(np.abs(state.theta_values(grid)))) < 1e-9
 
     def test_mirrored_seed_gives_equal_energy(self):
         p = ModelParams1D().with_d(-0.5)
@@ -175,6 +193,12 @@ class TestMinimize:
         assert report.converged
         assert report.iterations <= 200
         assert ev.energy_calls <= 170
+
+    def test_rejects_a_state_of_another_cell_height(self):
+        # relaxed on the 2 pi model, an h = pi state would come back labelled h = pi
+        state0 = seed_state("smectic-seed", ModelParams1D(h=math.pi), 16)
+        with pytest.raises(ValueError, match="cell height"):
+            minimize(state0, ModelParams1D())
 
     def test_max_iters_reports_not_converged(self):
         p = ModelParams1D().with_d(-0.5)

@@ -188,6 +188,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="tol_grad must be finite"):
             pm.parse_config(f"tol_grad = {value}")
 
+    @pytest.mark.parametrize("key", ["N", "max_iters"])
+    def test_integer_key_rejects_a_float(self, key):
+        with pytest.raises(ValueError, match=f"config line 1: bad value for '{key}': '2.0'"):
+            pm.parse_config(f"{key} = 2.0")
+
+    def test_format_writes_every_key_in_order(self):
+        text = pm.format_config(pm.RunConfig())
+        assert [line.partition(" = ")[0] for line in text.splitlines()] == [
+            "k1", "k2", "k3", "sigma", "q", "h", "d", "e", "f", "lambda1", "lambda2", "theta0", "alpha2", "T2star",
+            "N", "tol_grad", "max_iters",
+        ]
+        assert "\nN = 64\n" in text and text.endswith("\nmax_iters = 1000000\n")
+
     def test_round_trip_exact(self):
         config = pm.RunConfig(params=pm.ModelParams1D(d=-0.37, k1=0.013, k2=0.013, k3=0.013), n_modes=48)
         assert pm.parse_config(pm.format_config(config)) == config

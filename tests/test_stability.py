@@ -209,15 +209,30 @@ class TestSpectrum:
         assert report.min_eigenvalue >= -1e-8
 
     def test_matches_analytic_at_trivial_state(self):
-        # the last set separates k1, k2 and k3: the twist stiffness of the tilt
-        # is k3 sigma^2, where the one-constant form 2 k1 (omega^2 + sigma^2) is 0.8 off
+        # the third set separates k1, k2 and k3: the twist stiffness of the tilt
+        # is k3 sigma^2, where the one-constant form 2 k1 (omega^2 + sigma^2) is 0.8 off;
+        # the last two also take q != sigma, n0 = 6 and lambda1 != lambda2 just
+        # above and below the layering onset d0, which the spectrum must place
         n = 32
         base = ModelParams1D()
-        for p in (base.with_d(-0.2), base.with_d(-0.5), replace(base, k1=0.01, k2=0.03, k3=0.05, d=1.0)):
+        off = replace(base, q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002,
+                      lambda2=0.0007)
+        d0 = d_critical(off)
+        onset = {off.with_d(d0 + 1e-3): 0, off.with_d(d0 - 1e-3): 1}
+        for p in (base.with_d(-0.2), base.with_d(-0.5), replace(base, k1=0.01, k2=0.03, k3=0.05, d=1.0), *onset):
             report = spectrum(seed_state("cholesteric", p, n), p)
             expected = _restricted_analytic(p, n)
             rel = np.abs(report.eigenvalues - expected) / np.maximum(np.abs(expected), 1e-30)
             assert np.max(rel) < 1e-6
+            if p in onset:
+                assert report.morse_index == onset[p]
+                assert report.min_eigenvalue == pytest.approx(p.d - d0, abs=1e-12)
+
+    def test_rejects_a_state_of_another_cell_height(self):
+        # the Gram of the h = pi state would mass-normalize the 2 pi model's Hessian
+        state = seed_state("smectic-seed", ModelParams1D(h=math.pi), 16)
+        with pytest.raises(ValueError, match="cell height"):
+            spectrum(state, ModelParams1D())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_report_rejects_non_finite_eigenvalues(self, bad):
