@@ -234,7 +234,8 @@ def d_critical(params: ModelParams1D) -> float:
     """Pitchfork location d0 = -2 lambda2 q^4 cos^4(theta0).
 
     For d above d0 the trivial state is a stable critical point; below d0 it
-    loses stability to the layered (helical smectic) branch.
+    loses stability to the layered (helical smectic) branch.  It holds for
+    any k1, k2, k3 and sigma: at theta = 0 no layer mode couples to the tilt.
     """
     return -2.0 * params.lambda2 * params.q**4 * math.cos(params.theta0) ** 4
 
@@ -246,7 +247,7 @@ def tilt_thresholds(params: ModelParams1D) -> tuple[float, float]:
     stable for t < t1 = sqrt(k1 sigma^2 / (2 lambda2 q^4 cos^2 theta0))
     (pointwise bound) and unstable for t > t2 =
     sqrt(2 q h k1 sigma^2 / ((2 q h - sin(2 q h)) lambda2 q^4 cos^2 theta0))
-    (constant perturbation).  Assumes k1 = k2 = k3.  Both thresholds are
+    (constant perturbation).  Both hold for k1 = k2 = k3 only, and both are
     +inf when lambda2 = 0.
     """
     p = params
@@ -265,7 +266,7 @@ def theta_star(t: float, params: ModelParams1D) -> float:
     arcsin sqrt(max(cos^2 theta0
                     - k1 h sigma^2 / (lambda2 t^2 q^4 (h - sin(2 q h)/(2 q))), 0));
     zero at t = 0 by the limit convention and saturating at pi/2 - theta0 as
-    t grows.  Assumes k1 = k2 = k3.
+    t grows.  It holds for k1 = k2 = k3 only.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")

@@ -104,12 +104,7 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class ElasticRecord:
-    """One elastic-constant point: mean tilt of the relaxed state.
-
-    ``theta_bar`` is the constant cosine coefficient theta_c[0], the mean of
-    theta over the cell: every other cosine mode k <= N+1 sums to zero over
-    the M = 4(N+2) grid nodes.
-    """
+    """One elastic-constant point: mean tilt theta_c[0] of the relaxed state (the other cosine modes average to 0)."""
 
     value: float
     theta_bar: float

@@ -25,6 +25,9 @@ cosine or sine series, and :func:`quadrature`, the trapezoid rule on all M
 nodes.  The library needs neither: its evaluator samples the derivatives
 through its own operators and sums over the half grid.
 
+It also holds :data:`OFF_DEFAULT`, the parameter set at which the tests run
+these routes away from the default point.
+
 This module is not a ``test_*`` file, so pytest does not collect it; tests
 import it as ``from crosscheck import ...``.
 """
@@ -41,6 +44,11 @@ from smectic1d.energy1d import _check_state
 from smectic1d.minimize import frozen_layer_state
 from smectic1d.spectral import TWO_PI, Grid, _tables, analyze, synthesize
 from smectic1d.tensor import QGradient, QTensor, tensor_curl, tensor_divergence
+
+#: Model coefficients that break the default coincidences q = sigma,
+#: k1 = k2 = k3, n0 = 4 and lambda1 = lambda2 (here n0 = 6), so that a term
+#: with q and sigma, or k2 and k3, swapped does not match a reference.
+OFF_DEFAULT = dict(q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002, lambda2=0.0007)
 
 # -- grid tools ----------------------------------------------------------------
 

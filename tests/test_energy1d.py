@@ -18,7 +18,7 @@ from smectic1d import (
 from smectic1d.energy1d import _operators
 from smectic1d.spectral import _tables
 
-from crosscheck import el_residual, quadrature, synthesize_derivative
+from crosscheck import OFF_DEFAULT, el_residual, quadrature, synthesize_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,11 +233,6 @@ class TestSymmetries:
 class TestHalfGridQuadrature:
     """The evaluator sums over nodes 0 ... M/2; a reference sums over all M nodes."""
 
-    #: A set that breaks the default coincidences q = sigma, k1 = k2 = k3,
-    #: n0 = 4 and lambda1 = lambda2 (here n0 = 6), so that a term with q and
-    #: sigma, or k2 and k3, swapped does not match the reference.
-    OFF_DEFAULT = dict(q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002, lambda2=0.0007)
-
     @staticmethod
     def _vectors(n: int) -> list[np.ndarray]:
         """A tilted and an untilted layered vector with amplitudes 0.3/(1+k), as in criterion 08."""
@@ -269,7 +264,7 @@ class TestHalfGridQuadrature:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("e", [0.0, 0.5])
     def test_energy_matches_the_full_grid_sum(self, n, e):
-        for p in (ModelParams1D(d=-0.8, e=e), ModelParams1D(d=-0.8, e=e, **self.OFF_DEFAULT)):
+        for p in (ModelParams1D(d=-0.8, e=e), ModelParams1D(d=-0.8, e=e, **OFF_DEFAULT)):
             ev = Evaluator(n, p)
             for vec in self._vectors(n):
                 assert ev.energy(vec) == pytest.approx(self._full_grid_energy(vec, n, p), rel=1e-13, abs=0.0)
@@ -278,7 +273,7 @@ class TestHalfGridQuadrature:
     def test_gradient_matches_finite_differences(self, n):
         # the check of criterion 08: central differences of the energy, eps = 1e-6
         eps = 1e-6
-        for p in (ModelParams1D(), ModelParams1D(**self.OFF_DEFAULT)):
+        for p in (ModelParams1D(), ModelParams1D(**OFF_DEFAULT)):
             ev = Evaluator(n, p)
             for vec in self._vectors(n):
                 g = ev.gradient(vec)

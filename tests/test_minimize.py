@@ -21,11 +21,7 @@ from smectic1d import (
 )
 from smectic1d.minimize import MEMORY
 
-#: A set that breaks the default coincidences q = sigma, k1 = k2 = k3, n0 = 4
-#: and lambda1 = lambda2 (here n0 = 6).
-OFF_DEFAULT = ModelParams1D(
-    q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002, lambda2=0.0007
-)
+from crosscheck import OFF_DEFAULT
 
 
 class _Recording(Evaluator):
@@ -105,7 +101,8 @@ class TestMinimize:
     def test_layered_minimizer_off_the_default_point(self, gap):
         # just below the pitchfork d0 the amplitude is sqrt(4 (d0 - d) / (3 f))
         # up to a relative O(d0 - d): here 5.2e-6 and 4.8e-7 at N = 32
-        p = OFF_DEFAULT.with_d(d_critical(OFF_DEFAULT) - gap)
+        off = ModelParams1D(**OFF_DEFAULT)
+        p = off.with_d(d_critical(off) - gap)
         state, report = minimize(seed_state("smectic-seed", p, 32), p)
         assert report.converged
         grid = default_grid(32, p.h)

@@ -21,7 +21,13 @@ from smectic1d.spectral import gram_diagonal
 from smectic1d.minimize import frozen_layer_state
 from smectic1d.energy1d import HESSIAN_FD_STEP
 
-from crosscheck import analytic_cholesteric_spectrum, morse_index_analytic, optimal_constant_tilt, second_variation_tilt
+from crosscheck import (
+    OFF_DEFAULT,
+    analytic_cholesteric_spectrum,
+    morse_index_analytic,
+    optimal_constant_tilt,
+    second_variation_tilt,
+)
 
 
 def _bulk_offset(p: ModelParams1D) -> float:
@@ -215,8 +221,7 @@ class TestSpectrum:
         # above and below the layering onset d0, which the spectrum must place
         n = 32
         base = ModelParams1D()
-        off = replace(base, q=6.0, sigma=2.5, k1=0.01, k2=0.03, k3=0.05, theta0=math.pi / 7, lambda1=0.002,
-                      lambda2=0.0007)
+        off = ModelParams1D(**OFF_DEFAULT)
         d0 = d_critical(off)
         onset = {off.with_d(d0 + 1e-3): 0, off.with_d(d0 - 1e-3): 1}
         for p in (base.with_d(-0.2), base.with_d(-0.5), replace(base, k1=0.01, k2=0.03, k3=0.05, d=1.0), *onset):
