@@ -32,7 +32,7 @@ _EXPORTS = {
         "minimize": ("DivergenceError", "MinimizeReport", "minimize", "seed_state"),
         "stability": ("StabilityReport", "spectrum"),
         "sweep": (
-            "ElasticRecord", "SweepConfig", "SweepError", "SweepRecord", "detect_transitions",
+            "ElasticRecord", "SweepError", "SweepRecord", "cooling_grid", "detect_transitions",
             "elastic_sweep", "sweep_temperature",
         ),
     }.items()

@@ -404,28 +404,18 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # checked before any solve: detect_transitions would reject both only
-    # after the whole sweep had run
-    if args.t_end > args.t_start:
-        raise ValueError("sweeps run cooling only: --t-end must not exceed --t-start")
+    from .sweep import cooling_grid, detect_transitions, sweep_temperature
+
+    # checked before any solve: detect_transitions would reject a bad
+    # threshold only after the whole sweep had run
+    temperatures = cooling_grid(args.t_start, args.t_end, args.dt)
     if not math.isfinite(args.eps_detect):
         raise ValueError(f"--eps-detect must be finite, got {args.eps_detect}")
     if not args.eps_detect > 0:
         raise ValueError(f"--eps-detect must be positive, got {args.eps_detect}")
     _check_output_path(args.out)
-    from .sweep import SweepConfig, detect_transitions, sweep_temperature
-
     config = _load_config(args)
-    sweep_config = SweepConfig(
-        t_start=args.t_start,
-        t_end=args.t_end,
-        dt=args.dt,
-        record_morse=args.record_morse,
-        cold_start=args.cold_start,
-        n_modes=config.n_modes,
-        options=config.options,
-    )
-    records = sweep_temperature(config.params, sweep_config)
+    records = sweep_temperature(config, temperatures, record_morse=args.record_morse, cold_start=args.cold_start)
     header = ["T", "d", "branch", "delta_rho_max", "theta_max", "energy", "morse_index"]
     _write_text_atomic(args.out, _csv_text(header, [[getattr(r, c) for r in records] for c in header]))
     t_chs, t_hssc = detect_transitions(records, args.eps_detect)
@@ -442,7 +432,7 @@ def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("no values supplied")
-    records = elastic_sweep(config.params, values, args.vary, n_modes=config.n_modes, options=config.options)
+    records = elastic_sweep(config, values, args.vary)
     header = ["value", "theta_bar", "delta_rho_max", "energy"]
     _write_text_atomic(args.out, _csv_text(header, [[getattr(r, c) for r in records] for c in header]))
     return 0

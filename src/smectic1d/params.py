@@ -244,19 +244,20 @@ def tilt_thresholds(params: ModelParams1D) -> tuple[float, float]:
     """Stability window (t1, t2) of the untilted state at frozen layering.
 
     With the layer profile frozen at t*sin(q z), the untilted state is
-    stable for t < t1 = sqrt(k1 sigma^2 / (2 lambda2 q^4 cos^2 theta0))
+    stable for t < t1 = sqrt(k3 sigma^2 / (2 lambda2 q^4 cos^2 theta0))
     (pointwise bound) and unstable for t > t2 =
-    sqrt(2 q h k1 sigma^2 / ((2 q h - sin(2 q h)) lambda2 q^4 cos^2 theta0))
-    (constant perturbation).  Both hold for k1 = k2 = k3 only, and both are
-    +inf when lambda2 = 0.
+    sqrt(2 q h k3 sigma^2 / ((2 q h - sin(2 q h)) lambda2 q^4 cos^2 theta0))
+    (constant perturbation).  Both hold for any k1, k2, k3: to second order
+    in theta the chiral term is -k2 sigma^2 + k3 sigma^2 theta^2, and a
+    constant tilt has no theta_z term.  Both are +inf when lambda2 = 0.
     """
     p = params
     denom = p.lambda2 * p.q**4 * math.cos(p.theta0) ** 2
     if denom == 0:
         return math.inf, math.inf
-    t1 = math.sqrt(p.k1 * p.sigma**2 / (2.0 * denom))
+    t1 = math.sqrt(p.k3 * p.sigma**2 / (2.0 * denom))
     qh2 = 2.0 * p.q * p.h
-    t2 = math.sqrt(qh2 * p.k1 * p.sigma**2 / ((qh2 - math.sin(qh2)) * denom))
+    t2 = math.sqrt(qh2 * p.k3 * p.sigma**2 / ((qh2 - math.sin(qh2)) * denom))
     return t1, t2
 
 
@@ -264,17 +265,21 @@ def theta_star(t: float, params: ModelParams1D) -> float:
     """Optimal constant tilt against the frozen layer profile t*sin(q z).
 
     arcsin sqrt(max(cos^2 theta0
-                    - k1 h sigma^2 / (lambda2 t^2 q^4 (h - sin(2 q h)/(2 q))), 0));
+                    - k3 h sigma^2 / (lambda2 t^2 q^4 (h - sin(2 q h)/(2 q))), 0));
     zero at t = 0 by the limit convention and saturating at pi/2 - theta0 as
-    t grows.  It holds for k1 = k2 = k3 only.
+    t grows.  It is exact for k2 = k3, where the chiral term is
+    -k3 sigma^2 cos^2 theta, and raises ValueError otherwise: at a finite
+    tilt the chiral term then has no closed-form minimizer.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     p = params
+    if p.k2 != p.k3:
+        raise ValueError(f"theta_star needs k2 = k3, got k2 = {p.k2}, k3 = {p.k3}")
     if t == 0 or p.lambda2 == 0:
         return 0.0
     eff_h = p.h - math.sin(2.0 * p.q * p.h) / (2.0 * p.q)
-    arg = math.cos(p.theta0) ** 2 - p.k1 * p.h * p.sigma**2 / (p.lambda2 * t * t * p.q**4 * eff_h)
+    arg = math.cos(p.theta0) ** 2 - p.k3 * p.h * p.sigma**2 / (p.lambda2 * t * t * p.q**4 * eff_h)
     if arg <= 0:
         return 0.0
     return math.asin(math.sqrt(arg))
@@ -304,7 +309,7 @@ class MinimizeOptions:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parameter set plus the discretization and solver settings from a config file."""
+    """The run settings, which both sweeps take whole: parameters, truncation order N, solver options."""
 
     params: ModelParams1D = ModelParams1D()
     n_modes: int = 64

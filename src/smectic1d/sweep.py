@@ -1,19 +1,21 @@
 """Temperature and elastic-constant sweeps with transition detection.
 
-A temperature sweep walks a T grid (physically: cooling), sets
-d = alpha2*(T - T2star) at each point, minimizes from the previous converged
-state (warm start) plus fresh seeds, and keeps the lowest-energy converged
-result.  The sweep has two branches, the two signs of the layer pitchfork,
-rho and -rho.  The energy is even in rho: rho is a sine series, odd in z, so
-the cubic term e rho^3 integrates to zero over the cell; the evaluator omits
-it, so the energy does not depend on e at all.  So only the "+" branch is
-relaxed, and the "-" branch, read off it as its mirror image, is bit for bit
-what relaxing the "-" seed gives, at every e.  Transitions are read off the
-amplitude records: the layering onset from delta_rho_max, the tilt onset
-from theta_max, both refined by linear interpolation of the squared
-amplitude (the pitchfork normal form makes amplitude^2 linear in T).  The
-fit of the pitchfork exponent itself, which checks that law on a sweep, is
-test code in ``tests/crosscheck.py``.
+Both sweeps take the run settings whole, a :class:`RunConfig` (parameters,
+truncation order N, solver options), and a list of values.  A temperature
+sweep walks a list of temperatures, in the CLI the cooling grid of
+:func:`cooling_grid`.  At each point it sets d = alpha2*(T - T2star),
+minimizes from the previous converged state (warm start) plus fresh seeds,
+and keeps the lowest-energy converged result.  The sweep has two branches,
+the two signs of the layer pitchfork, rho and -rho.  The energy is even in
+rho: rho is a sine series, odd in z, so the cubic term e rho^3 integrates to
+zero over the cell; the evaluator omits it, so the energy does not depend on
+e at all.  So only the "+" branch is relaxed, and the "-" branch, read off
+it as its mirror image, is bit for bit what relaxing the "-" seed gives, at
+every e.  Transitions are read off the amplitude records: the layering
+onset from delta_rho_max, the tilt onset from theta_max, both refined by
+linear interpolation of the squared amplitude (the pitchfork normal form
+makes amplitude^2 linear in T).  The fit of the pitchfork exponent itself,
+which checks that law on a sweep, is test code in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import numpy as np
 from . import stability
 from .energy1d import Evaluator
 from .minimize import FLOAT_EPS, MinimizeOptions, seed_state
-from .params import ModelParams1D
+from .params import ModelParams1D, RunConfig
 from .spectral import SpectralState, default_grid
 
 __all__ = [
-    "SweepConfig",
+    "cooling_grid",
     "SweepRecord",
     "SweepError",
     "ElasticRecord",
@@ -55,37 +57,23 @@ class SweepError(RuntimeError):
     """Raised when too many points of a sweep fail to converge."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Temperature grid and solver policy for a sweep.
+def cooling_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The temperatures t_start, t_start - |dt|, ... down to t_end, the grid of a cooling sweep.
 
-    Every temperature relaxes the warm start (unless ``cold_start``) and the
-    fresh ``SWEEP_SEEDS`` on the "+" pitchfork branch; the "-" branch is its
-    mirror image.  The amplitude threshold that separates phase labels is
-    not part of the sweep: :func:`detect_transitions` takes it.
+    Each value must be finite, dt nonzero and t_end at most t_start (equal
+    values give one point), and the grid must have a finite point count.
     """
-
-    t_start: float
-    t_end: float
-    dt: float
-    record_morse: bool = False
-    cold_start: bool = False
-    n_modes: int = 64
-    options: MinimizeOptions = MinimizeOptions()
-
-    def __post_init__(self) -> None:
-        for name in ("t_start", "t_end", "dt"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt == 0:
-            raise ValueError("dt must be nonzero")
-
-    def temperatures(self) -> np.ndarray:
-        span = self.t_end - self.t_start
-        step = math.copysign(abs(self.dt), span if span != 0 else 1.0)
-        count = int(math.floor(abs(span) / abs(step) + 1e-9)) + 1
-        return self.t_start + step * np.arange(count)
+    for name, value in (("t_start", t_start), ("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
+    if t_end > t_start:
+        raise ValueError(f"sweeps run cooling only: t_end = {t_end} must not exceed t_start = {t_start}")
+    steps = (t_start - t_end) / abs(dt)
+    if not math.isfinite(steps):
+        raise ValueError(f"t_start = {t_start} to t_end = {t_end} in steps of dt = {dt} has no finite point count")
+    return t_start - abs(dt) * np.arange(int(math.floor(steps + 1e-9)) + 1)
 
 
 @dataclass(frozen=True)
@@ -145,31 +133,42 @@ def _relax(
     return best[2], best[1], best[0]
 
 
-def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepRecord]:
-    """Cooling sweep over both pitchfork branches.
+def _check_failures(records: list, sweep: str) -> None:
+    """Raise SweepError when more than ``MAX_FAILURE_FRACTION`` of the records did not converge."""
+    failures = sum(not r.converged for r in records)
+    if failures > MAX_FAILURE_FRACTION * len(records):
+        raise SweepError(f"{failures} of {len(records)} {sweep} points failed to converge")
 
-    Returns records ordered as the temperature grid, one per (T, branch).
-    Only the "+" branch is relaxed.  The "-" record is the "+" state with rho
-    negated: the same energy, convergence flag, Morse index (the Hessian
-    there is P H P with P = diag(+-1), which has the same spectrum) and
-    theta_max, and delta_rho_max = -min(rho) read off the "+" samples.
-    Non-converged points are recorded with ``converged=False``, the
-    mirrored record too; the sweep aborts only when more than
-    ``MAX_FAILURE_FRACTION`` of all records failed to converge.
+
+def sweep_temperature(
+    config: RunConfig, temperatures: np.ndarray | list[float], *, record_morse: bool = False, cold_start: bool = False
+) -> list[SweepRecord]:
+    """Sweep both pitchfork branches over ``temperatures``, in their order.
+
+    Returns records ordered as the temperatures, one per (T, branch).  Every
+    temperature relaxes the warm start, the last converged state (unless
+    ``cold_start``), and the fresh ``SWEEP_SEEDS`` on the "+" branch only.
+    The "-" record is the "+" state with rho negated: the same energy,
+    convergence flag, Morse index (the Hessian there is P H P with
+    P = diag(+-1), which has the same spectrum) and theta_max, and
+    delta_rho_max = -min(rho) read off the "+" samples.  Non-converged
+    points are recorded with ``converged=False``, the mirrored record too;
+    the sweep aborts only when more than ``MAX_FAILURE_FRACTION`` of all
+    records failed to converge.
     """
-    temps = config.temperatures()
-    grid = default_grid(config.n_modes, params.h)
+    params, n_modes = config.params, config.n_modes
+    grid = default_grid(n_modes, params.h)
     records: list[SweepRecord] = []
     warm: SpectralState | None = None
-    for t_val in temps:
+    for t_val in temperatures:
         params_t = params.at_temperature(float(t_val))
-        evaluator = Evaluator(config.n_modes, params_t)
+        evaluator = Evaluator(n_modes, params_t)
         candidates: list[SpectralState] = []
-        if not config.cold_start and warm is not None:
+        if not cold_start and warm is not None:
             candidates.append(warm)
-        candidates.extend(seed_state(kind, params_t, config.n_modes) for kind in SWEEP_SEEDS)
+        candidates.extend(seed_state(kind, params_t, n_modes) for kind in SWEEP_SEEDS)
         state, energy_val, converged = _relax(candidates, params_t, config.options, evaluator)
-        morse = stability.spectrum(state, params_t).morse_index if config.record_morse else None
+        morse = stability.spectrum(state, params_t).morse_index if record_morse else None
         if converged:
             warm = state
         rho = state.rho_values(grid)
@@ -188,9 +187,7 @@ def sweep_temperature(params: ModelParams1D, config: SweepConfig) -> list[SweepR
                     converged=converged,
                 )
             )
-    failures = sum(not r.converged for r in records)
-    if failures > MAX_FAILURE_FRACTION * len(records):
-        raise SweepError(f"{failures} of {len(records)} sweep points failed to converge")
+    _check_failures(records, "sweep")
     return records
 
 
@@ -241,14 +238,8 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     return t_chs, t_hssc
 
 
-def elastic_sweep(
-    params: ModelParams1D,
-    values: list[float],
-    vary: str,
-    n_modes: int = 64,
-    options: MinimizeOptions = MinimizeOptions(),
-) -> list[ElasticRecord]:
-    """Sweep the nematic (vary="k") or smectic (vary="lambda") elastic constants.
+def elastic_sweep(config: RunConfig, values: list[float], vary: str) -> list[ElasticRecord]:
+    """Sweep the nematic (vary="k") or smectic (vary="lambda") elastic constants of ``config.params``.
 
     Each point sets k1 = k2 = k3 = v (or lambda1 = lambda2 = v), relaxes
     from the fresh ``ELASTIC_SEEDS``, keeps the lowest-energy converged state
@@ -257,6 +248,7 @@ def elastic_sweep(
     """
     if vary not in ("k", "lambda"):
         raise ValueError(f"vary must be 'k' or 'lambda', got {vary!r}")
+    params, n_modes = config.params, config.n_modes
     # build (and so validate) every parameter set before the first relaxation
     if vary == "k":
         points = [replace(params, k1=v, k2=v, k3=v) for v in values]
@@ -267,7 +259,7 @@ def elastic_sweep(
     for v, params_v in zip(values, points):
         evaluator = Evaluator(n_modes, params_v)
         candidates = [seed_state(kind, params_v, n_modes) for kind in ELASTIC_SEEDS]
-        state, energy_val, converged = _relax(candidates, params_v, options, evaluator)
+        state, energy_val, converged = _relax(candidates, params_v, config.options, evaluator)
         records.append(
             ElasticRecord(
                 value=float(v),
@@ -277,8 +269,5 @@ def elastic_sweep(
                 converged=converged,
             )
         )
-    failures = sum(not r.converged for r in records)
-    if failures > MAX_FAILURE_FRACTION * len(records):
-        raise SweepError(f"{failures} of {len(records)} elastic-sweep points failed to converge")
+    _check_failures(records, "elastic-sweep")
     return records
-

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import smectic1d
-from smectic1d import ModelParams1D, SweepConfig, sweep_temperature
+from smectic1d import ModelParams1D, RunConfig, cooling_grid, sweep_temperature
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +27,7 @@ def fig3_sweep(fig3_params):
 
     T from -9.5 down to -11.5 in steps of 0.02, warm-started, both branches.
     """
-    config = SweepConfig(t_start=-9.5, t_end=-11.5, dt=0.02)
-    return sweep_temperature(fig3_params, config)
+    return sweep_temperature(RunConfig(fig3_params), cooling_grid(-9.5, -11.5, 0.02))
 
 
 @pytest.fixture(scope="session")
@@ -49,5 +48,4 @@ def tilt_sweep(tilt_params):
     (T ~ -20.95) where the untilted branch is already a saddle in rho, so an
     onset there would compare saddles, not phases.
     """
-    config = SweepConfig(t_start=-11.5, t_end=-11.7, dt=0.05, record_morse=True)
-    return sweep_temperature(tilt_params, config)
+    return sweep_temperature(RunConfig(tilt_params), cooling_grid(-11.5, -11.7, 0.05), record_morse=True)

@@ -228,12 +228,13 @@ def second_variation_tilt(
 ) -> float:
     """Second variation of the energy in a tilt direction at frozen layering.
 
-    2 * int_0^h  k1 theta_bar_z^2 + k1 sigma^2 theta_bar^2
+    2 * int_0^h  k1 theta_bar_z^2 + k3 sigma^2 theta_bar^2
                  - 2 lambda2 t^2 q^4 sin^2(q z) cos^2(theta0) theta_bar^2  dz
 
     for the untilted state with layer profile t*sin(q z); ``theta_bar`` is a
-    perturbation sampled on ``grid`` (differentiated spectrally).  Assumes
-    k1 = k2 = k3.
+    perturbation sampled on ``grid`` (differentiated spectrally).  It holds
+    for any k1, k2, k3: to second order in theta the chiral term is
+    -k2 sigma^2 + k3 sigma^2 theta^2.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
@@ -245,7 +246,7 @@ def second_variation_tilt(
     tb_z = synthesize_derivative(analyze(tb, "cosine", grid, band), "cosine", grid, 1)
     z = grid.nodes
     weight = 2.0 * p.lambda2 * t * t * p.q**4 * np.sin(p.q * z) ** 2 * math.cos(p.theta0) ** 2
-    integrand = p.k1 * tb_z**2 + p.k1 * p.sigma**2 * tb**2 - weight * tb**2
+    integrand = p.k1 * tb_z**2 + p.k3 * p.sigma**2 * tb**2 - weight * tb**2
     return 2.0 * quadrature(integrand, p.h)
 
 

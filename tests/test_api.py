@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,3 +88,12 @@ def test_benchmark_probe_targets_resolve(monkeypatch):
             assert hasattr(target, part), f"{module_name}.{attr}: no attribute {part!r}"
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{attr} is not callable"
+
+
+def test_readme_python_blocks_run():
+    # the library quick tour is documentation that must keep running
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

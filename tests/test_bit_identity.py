@@ -18,7 +18,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from smectic1d import ModelParams1D, SpectralState, SweepConfig, stability, sweep_temperature
+from smectic1d import ModelParams1D, RunConfig, SpectralState, cooling_grid, stability, sweep_temperature
 from smectic1d.energy1d import Evaluator
 
 
@@ -145,7 +145,7 @@ def test_evaluation_digests(key):
 @pytest.fixture(scope="module")
 def tilt_onset_records(fig3_params):
     """The T grid of the benchmark's tilt_onset workload: 11 BB relaxations, the longest 224 steps."""
-    return sweep_temperature(fig3_params, SweepConfig(t_start=-21.2, t_end=-22.2, dt=0.2, record_morse=True))
+    return sweep_temperature(RunConfig(fig3_params), cooling_grid(-21.2, -22.2, 0.2), record_morse=True)
 
 
 def test_fig3_sweep_records(fig3_sweep):

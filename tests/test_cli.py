@@ -353,6 +353,16 @@ class TestThresholdsCommand:
             assert captured.out == ""
             assert "t must be finite and nonnegative" in captured.err
 
+    def test_theta_star_off_k2_equal_k3_exits_1_before_printing(self, tmp_path, capsys):
+        cfg = _write_fig3_config(tmp_path, k1=0.01, k2=0.03, k3=0.05)
+        assert run(["thresholds", "--config", cfg, "--t", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: theta_star needs k2 = k3, got k2 = 0.03, k3 = 0.05\n"
+        # without --t the thresholds print, t1 and t2 with k3
+        assert run(["thresholds", "--config", cfg]) == 0
+        assert "t1 = 1.33022" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_sweep_csv_and_detection(self, tmp_path, capsys):
@@ -392,6 +402,11 @@ class TestSweepCommand:
             (["--t-start", "-10.3", "--t-end", "-Inf", "--dt", "0.05"], "t_end must be finite, got -inf"),
             (["--t-start", "-10", "--t-end", "-10.5", "--dt", "0.25", "--eps-detect", "inf"],
              "--eps-detect must be finite, got inf"),
+            # grids whose point count overflows: an OverflowError traceback before
+            (["--t-start", "0", "--t-end", "-1", "--dt", "5e-324"],
+             "t_start = 0.0 to t_end = -1.0 in steps of dt = 5e-324 has no finite point count"),
+            (["--t-start", "1e308", "--t-end", "-1e308", "--dt", "1"],
+             "t_start = 1e+308 to t_end = -1e+308 in steps of dt = 1.0 has no finite point count"),
         ],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, capsys, monkeypatch, flags, message):

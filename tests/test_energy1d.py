@@ -395,6 +395,20 @@ class TestEulerLagrangeResidual:
         r_theta, r_rho = el_residual(state, p)
         assert max(np.max(np.abs(r_theta)), np.max(np.abs(r_rho))) < 100.0 * 1e-8
 
+    # layered and untilted at d = -3, tilted (theta_max 0.82) at d = -5; the
+    # tilted state takes N = 128 because at N = 64 its residual is truncation
+    # error, 6.6e-6 at any tol_grad (3.3e-3, 6.6e-6, 1.1e-8, 8.3e-10 at N = 32, 64, 96, 128)
+    @pytest.mark.parametrize("d, n, tilted", [(-3.0, 64, False), (-5.0, 128, True)], ids=["layered", "tilted"])
+    def test_small_at_converged_minimizer_off_the_default_point(self, d, n, tilted):
+        p = ModelParams1D(**OFF_DEFAULT).with_d(d)
+        state, report = minimize(seed_state("smectic-seed", p, n), p)
+        assert report.converged
+        grid = default_grid(n, p.h)
+        assert (float(np.max(state.theta_values(grid))) > 0.5) == tilted
+        assert float(np.max(state.rho_values(grid))) > 0.4
+        r_theta, r_rho = el_residual(state, p)
+        assert max(np.max(np.abs(r_theta)), np.max(np.abs(r_rho))) < 100.0 * 1e-8
+
     def test_residual_grows_linearly_with_perturbation(self):
         p = ModelParams1D().with_d(-0.5)
         state, _ = minimize(seed_state("smectic-seed", p, 64), p)

@@ -342,6 +342,41 @@ class TestThresholds:
         t1, t2 = tilt_thresholds(ModelParams1D(lambda2=0.0))
         assert math.isinf(t1) and math.isinf(t2)
 
+    # off the default point the chiral term's theta^2 coefficient is k3 sigma^2,
+    # so t1 and t2 take k3; with k1 (as before) t2 was 0.29133 here
+
+    def test_t2_is_the_zero_of_the_constant_tilt_hessian_entry(self):
+        # the (theta_c[0], theta_c[0]) entry of the exact Hessian at the untilted
+        # frozen layer is 2 k3 sigma^2 h - lambda2 t^2 q^4 cos^2(theta0) (2h - sin(2qh)/q)
+        p = ModelParams1D(**OFF_DEFAULT)
+        n = 32
+        ev = Evaluator(n, p)
+        _, t2 = tilt_thresholds(p)
+
+        def entry(t: float) -> float:
+            return ev.hessian(frozen_layer_state(t, 0.0, p, n).pack())[0, 0]
+
+        assert abs(entry(t2)) < 1e-12
+        assert entry(0.999 * t2) > 0.0 > entry(1.001 * t2)
+
+    def test_theta_block_positive_definite_below_t1(self):
+        # t1 bounds k3 sigma^2 - 2 lambda2 t^2 q^4 cos^2(theta0) sin^2(q z) below
+        # pointwise, so the theta block is positive definite under it for any
+        # k1; as k1 -> 0 the theta_z cost vanishes and the bound is sharp
+        n = 32
+        for k1, indefinite_from in ((OFF_DEFAULT["k1"], None), (1e-6, 1.1)):
+            p = ModelParams1D(**{**OFF_DEFAULT, "k1": k1})
+            ev = Evaluator(n, p)
+            t1, _ = tilt_thresholds(p)
+
+            def lowest(t: float) -> float:
+                h = ev.hessian(frozen_layer_state(t, 0.0, p, n).pack())
+                return float(np.linalg.eigvalsh(h[: n + 2, : n + 2])[0])
+
+            assert lowest(0.99 * t1) > 0.0
+            if indefinite_from is not None:
+                assert lowest(indefinite_from * t1) < 0.0
+
 
 class TestThetaStar:
     def test_value_at_t2(self):
@@ -383,6 +418,18 @@ class TestThetaStar:
         for t in (0.5, 1.0, 1.5, 2.0, 4.0):
             assert optimal_constant_tilt(t, p) == pytest.approx(theta_star(t, p), abs=1e-4)
 
+    def test_matches_golden_section_with_k1_apart(self):
+        # exact for k2 = k3 at any k1: with k1 in place of k3 it gave 1.063405 at t = 1.2
+        p = ModelParams1D(**{**OFF_DEFAULT, "k1": 0.01, "k2": 0.04, "k3": 0.04})
+        for t in (0.8, 1.2, 3.0):
+            assert optimal_constant_tilt(t, p) == pytest.approx(theta_star(t, p), abs=1e-4)
+        assert theta_star(1.2, p) == pytest.approx(0.906967, abs=1e-6)
+
+    def test_k2_other_than_k3_rejected(self):
+        # there neither the k2 nor the k3 form matches the golden section
+        with pytest.raises(ValueError, match="theta_star needs k2 = k3, got k2 = 0.03, k3 = 0.05"):
+            theta_star(1.2, ModelParams1D(**OFF_DEFAULT))
+
 
 class TestSecondVariationTilt:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -396,7 +443,7 @@ class TestSecondVariationTilt:
         grid = default_grid(16, p.h)
         for t in (0.5, 1.2, 1.5):
             got = second_variation_tilt(t, p, np.ones(grid.m), grid)
-            expected = 2.0 * p.h * (p.k1 * p.sigma**2 - p.lambda2 * t * t * p.q**4 * math.cos(p.theta0) ** 2)
+            expected = 2.0 * p.h * (p.k3 * p.sigma**2 - p.lambda2 * t * t * p.q**4 * math.cos(p.theta0) ** 2)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_positive_without_layering(self):
@@ -417,15 +464,16 @@ class TestSecondVariationTilt:
             assert second_variation_tilt(0.9 * t1, p, tb, grid) > 0.0
 
     def test_matches_hessian_quadratic_form(self):
-        p = ModelParams1D()
+        # OFF_DEFAULT tells k1 from k3: the twist stiffness of the tilt is k3 sigma^2
         n = 16
         t = 0.7
-        state = frozen_layer_state(t, 0.0, p, n)
-        h = Evaluator(n, p).fd_hessian(state.pack())
-        grid = default_grid(n, p.h)
-        rng = np.random.default_rng(45)
-        c = np.zeros(n + 2)
-        c[:6] = rng.normal(size=6) * 0.5
-        tb = synthesize(c, "cosine", grid)
-        quad = float(c @ h[: n + 2, : n + 2] @ c)
-        assert second_variation_tilt(t, p, tb, grid) == pytest.approx(quad, rel=1e-6)
+        for p in (ModelParams1D(), ModelParams1D(**OFF_DEFAULT)):
+            state = frozen_layer_state(t, 0.0, p, n)
+            h = Evaluator(n, p).fd_hessian(state.pack())
+            grid = default_grid(n, p.h)
+            rng = np.random.default_rng(45)
+            c = np.zeros(n + 2)
+            c[:6] = rng.normal(size=6) * 0.5
+            tb = synthesize(c, "cosine", grid)
+            quad = float(c @ h[: n + 2, : n + 2] @ c)
+            assert second_variation_tilt(t, p, tb, grid) == pytest.approx(quad, rel=1e-6)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from smectic1d import (
     MinimizeOptions,
+    RunConfig,
     SpectralState,
-    SweepConfig,
     SweepError,
     SweepRecord,
+    cooling_grid,
     d_critical,
     default_grid,
     detect_transitions,
@@ -24,22 +26,20 @@ from smectic1d import (
 from crosscheck import pitchfork_exponent
 
 
-def _quick_config(**kw) -> SweepConfig:
-    base = dict(t_start=-10.3, t_end=-10.6, dt=0.05)
-    base.update(kw)
-    return SweepConfig(**base)
+#: The seven temperatures -10.3, -10.35, ..., -10.6 of the quick sweeps.
+QUICK = cooling_grid(-10.3, -10.6, 0.05)
 
 
-def _assert_minus_records_match_explicit_solves(params, config, records, tol=0.0):
+def _assert_minus_records_match_explicit_solves(config, temperatures, records, tol=0.0):
     """Each cold-start "-" record equals one built from minimizing the "-" seed.
 
     tol = 0 asks for bit-for-bit equality; otherwise energy and amplitudes
     may differ by tol, relative for the energy and absolute for amplitudes.
     """
-    n = config.n_modes
+    params, n = config.params, config.n_modes
     grid = default_grid(n, params.h)
     minus = [r for r in records if r.branch == "-"]
-    assert len(minus) == len(config.temperatures())
+    assert len(minus) == len(temperatures)
     for r in minus:
         p = params.at_temperature(r.T)
         seed = seed_state("smectic-seed", p, n)
@@ -53,26 +53,38 @@ def _assert_minus_records_match_explicit_solves(params, config, records, tol=0.0
 
 
 class TestSweepConfig:
-    def test_temperature_grid(self):
-        temps = _quick_config().temperatures()
-        assert temps[0] == pytest.approx(-10.3)
-        assert temps[-1] == pytest.approx(-10.6)
-        assert len(temps) == 7
+    """The cooling grid a sweep takes: ``cooling_grid``."""
 
-    def test_direction_follows_endpoints(self):
-        temps = SweepConfig(t_start=-11.0, t_end=-10.0, dt=0.5).temperatures()
-        assert np.all(np.diff(temps) > 0)
+    def test_temperature_grid(self):
+        assert QUICK[0] == pytest.approx(-10.3)
+        assert QUICK[-1] == pytest.approx(-10.6)
+        assert len(QUICK) == 7
+        # the sign of dt does not matter: the grid always cools
+        assert np.array_equal(cooling_grid(-10.3, -10.6, -0.05), QUICK)
+
+    def test_warming_grid_rejected(self):
+        with pytest.raises(ValueError, match="cooling only: t_end = -10.0 must not exceed t_start = -11.0"):
+            cooling_grid(-11.0, -10.0, 0.5)
 
     def test_zero_dt_rejected(self):
-        with pytest.raises(ValueError):
-            SweepConfig(t_start=0.0, t_end=1.0, dt=0.0)
+        with pytest.raises(ValueError, match="dt must be nonzero"):
+            cooling_grid(0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["t_start", "t_end", "dt"])
     def test_nonfinite_grid_rejected(self, field, value):
         grid = {"t_start": -10.0, "t_end": -10.5, "dt": 0.1, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            SweepConfig(**grid)
+            cooling_grid(**grid)
+
+    # both overflowed int(inf) in the point count, a traceback from the CLI
+    @pytest.mark.parametrize(
+        "t_start, t_end, dt", [(0.0, -1.0, 5e-324), (1e308, -1e308, 1.0)], ids=["subnormal-dt", "span-overflows"]
+    )
+    def test_grid_without_a_finite_point_count_rejected(self, t_start, t_end, dt):
+        message = f"t_start = {t_start} to t_end = {t_end} in steps of dt = {dt} has no finite point count"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cooling_grid(t_start, t_end, dt)
 
 
 class TestSweepTemperature:
@@ -84,11 +96,11 @@ class TestSweepTemperature:
             module = importlib.import_module(module_name)
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
-        sweep_temperature(fig3_params, _quick_config(t_start=-10.5, t_end=-10.5, n_modes=16, record_morse=True))
+        sweep_temperature(RunConfig(fig3_params, n_modes=16), [-10.5], record_morse=True)
         assert sorted(set(calls)) == ["minimize", "spectrum"]
 
     def test_records_and_phases(self, fig3_params):
-        records = sweep_temperature(fig3_params, _quick_config())
+        records = sweep_temperature(RunConfig(fig3_params), QUICK)
         assert len(records) == 14  # 7 temperatures x 2 branches
         assert {r.branch for r in records} == {"+", "-"}
         for r in records:
@@ -100,7 +112,7 @@ class TestSweepTemperature:
             assert (r.delta_rho_max > 1e-3) == layered, r.T
 
     def test_branches_have_equal_energy(self, fig3_params):
-        records = sweep_temperature(fig3_params, _quick_config())
+        records = sweep_temperature(RunConfig(fig3_params), QUICK)
         by_t = {}
         for r in records:
             by_t.setdefault(r.T, {})[r.branch] = r.energy
@@ -108,35 +120,34 @@ class TestSweepTemperature:
             assert abs(pair["+"] - pair["-"]) < 1e-10
         # the "-" branch is the mirror of the "+" one, not a solve of its
         # own; at e = 0 it must be bit for bit what a solve would give
-        config = _quick_config(cold_start=True, n_modes=16)
-        _assert_minus_records_match_explicit_solves(fig3_params, config, sweep_temperature(fig3_params, config))
+        config = RunConfig(fig3_params, n_modes=16)
+        records = sweep_temperature(config, QUICK, cold_start=True)
+        _assert_minus_records_match_explicit_solves(config, QUICK, records)
 
     def test_cubic_term_leaves_the_mirror_exact_to_rounding(self, fig3_params):
         # The cubic term integrates to zero over sine modes, so e != 0 breaks
         # the rho -> -rho symmetry only through rounding, and the mirrored
         # "-" branch still matches an explicit solve of the "-" seed
-        config = _quick_config(cold_start=True, n_modes=16)
-        cubic = replace(fig3_params, e=0.05)
-        records = sweep_temperature(cubic, config)
+        config = RunConfig(replace(fig3_params, e=0.05), n_modes=16)
+        records = sweep_temperature(config, QUICK, cold_start=True)
         assert any(r.delta_rho_max > 1e-3 for r in records)
-        _assert_minus_records_match_explicit_solves(cubic, config, records, tol=1e-12)
+        _assert_minus_records_match_explicit_solves(config, QUICK, records, tol=1e-12)
 
     def test_warm_and_cold_agree(self, fig3_params):
-        warm = sweep_temperature(fig3_params, _quick_config())
-        cold = sweep_temperature(fig3_params, _quick_config(cold_start=True))
+        warm = sweep_temperature(RunConfig(fig3_params), QUICK)
+        cold = sweep_temperature(RunConfig(fig3_params), QUICK, cold_start=True)
         for rw, rc in zip(warm, cold):
             assert rw.T == rc.T and rw.branch == rc.branch
             assert abs(rw.delta_rho_max - rc.delta_rho_max) < 1e-4
 
     def test_morse_recording(self, fig3_params):
-        config = _quick_config(t_start=-10.3, t_end=-10.45, record_morse=True, n_modes=16)
-        records = sweep_temperature(fig3_params, config)
+        records = sweep_temperature(RunConfig(fig3_params, n_modes=16), QUICK[:4], record_morse=True)
         assert all(r.morse_index == 0 for r in records)  # minimizers are stable
 
     def test_failure_fraction_guard(self, fig3_params):
-        config = _quick_config(options=MinimizeOptions(max_iters=1, tol_grad=1e-15))
+        config = RunConfig(fig3_params, options=MinimizeOptions(max_iters=1, tol_grad=1e-15))
         with pytest.raises(SweepError):
-            sweep_temperature(fig3_params, config)
+            sweep_temperature(config, QUICK)
 
 
 class TestRelax:
@@ -188,9 +199,7 @@ class TestReferenceSweepInvariants:
                 prev = (phase, r.energy)
 
     def test_warm_start_matches_cold_start_amplitudes(self, fig3_params, fig3_sweep):
-        cold = sweep_temperature(
-            fig3_params, SweepConfig(t_start=-10.3, t_end=-10.7, dt=0.1, cold_start=True)
-        )
+        cold = sweep_temperature(RunConfig(fig3_params), cooling_grid(-10.3, -10.7, 0.1), cold_start=True)
         warm_by_key = {(round(r.T, 10), r.branch): r for r in fig3_sweep}
         matched = 0
         for rc in cold:
@@ -203,13 +212,13 @@ class TestReferenceSweepInvariants:
 
 class TestDetectTransitions:
     def test_layering_onset(self, fig3_params):
-        records = sweep_temperature(fig3_params, _quick_config(dt=0.02))
+        records = sweep_temperature(RunConfig(fig3_params), cooling_grid(-10.3, -10.6, 0.02))
         t_chs, t_hssc = detect_transitions(records, 1e-3)
         assert t_chs == pytest.approx(temperature_from_d(d_critical(fig3_params), fig3_params), abs=0.02)
         assert t_hssc is None
 
     def test_absent_when_out_of_range(self, fig3_params):
-        records = sweep_temperature(fig3_params, SweepConfig(t_start=-9.5, t_end=-9.9, dt=0.1))
+        records = sweep_temperature(RunConfig(fig3_params), cooling_grid(-9.5, -9.9, 0.1))
         assert detect_transitions(records, 1e-3) == (None, None)
 
     def test_requires_decreasing_order(self):
@@ -253,7 +262,7 @@ class TestDetectTransitions:
     def test_coarse_tilt_sweep_onset_inside_bracket(self, tilt_params):
         # the tilt jumps on between -11.6 and -11.8; unclamped, the squared
         # amplitudes extrapolate to T = -11.456
-        records = sweep_temperature(tilt_params, SweepConfig(t_start=-11.4, t_end=-12.0, dt=0.2))
+        records = sweep_temperature(RunConfig(tilt_params), cooling_grid(-11.4, -12.0, 0.2))
         amps = [r.theta_max for r in records if r.branch == "+"]
         assert amps[1] < 1e-3 <= amps[2]
         _, t_hssc = detect_transitions(records, 1e-3)
@@ -288,25 +297,25 @@ class TestElasticSweep:
         # state, in [0, pi/2], and not a representative shifted by k*pi
         p = fig3_params.with_d(-5.0)
         for n_modes in (32, 64):
-            records = elastic_sweep(p, [0.0025, 0.25], vary="k", n_modes=n_modes)
+            records = elastic_sweep(RunConfig(p, n_modes=n_modes), [0.0025, 0.25], vary="k")
             assert all(0.0 <= r.theta_bar <= math.pi / 2 for r in records)
             assert records[-1].theta_bar < 1e-3
             assert records[0].theta_bar == pytest.approx(0.8610, abs=1e-3)
 
     def test_large_lambda_saturates_tilt(self, fig3_params):
         p = fig3_params.with_d(-5.0)
-        records = elastic_sweep(p, [0.05, 0.5], vary="lambda", n_modes=32)
+        records = elastic_sweep(RunConfig(p, n_modes=32), [0.05, 0.5], vary="lambda")
         assert records[-1].theta_bar == pytest.approx(math.pi / 2 - p.theta0, abs=0.05)
         assert records[0].theta_bar <= records[-1].theta_bar
 
     def test_zero_coupling_means_no_tilt(self, fig3_params):
         p = replace(fig3_params.with_d(-5.0), lambda1=0.0, lambda2=0.0)
-        records = elastic_sweep(p, [0.025], vary="k", n_modes=32)
+        records = elastic_sweep(RunConfig(p, n_modes=32), [0.025], vary="k")
         assert records[0].theta_bar < 1e-6
 
     def test_unknown_axis_rejected(self, fig3_params):
         with pytest.raises(ValueError, match="vary"):
-            elastic_sweep(fig3_params, [0.1], vary="mu")
+            elastic_sweep(RunConfig(fig3_params), [0.1], vary="mu")
 
     @pytest.mark.parametrize("vary", ["k", "lambda"])
     def test_bad_value_rejected_before_any_relaxation(self, fig3_params, monkeypatch, vary):
@@ -315,5 +324,5 @@ class TestElasticSweep:
         original = module.minimize
         monkeypatch.setattr(module, "minimize", lambda *a, **k: calls.append(1) or original(*a, **k))
         with pytest.raises(ValueError, match="finite"):
-            elastic_sweep(fig3_params.with_d(-5.0), [0.025, math.nan], vary=vary, n_modes=32)
+            elastic_sweep(RunConfig(fig3_params.with_d(-5.0), n_modes=32), [0.025, math.nan], vary=vary)
         assert calls == []
