@@ -364,18 +364,16 @@ class TestThresholds:
         # pointwise, so the theta block is positive definite under it for any
         # k1; as k1 -> 0 the theta_z cost vanishes and the bound is sharp
         n = 32
-        for k1, indefinite_from in ((OFF_DEFAULT["k1"], None), (1e-6, 1.1)):
-            p = ModelParams1D(**{**OFF_DEFAULT, "k1": k1})
-            ev = Evaluator(n, p)
-            t1, _ = tilt_thresholds(p)
 
-            def lowest(t: float) -> float:
-                h = ev.hessian(frozen_layer_state(t, 0.0, p, n).pack())
-                return float(np.linalg.eigvalsh(h[: n + 2, : n + 2])[0])
+        def lowest(p: ModelParams1D, t: float) -> float:
+            h = Evaluator(n, p).hessian(frozen_layer_state(t, 0.0, p, n).pack())
+            return float(np.linalg.eigvalsh(h[: n + 2, : n + 2])[0])
 
-            assert lowest(0.99 * t1) > 0.0
-            if indefinite_from is not None:
-                assert lowest(indefinite_from * t1) < 0.0
+        p = ModelParams1D(**OFF_DEFAULT)
+        assert lowest(p, 0.99 * tilt_thresholds(p)[0]) > 0.0
+        soft = replace(p, k1=1e-6)
+        t1, _ = tilt_thresholds(soft)
+        assert lowest(soft, 0.99 * t1) > 0.0 > lowest(soft, 1.1 * t1)
 
 
 class TestThetaStar:
