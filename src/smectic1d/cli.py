@@ -318,9 +318,7 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
     if args.eta1 is not None:
         if args.A is None:
             raise ValueError("--eta1, --eta2 and --eta24 need --A, --B and --C")
-        verdict = params_mod.validate_elastic_constants(*etas)
-        if not verdict.valid:
-            raise ValueError(verdict.violation)
+        params_mod.validate_elastic_constants(*etas)
     s_plus = None if args.A is None else params_mod.compute_s_plus(*abc)
     of = None if args.eta1 is None else params_mod.map_to_oseen_frank(*etas, s_plus)
     if args.echo:
@@ -429,7 +427,10 @@ def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
     from .sweep import elastic_sweep
 
     config = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--values: {exc}") from None
     if not values:
         raise ValueError("no values supplied")
     records = elastic_sweep(config, values, args.vary)
@@ -445,29 +446,24 @@ def _cmd_tensor_check(args: argparse.Namespace) -> int:
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
+    if args.rng_seed < 0:
+        raise ValueError(f"--rng-seed must be nonnegative, got {args.rng_seed}")
     import numpy as np
 
     from . import tensor
 
     rng = np.random.default_rng(args.rng_seed)
     z = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    fields = {
-        "helix": lambda zz: np.array([math.cos(args.sigma * zz), math.sin(args.sigma * zz), 0.0]),
-        "uniform": lambda zz: np.array([1.0, 0.0, 0.0]),
-    }
     a, b = rng.uniform(0.3, 1.2, size=2)
-
-    def random_field(zz: float) -> np.ndarray:
-        v = np.array([math.cos(a * zz), math.sin(a * zz) * math.cos(b * zz), math.sin(a * zz) * math.sin(b * zz)])
-        return v / np.linalg.norm(v)
-
-    fields["random-smooth"] = random_field
+    fields = {
+        "helix": tensor.unit_field(z, args.sigma, 0.0),
+        "uniform": tensor.unit_field(z, 0.0, 0.0),
+        "random-smooth": tensor.unit_field(z, a, b),
+    }
     expected = tensor.uniaxial_reduction_offset(args.s_plus, args.eta1, args.sigma)
     ok = True
-    for name, field in fields.items():
-        res = tensor.reduction_residual(
-            z, field, args.s_plus, args.eta1, args.eta2, args.eta24, args.sigma
-        )
+    for name, (n, dn_dz) in fields.items():
+        res = tensor.reduction_residual(n, dn_dz, args.s_plus, args.eta1, args.eta2, args.eta24, args.sigma)
         spread = float(np.ptp(res))
         mean = float(np.mean(res))
         rel = abs(mean - expected) / max(abs(expected), 1e-30)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,18 +39,10 @@ class ParamError(ValueError):
         self.keys = keys
 
 
-class ElasticVerdict(NamedTuple):
-    """Outcome of the elastic-constant validity check."""
-
-    valid: bool
-    violation: str | None
-
-
-def validate_elastic_constants(eta1: float, eta2: float, eta24: float) -> ElasticVerdict:
+def validate_elastic_constants(eta1: float, eta2: float, eta24: float) -> None:
     """Check that (eta1, eta2, eta24) give a positive-definite gradient energy.
 
-    The three inequalities are checked in order and the first failure is
-    named in the verdict:
+    The three inequalities are checked in order:
 
     * ``eta1 > 0``
     * ``0 < eta24 < 3*eta1``
@@ -60,21 +51,20 @@ def validate_elastic_constants(eta1: float, eta2: float, eta24: float) -> Elasti
     Raises
     ------
     ValueError
-        If any input is not finite.
+        If any input is not finite, or naming the first violated inequality.
     """
     vals = (eta1, eta2, eta24)
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"elastic constants must be finite, got {vals}")
     if not eta1 > 0:
-        return ElasticVerdict(False, f"eta1 > 0 violated (eta1 = {eta1})")
+        raise ValueError(f"eta1 > 0 violated (eta1 = {eta1})")
     if not eta24 > 0:
-        return ElasticVerdict(False, f"eta24 > 0 violated (eta24 = {eta24})")
+        raise ValueError(f"eta24 > 0 violated (eta24 = {eta24})")
     if not eta24 < 3 * eta1:
-        return ElasticVerdict(False, f"eta24 < 3*eta1 violated (eta24 = {eta24}, 3*eta1 = {3 * eta1})")
+        raise ValueError(f"eta24 < 3*eta1 violated (eta24 = {eta24}, 3*eta1 = {3 * eta1})")
     combo = 5 * eta1 + 10 * eta2 - 9 * eta24
     if not combo > 0:
-        return ElasticVerdict(False, f"5*eta1 + 10*eta2 - 9*eta24 > 0 violated (value = {combo})")
-    return ElasticVerdict(True, None)
+        raise ValueError(f"5*eta1 + 10*eta2 - 9*eta24 > 0 violated (value = {combo})")
 
 
 def compute_s_plus(A: float, B: float, C: float) -> float:

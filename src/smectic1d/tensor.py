@@ -1,12 +1,17 @@
-"""Q-tensor algebra and pointwise evaluation of the tensor energy densities.
+"""Q-tensor algebra and the uniaxial reduction of the tensor elastic energy.
 
-Everything here is a pure function over immutable values: the five densities
-of the tensor model (elastic, nematic bulk, smectic bulk, layer, angle
-coupling), the uniaxial lift, and the numerical check that on the uniaxial
-manifold the tensor elastic density reduces to the director (Oseen-Frank)
-form up to the additive constant eta1*s^2*sigma^2/3.  The elastic density
-is given in its defining curl form only; its expanded twin, the
-independent check of it, is test code in ``tests/crosscheck.py``.
+This module holds what ``smectic1d tensor-check`` runs: the symmetric
+traceless types :class:`QTensor` and :class:`QGradient`, the uniaxial lift,
+the tensor elastic density in its defining curl form, the director
+(Oseen-Frank) density of a z-only field, the sampled unit fields of
+:func:`unit_field` with their exact z-derivatives, and
+:func:`reduction_residual`, which checks that on the uniaxial manifold the
+tensor elastic density reduces to the director form up to the additive
+constant eta1*s^2*sigma^2/3.  Everything is a pure function over immutable
+values.
+The expanded twin of the elastic density, the independent check of the curl
+form, and the bulk and layer densities that tests compare program code
+against are test code in ``tests/crosscheck.py``.
 
 Sign conventions: the Levi-Civita symbol has eps_123 = +1 and the tensor
 curl is (curl Q)_{i,beta} = eps_{ijk} d_j Q_{k,beta}.  Gradients are stored
@@ -16,21 +21,22 @@ column) populated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .params import director_constants
 
+__all__ = [
+    "QTensor", "QGradient", "uniaxial_q", "tensor_curl", "tensor_divergence", "f_el", "oseen_frank_density_1d",
+    "uniaxial_reduction_offset", "unit_field", "reduction_residual",
+]
+
 _I3 = np.eye(3)
 
 TRACE_TOL = 1e-12
 UNIT_TOL = 1e-10
-
-#: Relative step for finite-difference gradients of director fields.
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -51,22 +57,14 @@ class QTensor:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    @classmethod
-    def from_components(cls, q11: float, q12: float, q13: float, q22: float, q23: float) -> "QTensor":
-        """Build from the five independent components; q33 closes the trace."""
-        q33 = -(q11 + q22)
-        return cls(np.array([[q11, q12, q13], [q12, q22, q23], [q13, q23, q33]]))
-
-    def tr2(self) -> float:
-        return float(np.sum(self.m * self.m))
-
-    def tr3(self) -> float:
-        return float(np.trace(self.m @ self.m @ self.m))
-
 
 @dataclass(frozen=True)
 class QGradient:
-    """Gradient of a Q field: G[i, j, k] = dQ_ij/dx_k."""
+    """Gradient of a Q field: G[i, j, k] = dQ_ij/dx_k.
+
+    The trace over the tensor indices may be rounding of the gradient's
+    scale: it is checked against ``TRACE_TOL * max(1, max|G|)``.
+    """
 
     g: np.ndarray
 
@@ -76,7 +74,7 @@ class QGradient:
             raise ValueError(f"expected shape (3, 3, 3), got {g.shape}")
         if np.max(np.abs(g - g.transpose(1, 0, 2))) > TRACE_TOL:
             raise ValueError("G must be symmetric in its first two indices")
-        if np.max(np.abs(g[0, 0] + g[1, 1] + g[2, 2])) > TRACE_TOL:
+        if np.max(np.abs(g[0, 0] + g[1, 1] + g[2, 2])) > TRACE_TOL * max(1.0, float(np.max(np.abs(g)))):
             raise ValueError("G must be trace-free over the tensor indices")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
@@ -100,22 +98,6 @@ def uniaxial_q(n: Sequence[float], s: float) -> QTensor:
     m = 0.5 * (m + m.T)
     m[2, 2] = -(m[0, 0] + m[1, 1])
     return QTensor(m)
-
-
-def f_bn(q: QTensor, A: float, B: float, C: float, f_B0: float = 0.0) -> float:
-    """Nematic bulk density (A/2)trQ^2 - (B/3)trQ^3 + (C/4)(trQ^2)^2 - f_B0."""
-    t2 = q.tr2()
-    return 0.5 * A * t2 - (B / 3.0) * q.tr3() + 0.25 * C * t2 * t2 - f_B0
-
-
-def f_bs(rho: float, d: float, e: float, f: float) -> float:
-    """Smectic bulk density (d/2)rho^2 - (e/3)rho^3 + (f/4)rho^4."""
-    return 0.5 * d * rho * rho - (e / 3.0) * rho**3 + 0.25 * f * rho**4
-
-
-def uniaxial_bulk_profile(s: float, A: float, B: float, C: float, f_B0: float = 0.0) -> float:
-    """Bulk density restricted to the uniaxial manifold: g(s) = A s^2/3 - 2B s^3/27 + C s^4/9."""
-    return A * s * s / 3.0 - 2.0 * B * s**3 / 27.0 + C * s**4 / 9.0 - f_B0
 
 
 def tensor_curl(g: QGradient) -> np.ndarray:
@@ -161,21 +143,6 @@ def f_el(q: QTensor, g: QGradient, eta1: float, eta2: float, eta24: float, sigma
     )
 
 
-def f_layer(rho: float, lap_rho: float, lambda1: float, q: float) -> float:
-    """Layer density lambda1*(lap(rho) + q^2 rho)^2."""
-    r = lap_rho + q * q * rho
-    return lambda1 * r * r
-
-
-def f_angle(qt: QTensor, hess_rho: np.ndarray, rho: float, lambda2: float, q: float, theta0: float) -> float:
-    """Tilt-coupling density lambda2*(tr(D^2 rho (Q + I/3)) + q^2 rho cos^2(theta0))^2."""
-    hess = np.asarray(hess_rho, dtype=float)
-    if hess.shape != (3, 3):
-        raise ValueError(f"Hessian must be 3x3, got {hess.shape}")
-    w = float(np.sum(hess * (qt.m + _I3 / 3.0))) + q * q * rho * math.cos(theta0) ** 2
-    return lambda2 * w * w
-
-
 def oseen_frank_density_1d(n: np.ndarray, dn_dz: np.ndarray, k1: float, k2: float, k3: float, k4: float,
                            sigma: float) -> float:
     """Director elastic density for a z-only field.
@@ -204,9 +171,20 @@ def uniaxial_reduction_offset(s_plus: float, eta1: float, sigma: float) -> float
     return eta1 * s_plus * s_plus * sigma * sigma / 3.0
 
 
+def unit_field(z: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of n = (cos az, sin az cos bz, sin az sin bz) and of dn/dz, each of shape (len(z), 3).
+
+    n is unit for every (a, b): b = 0 gives the helix of wavenumber a, and
+    a = b = 0 the uniform field along x.
+    """
+    ca, sa, cb, sb = np.cos(a * z), np.sin(a * z), np.cos(b * z), np.sin(b * z)
+    n = np.column_stack([ca, sa * cb, sa * sb])
+    return n, np.column_stack([-a * sa, a * ca * cb - b * sa * sb, a * ca * sb + b * sa * cb])
+
+
 def reduction_residual(
-    z: np.ndarray,
-    n: Callable[[float], np.ndarray],
+    n: np.ndarray,
+    dn_dz: np.ndarray,
     s_plus: float,
     eta1: float,
     eta2: float,
@@ -215,42 +193,30 @@ def reduction_residual(
 ) -> np.ndarray:
     """Pointwise difference between the tensor and director elastic densities.
 
-    For each grid point the uniaxial tensor Q = s_plus*(n (x) n - I/3) and its
-    z-gradient are evaluated and the director density (with constants from
-    :func:`~smectic1d.params.director_constants`) is subtracted.  The result is spatially
-    constant and equal to :func:`uniaxial_reduction_offset` for every smooth
-    unit field.
-
-    ``n`` is a callable z -> unit 3-vector; dn/dz is taken by central
-    differences with step ``FD_STEP * max(1, sup|n|)``.
+    ``n`` holds M unit director samples and ``dn_dz`` their z-derivatives,
+    both of shape (M, 3).  For each sample the uniaxial tensor
+    Q = s_plus*(n (x) n - I/3) and its z-gradient are built and the director
+    density (with constants from
+    :func:`~smectic1d.params.director_constants`) is subtracted.  The result
+    is spatially constant and equal to :func:`uniaxial_reduction_offset` for
+    every smooth unit field.
     """
-    z = np.asarray(z, dtype=float)
-    nv = np.array([np.asarray(n(zj), dtype=float) for zj in z])
-    if nv.shape != (z.size, 3):
-        raise ValueError(f"expected director samples of shape ({z.size}, 3), got {nv.shape}")
-    norms = np.linalg.norm(nv, axis=1)
+    n = np.asarray(n, dtype=float)
+    dn_dz = np.asarray(dn_dz, dtype=float)
+    if n.ndim != 2 or n.shape[1] != 3 or dn_dz.shape != n.shape:
+        raise ValueError(f"expected director and derivative samples of shape (M, 3), got {n.shape} and {dn_dz.shape}")
+    norms = np.linalg.norm(n, axis=1)
     if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
         raise ValueError(f"director samples are not unit length (max deviation {np.max(np.abs(norms - 1.0))})")
-
-    step = FD_STEP * max(1.0, float(np.max(np.abs(nv))))
-    dnv = np.array([(np.asarray(n(zj + step)) - np.asarray(n(zj - step))) / (2.0 * step) for zj in z])
-    if dnv.shape != (z.size, 3):
-        raise ValueError(f"expected derivative samples of shape ({z.size}, 3), got {dnv.shape}")
 
     # raw mapped constants: the identity holds for any eta combination, so
     # the admissibility chain of map_to_oseen_frank is not applied
     k1, k2, k4 = director_constants(eta1, eta2, eta24, s_plus)
-    res = np.empty(z.size)
-    for j in range(z.size):
-        nj, dj = nv[j], dnv[j]
+    res = np.empty(len(n))
+    for j, (nj, dj) in enumerate(zip(n, dn_dz)):
         qt = uniaxial_q(nj, s_plus)
         dq = s_plus * (np.outer(dj, nj) + np.outer(nj, dj))
-        # the exact derivative of a traceless field is traceless; finite
-        # differences of normalized samples leave ~1e-11 trace noise, so
-        # project it out before wrapping
-        dq -= _I3 * (np.trace(dq) / 3.0)
+        # its trace 2*s_plus*(n . dn/dz) is rounding for a unit field, which QGradient admits
         grad = QGradient.one_dimensional(dq)
-        res[j] = f_el(qt, grad, eta1, eta2, eta24, sigma) - oseen_frank_density_1d(
-            nj, dj, k1, k2, k1, k4, sigma
-        )
+        res[j] = f_el(qt, grad, eta1, eta2, eta24, sigma) - oseen_frank_density_1d(nj, dj, k1, k2, k1, k4, sigma)
     return res

@@ -18,6 +18,10 @@ another way, so that a test can compare the two:
   onset.
 - :func:`f_el_expanded`: the tensor elastic density in its expanded
   arrangement, against the curl form :func:`smectic1d.tensor.f_el`.
+- :func:`f_bn`: the nematic bulk density, whose uniaxial minimum checks
+  :func:`smectic1d.compute_s_plus`.
+- :func:`f_layer`: the layer density, which the resonant layer mode of a
+  program state must annihilate.
 
 Two grid tools serve these routes and the tests' own references:
 :func:`synthesize_derivative`, the first and second z-derivatives of a
@@ -340,5 +344,20 @@ def f_el_expanded(q: QTensor, g: QGradient, eta1: float, eta2: float, eta24: flo
         + 0.5 * (eta2 - eta24) * div2
         + 0.5 * (eta24 - eta1) * mixed
         + 2.0 * eta1 * sigma * cross
-        + 2.0 * eta1 * sigma * sigma * q.tr2()
+        + 2.0 * eta1 * sigma * sigma * float(np.sum(q.m * q.m))
     )
+
+
+# -- bulk and layer densities --------------------------------------------------
+
+
+def f_bn(q: QTensor, A: float, B: float, C: float) -> float:
+    """Nematic bulk density (A/2)trQ^2 - (B/3)trQ^3 + (C/4)(trQ^2)^2."""
+    t2 = float(np.sum(q.m * q.m))
+    return 0.5 * A * t2 - (B / 3.0) * float(np.trace(q.m @ q.m @ q.m)) + 0.25 * C * t2 * t2
+
+
+def f_layer(rho: float, lap_rho: float, lambda1: float, q: float) -> float:
+    """Layer density lambda1*(lap(rho) + q^2 rho)^2."""
+    r = lap_rho + q * q * rho
+    return lambda1 * r * r

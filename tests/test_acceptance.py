@@ -42,6 +42,7 @@ from smectic1d.spectral import gram_diagonal
 
 from crosscheck import (
     analytic_cholesteric_spectrum,
+    f_layer,
     morse_index_analytic,
     optimal_constant_tilt,
     pitchfork_exponent,
@@ -285,36 +286,18 @@ def test_criterion_09_uniaxial_reduction():
         sigma, s_plus = 2.0, 1.5
         z = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
         rng = np.random.default_rng(77)
-        step = tensor.FD_STEP
+        fields = [("helix", tensor.unit_field(z, sigma, 0.0)), ("uniform", tensor.unit_field(z, 0.0, 0.0))]
+        fields += [(f"random-{idx}", tensor.unit_field(z, *rng.uniform(0.3, 1.2, size=2))) for idx in range(3)]
 
-        def helix(zz):
-            return np.array([math.cos(sigma * zz), math.sin(sigma * zz), 0.0])
-
-        def uniform(_):
-            return np.array([1.0, 0.0, 0.0])
-
-        fields = [("helix", helix, sigma, 2.0), ("uniform", uniform, sigma, 0.0)]
-        for idx in range(3):
-            a, b = rng.uniform(0.3, 1.2, size=2)
-
-            def smooth(zz, a=a, b=b):
-                v = np.array([math.cos(a * zz),
-                              math.sin(a * zz) * math.cos(b * zz),
-                              math.sin(a * zz) * math.sin(b * zz)])
-                return v / np.linalg.norm(v)
-
-            fields.append((f"random-{idx}", smooth, sigma, a + b))
-
-        for name, field, sig, omega in fields:
+        # the derivatives are exact, so every bound is rounding of O(1) densities
+        for name, (n, dn_dz) in fields:
             for e1, e2, e24 in ((1.0, 0.0, 0.0), (1.3, 0.7, 0.9)):
-                res = tensor.reduction_residual(z, field, s_plus, e1, e2, e24, sig)
-                # conservative third-derivative bound on the central-difference error
-                fd_err = max(step**2 * s_plus**2 * max(e1, e2, e24) * (1.0 + sig) ** 2 * (1.0 + omega) ** 3, 1e-12)
-                assert np.ptp(res) < 10.0 * fd_err, f"{name}: spread {np.ptp(res)}"
-                expected = tensor.uniaxial_reduction_offset(s_plus, e1, sig)
-                assert np.mean(res) == pytest.approx(expected, rel=0.01)
-                achiral = tensor.reduction_residual(z, field, s_plus, e1, e2, e24, 0.0)
-                assert np.max(np.abs(achiral)) < fd_err, f"{name}: achiral residual {np.max(np.abs(achiral))}"
+                res = tensor.reduction_residual(n, dn_dz, s_plus, e1, e2, e24, sigma)
+                assert np.ptp(res) < 1e-12, f"{name}: spread {np.ptp(res)}"
+                expected = tensor.uniaxial_reduction_offset(s_plus, e1, sigma)
+                assert np.mean(res) == pytest.approx(expected, rel=1e-12)
+                achiral = tensor.reduction_residual(n, dn_dz, s_plus, e1, e2, e24, 0.0)
+                assert np.max(np.abs(achiral)) < 1e-12, f"{name}: achiral residual {np.max(np.abs(achiral))}"
         ok = True
     finally:
         _report(9, ok, "reduction residual constant and equal to eta1*s^2*sigma^2/3")
@@ -351,7 +334,7 @@ def test_criterion_10_symmetry_suite(fig3_params, fig3_sweep):
             state = SpectralState.from_vector(vec, n, p.h)
             rho = state.rho_values(grid)
             lap = synthesize_derivative(state.rho_s, "sine", grid, 2)
-            vals = [tensor.f_layer(r, lr, p.lambda1, p.q) for r, lr in zip(rho, lap)]
+            vals = [f_layer(r, lr, p.lambda1, p.q) for r, lr in zip(rho, lap)]
             assert max(vals) < 1e-12
         ok = True
     finally:

@@ -203,7 +203,7 @@ class TestBatchOutputsUnchanged:
         "6:plot:stdout": "e3b0c44298fc1c14",
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
-        "9:tensor-check:stdout": "69764fc5c1761c5e",
+        "9:tensor-check:stdout": "a1ba4def3c7d561c",
         "k.csv": "96702ab9c1bd9fbb",
         "k.svg": "924da169e351357d",
         "profile.csv": "fd8d571825a74abc",
@@ -508,12 +508,34 @@ class TestElasticSweepCommand:
         assert list(rows[0].keys()) == ["value", "theta_bar", "delta_rho_max", "energy"]
         assert float(rows[0]["theta_bar"]) > float(rows[1]["theta_bar"])
 
+    def test_unparsable_value_exits_1_naming_the_flag(self, tmp_path, capsys):
+        # used to print "error: could not convert string to float: 'abc'"
+        out_path = tmp_path / "k.csv"
+        assert run(["elastic-sweep", "--vary", "k", "--values", "0.025,abc", "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --values: could not convert string to float: 'abc'\n"
+        assert not out_path.exists()
+
 
 class TestTensorCheckCommand:
     def test_passes(self, capsys):
         assert run(["tensor-check"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok") == 3
+
+    def test_large_scale_passes(self, capsys):
+        # the gradient's trace was checked against an absolute 1e-12, so its
+        # own rounding failed the check: "G must be trace-free"
+        assert run(["tensor-check", "--sigma", "1e4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.endswith("-> ok") for line in lines)
+
+    def test_negative_rng_seed_exits_1_naming_it(self, capsys):
+        # used to print numpy's "error: expected non-negative integer"
+        assert run(["tensor-check", "--rng-seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --rng-seed must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize("flag", ["--eta1", "--eta2", "--eta24", "--sigma", "--s-plus", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "-Infinity"])

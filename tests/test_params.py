@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,19 +8,25 @@ import pytest
 from smectic1d import params as pm
 
 
+def _valid(eta1, eta2, eta24):
+    try:
+        pm.validate_elastic_constants(eta1, eta2, eta24)
+    except ValueError:
+        return False
+    return True
+
+
 class TestValidateElasticConstants:
     def test_accepts_one_constant_case(self):
-        assert pm.validate_elastic_constants(1.0, 1.0, 1.0).valid
+        assert _valid(1.0, 1.0, 1.0)
 
     def test_rejects_boundary_eta24(self):
-        verdict = pm.validate_elastic_constants(1.0, 0.0, 3.0)
-        assert not verdict.valid
-        assert "eta24 < 3*eta1" in verdict.violation
+        with pytest.raises(ValueError, match=re.escape("eta24 < 3*eta1")):
+            pm.validate_elastic_constants(1.0, 0.0, 3.0)
 
     def test_rejects_negative_combination(self):
-        verdict = pm.validate_elastic_constants(1.0, -1.0, 1.0)
-        assert not verdict.valid
-        assert "5*eta1 + 10*eta2 - 9*eta24" in verdict.violation
+        with pytest.raises(ValueError, match=re.escape("5*eta1 + 10*eta2 - 9*eta24")):
+            pm.validate_elastic_constants(1.0, -1.0, 1.0)
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
@@ -39,7 +46,7 @@ class TestValidateElasticConstants:
                     l2 = (eta2 - eta24) / 2.0
                     l3 = (eta24 - eta1) / 2.0
                     expected = l1 > 0 and -l1 < l3 < 2 * l1 and l1 + 5.0 * l2 / 3.0 + l3 / 6.0 > 0
-                    got = pm.validate_elastic_constants(eta1, eta2, eta24).valid
+                    got = _valid(eta1, eta2, eta24)
                     assert got == expected, (eta1, eta2, eta24)
 
 
