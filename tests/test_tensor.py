@@ -215,6 +215,12 @@ class TestReduction:
         fd = (tn.unit_field(z + step, a, b)[0] - tn.unit_field(z - step, a, b)[0]) / (2.0 * step)
         assert np.max(np.abs(fd - dn)) < 1e-9
 
+    def test_mismatched_shapes_rejected(self):
+        n, dn = tn.unit_field(np.linspace(0.0, 1.0, 8), 1.0, 0.5)
+        for args in ((n, dn[:7]), (n[:, :2], dn[:, :2]), (n[0], dn[0])):
+            with pytest.raises(ValueError, match="shape"):
+                tn.reduction_residual(*args, self.S_PLUS, 1.0, 0.0, 0.0, self.SIGMA)
+
     def test_non_unit_samples_rejected(self):
         n = np.tile([1.0, 1.0, 0.0], (8, 1))
         with pytest.raises(ValueError, match="unit"):
