@@ -24,15 +24,15 @@ _EXPORTS = {
         "tensor": ("tensor",),
         "params": (
             "MinimizeOptions", "ModelParams1D", "OFConstants", "RunConfig", "compute_s_plus", "d_from_temperature",
-            "format_config", "map_to_oseen_frank", "parse_config", "temperature_from_d",
+            "format_config", "map_to_oseen_frank", "parse_config", "SolverError", "temperature_from_d",
             "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
         ),
         "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "synthesize"),
         "energy1d": ("EnergyBreakdown", "Evaluator", "energy", "gradient", "reconstruct_director"),
-        "minimize": ("DivergenceError", "MinimizeReport", "minimize", "seed_state"),
+        "minimize": ("MinimizeReport", "minimize", "seed_state"),
         "stability": ("StabilityReport", "spectrum"),
         "sweep": (
-            "ElasticRecord", "SweepError", "SweepRecord", "cooling_grid", "detect_transitions",
+            "ElasticRecord", "SweepRecord", "cooling_grid", "detect_transitions",
             "elastic_sweep", "sweep_temperature",
         ),
     }.items()

@@ -12,8 +12,8 @@ This is the only module with I/O side effects.  Subcommands:
 * ``plot``             render a CSV into a standalone SVG
 
 Exit codes: 0 success, 1 invalid parameters or configuration, 2 solver
-non-convergence, 3 I/O failure.  Data goes to files or stdout; diagnostics
-go to stderr.  ``--tol-grad`` and ``--eps-detect`` must be finite and
+failure, 3 I/O failure.  Data goes to files or stdout; diagnostics go to
+stderr.  ``--tol-grad`` and ``--eps-detect`` must be finite and
 positive, and ``plot`` draws finite values only.
 
 Each subcommand imports the solver modules it needs when it runs, so
@@ -34,13 +34,9 @@ import tempfile
 from dataclasses import fields, replace
 
 from . import params as params_mod
-from .params import SEED_KINDS, ModelParams1D, RunConfig, format_config, parse_config
+from .params import SEED_KINDS, ModelParams1D, RunConfig, SolverError, format_config, parse_config
 
 __all__ = ["run", "main", "emit_svg"]
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
         )
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(x: float) -> str:
@@ -308,7 +304,7 @@ def _print_thresholds(p: ModelParams1D) -> None:
     print(f"t2 = {_fmt(t2)}")
 
 
-def _cmd_validate_params(args: argparse.Namespace) -> int:
+def _cmd_validate_params(args: argparse.Namespace) -> None:
     config = _load_config(args)
     abc, etas = (args.A, args.B, args.C), (args.eta1, args.eta2, args.eta24)
     if None in abc and abc != (None,) * 3:
@@ -323,7 +319,7 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
     of = None if args.eta1 is None else params_mod.map_to_oseen_frank(*etas, s_plus)
     if args.echo:
         sys.stdout.write(format_config(config))
-        return 0
+        return
     _print_thresholds(config.params)
     if s_plus is not None:
         print(f"s_plus = {_fmt(s_plus)}")
@@ -331,10 +327,9 @@ def _cmd_validate_params(args: argparse.Namespace) -> int:
         print(f"k1 = k3 = {_fmt(of.k1)}")
         print(f"k2 = {_fmt(of.k2)}")
         print(f"k4 = {_fmt(of.k4)}")
-    return 0
 
 
-def _cmd_minimize(args: argparse.Namespace) -> int:
+def _cmd_minimize(args: argparse.Namespace) -> None:
     if args.profile:
         _check_output_path(args.profile)
     from .minimize import minimize, seed_state
@@ -359,12 +354,10 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         columns = [grid.nodes, theta, rho, *reconstruct_director(theta, p)]
         _write_text_atomic(args.profile, _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], columns))
     if not report.converged:
-        print("minimization did not reach the gradient tolerance", file=sys.stderr)
-        return 2
-    return 0
+        raise SolverError("minimization did not reach the gradient tolerance")
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> None:
     if args.out:
         _check_output_path(args.out)
     from . import stability
@@ -378,8 +371,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         state0 = seed_state(args.seed, p, config.n_modes)
         state, report = minimize(state0, p, config.options)
         if not report.converged:
-            print("minimization did not reach the gradient tolerance", file=sys.stderr)
-            return 2
+            raise SolverError("minimization did not reach the gradient tolerance")
     report = stability.spectrum(state, p)
     text = _csv_text(["index", "eigenvalue"], [range(len(report.eigenvalues)), report.eigenvalues])
     if args.out:
@@ -388,20 +380,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     print(f"morse_index = {report.morse_index}", file=sys.stderr)
     print(f"min_eigenvalue = {_fmt(report.min_eigenvalue)}", file=sys.stderr)
-    return 0
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
+def _cmd_thresholds(args: argparse.Namespace) -> None:
     p = _load_config(args).params
     # computed first, so that a bad --t exits before any line is printed
     star = None if args.t is None else params_mod.theta_star(args.t, p)
     _print_thresholds(p)
     if star is not None:
         print(f"theta_star({_fmt(args.t)}) = {_fmt(star)}")
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     from .sweep import cooling_grid, detect_transitions, sweep_temperature
 
     # checked before any solve: detect_transitions would reject a bad
@@ -419,10 +409,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     t_chs, t_hssc = detect_transitions(records, args.eps_detect)
     print(f"T_CHS = {'absent' if t_chs is None else _fmt(t_chs)}")
     print(f"T_HSSC = {'absent' if t_hssc is None else _fmt(t_hssc)}")
-    return 0
 
 
-def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
+def _cmd_elastic_sweep(args: argparse.Namespace) -> None:
     _check_output_path(args.out)
     from .sweep import elastic_sweep
 
@@ -436,10 +425,9 @@ def _cmd_elastic_sweep(args: argparse.Namespace) -> int:
     records = elastic_sweep(config, values, args.vary)
     header = ["value", "theta_bar", "delta_rho_max", "energy"]
     _write_text_atomic(args.out, _csv_text(header, [[getattr(r, c) for r in records] for c in header]))
-    return 0
 
 
-def _cmd_tensor_check(args: argparse.Namespace) -> int:
+def _cmd_tensor_check(args: argparse.Namespace) -> None:
     for name in ("eta1", "eta2", "eta24", "sigma", "s_plus", "tol"):
         value = getattr(args, name)
         if not math.isfinite(value):
@@ -474,12 +462,10 @@ def _cmd_tensor_check(args: argparse.Namespace) -> int:
             f" -> {'ok' if line_ok else 'FAIL'}",
         )
     if not ok:
-        print("uniaxial reduction check failed", file=sys.stderr)
-        return 1
-    return 0
+        raise ValueError("uniaxial reduction check failed")
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(args: argparse.Namespace) -> None:
     _check_output_path(args.out)
     with open(args.data, "r", newline="") as fh:
         rows = list(csv.DictReader(fh, restval=""))
@@ -488,7 +474,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.data}: {exc}") from None
     _write_text_atomic(args.out, svg)
-    return 0
 
 
 # --- parser wiring ----------------------------------------------------------------
@@ -572,23 +557,19 @@ def run(argv: list[str]) -> int:
     """Entry point used by tests: parse argv, dispatch, map errors to exit codes."""
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
-    except (_UsageError, ValueError) as exc:
+        args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        from .minimize import DivergenceError  # not up front: only solver code raises these
-        from .sweep import SweepError
-
-        if not isinstance(exc, (DivergenceError, SweepError)):
-            raise
-        print(f"{'solver' if isinstance(exc, DivergenceError) else 'sweep'} error: {exc}", file=sys.stderr)
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    return 0
 
 
 def main() -> None:

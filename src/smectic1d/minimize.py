@@ -28,14 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy1d import Evaluator, _check_state
-from .params import SEED_KINDS, MinimizeOptions, ModelParams1D, d_critical
+from .params import SEED_KINDS, MinimizeOptions, ModelParams1D, SolverError, d_critical
 from .spectral import SpectralState, gram_diagonal
 
-__all__ = ["MinimizeOptions", "MinimizeReport", "DivergenceError", "minimize", "seed_state", "SEED_KINDS"]
-
-
-class DivergenceError(RuntimeError):
-    """Raised when the energy becomes non-finite at an accepted iterate."""
+__all__ = ["MinimizeOptions", "MinimizeReport", "minimize", "seed_state", "SEED_KINDS"]
 
 
 # Step policy: the step tried at the first iteration, the backtracking
@@ -136,22 +132,25 @@ def minimize(
     ``MEMORY`` accepted energies plus its slack of a few ulps,
     4 eps max(1, |E|) at the current energy E.  The preconditioned
     direction descends (slope <= 0) because the preconditioner is positive
-    definite.
+    definite.  A trial step of non-finite energy fails the Armijo test and
+    is cut back like any other, so every accepted energy is finite.
 
     Raises
     ------
     ValueError
-        If the cell height of ``state0`` is not ``params.h``.
-    DivergenceError
-        If the energy is non-finite at the starting point or turns
-        non-finite in a way backtracking cannot repair.
+        If the cell height of ``state0`` is not ``params.h``, or
+        ``evaluator`` was built for other parameters or another N.
+    SolverError
+        If the energy is non-finite at the starting point.
     """
     _check_state(state0, params)
     ev = evaluator if evaluator is not None else Evaluator(state0.n, params)
+    if ev.params != params or ev.n != state0.n:
+        raise ValueError("the evaluator was built for other parameters or another truncation order N")
     x = state0.pack()
     e = ev.energy(x)
     if not math.isfinite(e):
-        raise DivergenceError("non-finite energy at the starting state")
+        raise SolverError("non-finite energy at the starting state")
     g = ev.gradient(x)
     recent = deque([e], maxlen=MEMORY)
     best_x, best_e, best_g = x, e, g

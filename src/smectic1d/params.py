@@ -39,6 +39,10 @@ class ParamError(ValueError):
         self.keys = keys
 
 
+class SolverError(RuntimeError):
+    """A failed solve; here, beside ParamError, so that the CLI maps it to exit code 2 without numpy."""
+
+
 def validate_elastic_constants(eta1: float, eta2: float, eta24: float) -> None:
     """Check that (eta1, eta2, eta24) give a positive-definite gradient energy.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy1d import Evaluator, _check_state
-from .params import ModelParams1D
+from .params import ModelParams1D, SolverError
 from .spectral import SpectralState, gram_diagonal
 
 __all__ = ["StabilityReport", "spectrum"]
@@ -64,7 +64,7 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     problem H v = mu G v with the finite-difference coefficient Hessian H of
     :meth:`Evaluator.fd_hessian` and the diagonal Gram matrix G of the basis.
     ``eigvalsh`` returns them ascending.  A state whose cell height is not
-    ``params.h`` raises ValueError.
+    ``params.h`` raises ValueError, a failed eigensolve SolverError.
     """
     _check_state(state, params)
     h_mat = Evaluator(state.n, params).fd_hessian(state.pack())
@@ -73,5 +73,5 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     try:
         eigs = np.linalg.eigvalsh(normalized)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigenvalue solve failed: {exc}") from exc
+        raise SolverError(f"eigenvalue solve failed: {exc}") from exc
     return StabilityReport(eigenvalues=eigs)

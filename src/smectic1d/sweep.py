@@ -30,13 +30,12 @@ import numpy as np
 from . import stability
 from .energy1d import Evaluator
 from .minimize import FLOAT_EPS, MinimizeOptions, seed_state
-from .params import ModelParams1D, RunConfig
+from .params import ModelParams1D, RunConfig, SolverError
 from .spectral import SpectralState, default_grid
 
 __all__ = [
     "cooling_grid",
     "SweepRecord",
-    "SweepError",
     "ElasticRecord",
     "sweep_temperature",
     "detect_transitions",
@@ -51,10 +50,6 @@ SWEEP_SEEDS = ("smectic-seed",)
 ELASTIC_SEEDS = ("smectic-seed", "conical-seed")
 #: A sweep aborts when more than this share of its points fail to converge.
 MAX_FAILURE_FRACTION = 0.2
-
-
-class SweepError(RuntimeError):
-    """Raised when too many points of a sweep fail to converge."""
 
 
 def cooling_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
@@ -134,10 +129,10 @@ def _relax(
 
 
 def _check_failures(records: list, sweep: str) -> None:
-    """Raise SweepError when more than ``MAX_FAILURE_FRACTION`` of the records did not converge."""
+    """Raise SolverError when more than ``MAX_FAILURE_FRACTION`` of the records did not converge."""
     failures = sum(not r.converged for r in records)
     if failures > MAX_FAILURE_FRACTION * len(records):
-        raise SweepError(f"{failures} of {len(records)} {sweep} points failed to converge")
+        raise SolverError(f"{failures} of {len(records)} {sweep} points failed to converge")
 
 
 def sweep_temperature(

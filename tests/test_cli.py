@@ -148,6 +148,32 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "d_critical = " in proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["validate-params", "--config", "bad.cfg"], 1,
+             "error: config line 1: k1 must be positive and finite, got -1.0"),
+            (["sweep", "--t-start", "-10", "--t-end", "-9", "--dt", "0.1", "--out", "s.csv"], 1,
+             "error: sweeps run cooling only: t_end = -9.0 must not exceed t_start = -10.0"),
+            (["minimize", "--max-iters", "1"], 2, "solver error: minimization did not reach the gradient tolerance"),
+            (["spectrum", "--d", "1e308", "--n-modes", "4"], 2,
+             "solver error: eigenvalue solve failed: Eigenvalues did not converge"),
+            (["minimize", "--profile", "missing/p.csv"], 3,
+             "i/o error: [Errno 2] output directory does not exist: 'missing/p.csv'"),
+        ],
+        ids=["config-line", "cooling-grid", "max-iters", "eigensolve", "missing-directory"],
+    )
+    def test_each_failure_exits_with_its_code(self, tmp_path, child_env, argv, code, message):
+        # a failed eigensolve used to end in a RuntimeError traceback
+        (tmp_path / "bad.cfg").write_text("k1 = -1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "smectic1d", *argv], capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env=child_env,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.splitlines()[-1] == message
+        assert "Traceback" not in proc.stderr
+
     NUMPY_FREE = {
         "validate-params": ["validate-params"],
         "thresholds": ["thresholds", "--t", "2"],
@@ -418,15 +444,16 @@ class TestSweepCommand:
         assert not solved
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("error, prefix", [("SweepError", "sweep error"), ("DivergenceError", "solver error")])
-    def test_solver_errors_exit_2(self, tmp_path, capsys, monkeypatch, error, prefix):
+    @pytest.mark.parametrize("module, name", [("sweep", "sweep_temperature"), ("minimize", "minimize")])
+    def test_solver_errors_exit_2(self, tmp_path, capsys, monkeypatch, module, name):
+        # a failed sweep and a failed relaxation inside it raise the same error
         def fail(*args, **kwargs):
-            raise getattr(smectic1d, error)("boom")
+            raise smectic1d.SolverError("boom")
 
-        monkeypatch.setattr("smectic1d.sweep.sweep_temperature", fail)
+        monkeypatch.setattr(importlib.import_module(f"smectic1d.{module}"), name, fail)
         argv = ["sweep", "--t-start", "-10", "--t-end", "-10.1", "--dt", "0.1", "--out", str(tmp_path / "s.csv")]
         assert run(argv) == 2
-        assert capsys.readouterr().err == f"{prefix}: boom\n"
+        assert capsys.readouterr().err == "solver error: boom\n"
 
     def test_negative_values_in_exponent_form(self, tmp_path):
         cfg = _write_fig3_config(tmp_path, N=16)
@@ -558,7 +585,7 @@ class TestTensorCheckCommand:
         assert run(["tensor-check", flag, "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out.count("-> FAIL") == 3
-        assert captured.err == "uniaxial reduction check failed\n"
+        assert captured.err == "error: uniaxial reduction check failed\n"
 
     @pytest.mark.parametrize("value", ["0", "-0.0", "-1e-3"])
     def test_non_positive_tol_exits_1_before_computing(self, capsys, value):

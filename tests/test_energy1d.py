@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smectic1d import (
     Evaluator,
@@ -13,12 +15,20 @@ from smectic1d import (
     minimize,
     reconstruct_director,
     seed_state,
+    spectrum,
     synthesize,
 )
 from smectic1d.energy1d import _operators
 from smectic1d.spectral import _tables
 
-from crosscheck import OFF_DEFAULT, el_residual, quadrature, synthesize_derivative
+from crosscheck import (
+    OFF_DEFAULT,
+    OFF_HEIGHT,
+    analytic_cholesteric_spectrum,
+    el_residual,
+    quadrature,
+    synthesize_derivative,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -264,7 +274,8 @@ class TestHalfGridQuadrature:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("e", [0.0, 0.5])
     def test_energy_matches_the_full_grid_sum(self, n, e):
-        for p in (ModelParams1D(d=-0.8, e=e), ModelParams1D(d=-0.8, e=e, **OFF_DEFAULT)):
+        for off in ({}, OFF_DEFAULT, OFF_HEIGHT):
+            p = ModelParams1D(d=-0.8, e=e, **off)
             ev = Evaluator(n, p)
             for vec in self._vectors(n):
                 assert ev.energy(vec) == pytest.approx(self._full_grid_energy(vec, n, p), rel=1e-13, abs=0.0)
@@ -273,7 +284,7 @@ class TestHalfGridQuadrature:
     def test_gradient_matches_finite_differences(self, n):
         # the check of criterion 08: central differences of the energy, eps = 1e-6
         eps = 1e-6
-        for p in (ModelParams1D(), ModelParams1D(**OFF_DEFAULT)):
+        for p in (ModelParams1D(), ModelParams1D(**OFF_DEFAULT), ModelParams1D(**OFF_HEIGHT)):
             ev = Evaluator(n, p)
             for vec in self._vectors(n):
                 g = ev.gradient(vec)
@@ -305,6 +316,38 @@ class TestHalfGridQuadrature:
         assert ev.weights[0] == ev.weights[-1] == w
         assert np.all(ev.weights[1:-1] == 2.0 * w)
         assert ev.weights.sum() == pytest.approx(p.h, rel=1e-15)
+
+
+class TestParameterBox:
+    """The independent routes over a box of valid parameters, not only at the sets that tests name."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        k=st.tuples(*[st.floats(0.005, 0.05)] * 3),
+        sigma=st.floats(1.0, 6.0),
+        theta0=st.floats(0.1, 1.4),
+        lambdas=st.tuples(*[st.floats(5e-4, 5e-3)] * 2),
+        d=st.floats(-2.0, 1.0),
+        h=st.floats(math.pi, 4.0 * math.pi),
+        n0=st.integers(1, 4),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_grid_energy_and_trivial_spectrum(self, k, sigma, theta0, lambdas, d, h, n0, rng_seed):
+        n = 16
+        (k1, k2, k3), (lambda1, lambda2) = k, lambdas
+        p = ModelParams1D(
+            k1=k1, k2=k2, k3=k3, sigma=sigma, q=TWO_PI * n0 / h, h=h, d=d, lambda1=lambda1, lambda2=lambda2,
+            theta0=theta0,
+        )
+        rng = np.random.default_rng(rng_seed)
+        scale = 0.3 / (1.0 + np.arange(n + 2))
+        vec = np.concatenate([rng.normal(size=n + 2) * scale, rng.normal(size=n + 1) * scale[1:]])
+        reference = TestHalfGridQuadrature._full_grid_energy(vec, n, p)
+        assert Evaluator(n, p).energy(vec) == pytest.approx(reference, rel=1e-13, abs=1e-15)
+        modes = analytic_cholesteric_spectrum(p, n + 1)
+        expected = np.sort([m.value for m in modes if m.kind in ("rho_sin", "theta")])
+        numeric = spectrum(seed_state("cholesteric", p, n), p).eigenvalues
+        np.testing.assert_allclose(numeric, expected, rtol=1e-6, atol=1e-12 * np.max(np.abs(expected)))
 
 
 class TestSharedOperators:

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smectic1d import (
-    DivergenceError,
     Evaluator,
     MinimizeOptions,
     ModelParams1D,
+    SolverError,
     SpectralState,
     default_grid,
     d_critical,
@@ -197,6 +197,15 @@ class TestMinimize:
         with pytest.raises(ValueError, match="cell height"):
             minimize(state0, ModelParams1D())
 
+    @pytest.mark.parametrize("other", ["params", "N"])
+    def test_rejects_an_evaluator_of_other_parameters(self, other):
+        # an evaluator of T = -11.5 relaxed a T = -10.5 state to the -11.5
+        # energy and called it converged; one of another N failed inside matmul
+        a = ModelParams1D().at_temperature(-10.5)
+        evaluator = Evaluator(16, a.at_temperature(-11.5)) if other == "params" else Evaluator(32, a)
+        with pytest.raises(ValueError, match="evaluator was built for other parameters"):
+            minimize(seed_state("smectic-seed", a, 16), a, evaluator=evaluator)
+
     def test_max_iters_reports_not_converged(self):
         p = ModelParams1D().with_d(-0.5)
         _, report = minimize(seed_state("smectic-seed", p, 64), p, MinimizeOptions(max_iters=2))
@@ -209,7 +218,7 @@ class TestMinimize:
         vec = np.zeros(35)
         vec[18 + 3] = 1e200  # quartic overflows to inf
         state = SpectralState.from_vector(vec, 16, p.h)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(SolverError):
             minimize(state, p)
 
     def test_energy_never_increases_against_start(self):

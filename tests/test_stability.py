@@ -23,6 +23,7 @@ from smectic1d.energy1d import HESSIAN_FD_STEP
 
 from crosscheck import (
     OFF_DEFAULT,
+    OFF_HEIGHT,
     analytic_cholesteric_spectrum,
     morse_index_analytic,
     optimal_constant_tilt,
@@ -217,13 +218,15 @@ class TestSpectrum:
     def test_matches_analytic_at_trivial_state(self):
         # the third set separates k1, k2 and k3: the twist stiffness of the tilt
         # is k3 sigma^2, where the one-constant form 2 k1 (omega^2 + sigma^2) is 0.8 off;
-        # the last two also take q != sigma, n0 = 6 and lambda1 != lambda2 just
-        # above and below the layering onset d0, which the spectrum must place
+        # the last four also take q != sigma, n0 = 6 (then h = 3 pi, n0 = 3) and
+        # lambda1 != lambda2 just above and below the layering onset d0, which
+        # the spectrum must place
         n = 32
         base = ModelParams1D()
-        off = ModelParams1D(**OFF_DEFAULT)
-        d0 = d_critical(off)
-        onset = {off.with_d(d0 + 1e-3): 0, off.with_d(d0 - 1e-3): 1}
+        onset = {}
+        for off in (ModelParams1D(**OFF_DEFAULT), ModelParams1D(**OFF_HEIGHT)):
+            d0 = d_critical(off)
+            onset |= {off.with_d(d0 + 1e-3): 0, off.with_d(d0 - 1e-3): 1}
         for p in (base.with_d(-0.2), base.with_d(-0.5), replace(base, k1=0.01, k2=0.03, k3=0.05, d=1.0), *onset):
             report = spectrum(seed_state("cholesteric", p, n), p)
             expected = _restricted_analytic(p, n)
@@ -231,7 +234,7 @@ class TestSpectrum:
             assert np.max(rel) < 1e-6
             if p in onset:
                 assert report.morse_index == onset[p]
-                assert report.min_eigenvalue == pytest.approx(p.d - d0, abs=1e-12)
+                assert report.min_eigenvalue == pytest.approx(p.d - d_critical(p), abs=1e-12)
 
     def test_rejects_a_state_of_another_cell_height(self):
         # the Gram of the h = pi state would mass-normalize the 2 pi model's Hessian

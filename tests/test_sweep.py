@@ -9,8 +9,8 @@ import pytest
 from smectic1d import (
     MinimizeOptions,
     RunConfig,
+    SolverError,
     SpectralState,
-    SweepError,
     SweepRecord,
     cooling_grid,
     d_critical,
@@ -146,7 +146,7 @@ class TestSweepTemperature:
 
     def test_failure_fraction_guard(self, fig3_params):
         config = RunConfig(fig3_params, options=MinimizeOptions(max_iters=1, tol_grad=1e-15))
-        with pytest.raises(SweepError):
+        with pytest.raises(SolverError):
             sweep_temperature(config, QUICK)
 
 
