@@ -8,7 +8,11 @@ accepted energies (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23,
 moment (Raydan, SIAM J. Optim. 7, 1997).  After a step that met
 non-positive curvature the next one starts from the upper step bound
 (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000), so a relaxation that
-leaves a saddle below the layering onset does not crawl.  The iteration
+leaves a saddle below the layering onset does not crawl.  That long step is
+cut down by safeguarded quadratic interpolation (Nocedal & Wright,
+*Numerical Optimization*, section 3.5), not by halving, so a restart does
+not spend some twenty energy calls descending from the bound; a BB trial
+step is halved.  The iteration
 runs in diagonally preconditioned variables: the closed-form quadratic
 curvature of each basis mode (layer stiffness
 2*lambda1*((2*pi*k/h)^2 - q^2)^2 for the smectic modes, twist stiffness
@@ -35,12 +39,17 @@ __all__ = ["MinimizeOptions", "MinimizeReport", "minimize", "seed_state", "SEED_
 
 
 # Step policy: the step tried at the first iteration, the backtracking
-# factor, the number of accepted energies whose maximum the Armijo test
-# compares against (the nonmonotone memory M of SPG2), the Armijo
-# sufficient-decrease constant, and the BB step bounds (the line search
-# gives up below STEP_MIN; STEP_MAX is also the step tried after s.y <= 0).
+# factor of a BB trial step, the safeguard interval [INTERP_LO, INTERP_HI]
+# (fractions of the rejected step) of the quadratic interpolation that cuts
+# down a restart step, the number of accepted energies whose maximum the
+# Armijo test compares against (the nonmonotone memory M of SPG2), the
+# Armijo sufficient-decrease constant, and the BB step bounds (the line
+# search gives up below STEP_MIN; STEP_MAX is also the step tried after
+# s.y <= 0, the restart step).
 STEP0 = 1e-2
 BACKTRACK = 0.5
+INTERP_LO = 0.1
+INTERP_HI = 0.5
 MEMORY = 10
 ARMIJO = 1e-4
 STEP_MIN = 1e-16
@@ -168,15 +177,17 @@ def minimize(
             return _result(x, e, gnorm, it - 1, True, state0)
 
         direction = neg_dinv * g
+        restart = False
         if s_prev is not None:
             sy = float(s_prev @ y_prev)
             if sy > 0:
                 ss = float(s_prev @ (s_prev / dinv))
                 step = min(max(ss / sy, STEP_MIN), STEP_MAX)
             else:
-                # non-positive curvature along s: the longest step,
-                # cut down by backtracking
+                # non-positive curvature along s: the longest step, cut
+                # down by interpolation
                 step = STEP_MAX
+                restart = True
         slope = float(g @ direction)  # negative descent slope
 
         # a few ulps of slack: near convergence the true decrease per step
@@ -193,7 +204,7 @@ def minimize(
             if math.isfinite(e_new) and e_new <= e_ref + ARMIJO * alpha * slope + slack:
                 accepted = True
                 break
-            alpha *= BACKTRACK
+            alpha = _interpolated(alpha, e, slope, e_new) if restart else alpha * BACKTRACK
         iterations = it
         if not accepted:
             # line search stalled even with slack: flat to working precision
@@ -210,6 +221,20 @@ def minimize(
     if gnorm <= opts.tol_grad:
         return _result(x, e, gnorm, iterations, True, state0)
     return _result(best_x, best_e, float(np.abs(best_g).max()), iterations, False, state0)
+
+
+def _interpolated(alpha: float, e: float, slope: float, e_new: float) -> float:
+    """The cut-down step after a restart trial ``alpha`` was rejected.
+
+    The minimizer of the quadratic through the current energy ``e``, the
+    slope and the rejected energy ``e_new``, clamped to
+    [INTERP_LO, INTERP_HI] * alpha; INTERP_LO * alpha if ``e_new`` is not
+    finite or the quadratic has no minimum.
+    """
+    curvature = e_new - e - slope * alpha  # > 0 for a step that failed the Armijo test
+    if not (math.isfinite(e_new) and curvature > 0.0):
+        return INTERP_LO * alpha
+    return max(INTERP_LO * alpha, min(INTERP_HI * alpha, -slope * alpha * alpha / (2.0 * curvature)))
 
 
 def _result(

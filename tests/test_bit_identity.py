@@ -149,12 +149,12 @@ def tilt_onset_records(fig3_params):
 
 
 def test_fig3_sweep_records(fig3_sweep):
-    assert _records_digest(fig3_sweep) == "e1fff22819ad9e7a"
+    assert _records_digest(fig3_sweep) == "5aaca6344e31341e"
 
 
 def test_tilt_sweep_records(tilt_sweep):
-    assert _records_digest(tilt_sweep) == "6987bbf5ff8d4abb"
+    assert _records_digest(tilt_sweep) == "a35776c123e1d5ba"
 
 
 def test_tilt_onset_records(tilt_onset_records):
-    assert _records_digest(tilt_onset_records) == "6400df0c25465d45"
+    assert _records_digest(tilt_onset_records) == "04beb5cabe3e69f8"

@@ -221,22 +221,22 @@ class TestBatchOutputsUnchanged:
     DIGESTS = {
         "0:validate-params:stdout": "89d27d5b6aa4b952",
         "1:thresholds:stdout": "91e6498b54b5a530",
-        "2:minimize:stderr": "b329af000e105582",
-        "2:minimize:stdout": "a0dfe277211cb06e",
+        "2:minimize:stderr": "6f239ede5bad4acf",
+        "2:minimize:stdout": "08807068da29627c",
         "3:spectrum:stdout": "e3b0c44298fc1c14",
-        "4:sweep:stdout": "17e1a1e5d830f826",
+        "4:sweep:stdout": "31333921a84c8860",
         "5:plot:stdout": "e3b0c44298fc1c14",
         "6:plot:stdout": "e3b0c44298fc1c14",
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
         "9:tensor-check:stdout": "a1ba4def3c7d561c",
-        "k.csv": "96702ab9c1bd9fbb",
-        "k.svg": "924da169e351357d",
-        "profile.csv": "fd8d571825a74abc",
-        "profile.svg": "5ab2fa1d15d98c90",
+        "k.csv": "1951bd990d095d44",
+        "k.svg": "51910ac8f9af148a",
+        "profile.csv": "1b7201ad34d273bb",
+        "profile.svg": "f5ef60bfde4c60df",
         "spectrum.csv": "b003767faa43bab7",
-        "sweep.csv": "de0a2ffd31f52b89",
-        "sweep.svg": "0a75912006edf038",
+        "sweep.csv": "693721cde56b5582",
+        "sweep.svg": "d170d847b5ff19fc",
     }
 
     @staticmethod
@@ -266,7 +266,7 @@ class TestMorseOutputsUnchanged:
     marker.  Recorded on the platform of ``TestBatchOutputsUnchanged``.
     """
 
-    DIGESTS = {"morse.csv": "f315a3624ed75bf5", "morse.svg": "f30b5d95dc37d3ba"}
+    DIGESTS = {"morse.csv": "a053587f6f6c5c46", "morse.svg": "01083b5cd9530f0c"}
 
     def test_bytes_match_the_recorded_digests(self, tmp_path):
         data, svg = tmp_path / "morse.csv", tmp_path / "morse.svg"

@@ -182,7 +182,7 @@ class TestMinimize:
         # the seed leaves a saddle here, so BB meets s.y <= 0 early on; a
         # fixed 1e-2 restart step after it took 394 steps, the longest step
         # cut down by backtracking takes 117 under a monotone Armijo test
-        # (238 energy calls) and 100 under the nonmonotone one (140), which
+        # (238 energy calls) and 112 under the nonmonotone one (161), which
         # keeps most first BB trials that the monotone test cut back
         p = ModelParams1D().at_temperature(-21.8)
         ev = _Counting(64, p)
@@ -190,6 +190,17 @@ class TestMinimize:
         assert report.converged
         assert report.iterations <= 200
         assert ev.energy_calls <= 170
+
+    def test_smectic_seed_at_the_k001_tilt_onset_work_count(self):
+        # the tilt direction's curvature nearly vanishes here, so BB meets
+        # s.y <= 0 again and again; halving each restart step down from
+        # STEP_MAX took 3,802 steps, cutting it by safeguarded quadratic
+        # interpolation takes 2,367
+        k = 0.01
+        p = replace(ModelParams1D(), k1=k, k2=k, k3=k).at_temperature(-15.22)
+        _, report = minimize(seed_state("smectic-seed", p, 64), p)
+        assert report.converged
+        assert report.iterations <= 3000
 
     def test_rejects_a_state_of_another_cell_height(self):
         # relaxed on the 2 pi model, an h = pi state would come back labelled h = pi
