@@ -64,14 +64,19 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     problem H v = mu G v with the finite-difference coefficient Hessian H of
     :meth:`Evaluator.fd_hessian` and the diagonal Gram matrix G of the basis.
     ``eigvalsh`` returns them ascending.  A state whose cell height is not
-    ``params.h`` raises ValueError, a failed eigensolve SolverError.
+    ``params.h`` raises ValueError; a Hessian that overflows (coefficients
+    near the float limit) or a failed eigensolve raises SolverError.
     """
     _check_state(state, params)
-    h_mat = Evaluator(state.n, params).fd_hessian(state.pack())
     scale = 1.0 / np.sqrt(gram_diagonal(state.n, state.h))
-    normalized = h_mat * np.outer(scale, scale)
+    # an overflow here is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        normalized = Evaluator(state.n, params).fd_hessian(state.pack()) * np.outer(scale, scale)
     try:
         eigs = np.linalg.eigvalsh(normalized)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigenvalue solve failed: {exc}") from exc
+    # on a non-finite matrix LAPACK either fails (above) or returns NaNs
+    if not np.all(np.isfinite(normalized)):
+        raise SolverError("eigenvalue solve failed: the Hessian is not finite")
     return StabilityReport(eigenvalues=eigs)

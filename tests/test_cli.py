@@ -174,6 +174,17 @@ class TestModuleEntry:
         assert proc.stderr.splitlines()[-1] == message
         assert "Traceback" not in proc.stderr
 
+    def test_spectrum_overflow_prints_only_the_solver_error(self, child_env):
+        # the FD Hessian overflows at d = 1e308; three numpy RuntimeWarnings
+        # used to come before the solver error line
+        proc = subprocess.run(
+            [sys.executable, "-m", "smectic1d", "spectrum", "--d", "1e308", "--n-modes", "4"], capture_output=True,
+            text=True, timeout=60, env=child_env,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("solver error: ")
+
     NUMPY_FREE = {
         "validate-params": ["validate-params"],
         "thresholds": ["thresholds", "--t", "2"],

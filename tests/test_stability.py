@@ -7,6 +7,7 @@ import pytest
 from smectic1d import (
     Evaluator,
     ModelParams1D,
+    SolverError,
     StabilityReport,
     d_critical,
     default_grid,
@@ -241,6 +242,19 @@ class TestSpectrum:
         state = seed_state("smectic-seed", ModelParams1D(h=math.pi), 16)
         with pytest.raises(ValueError, match="cell height"):
             spectrum(state, ModelParams1D())
+
+    def test_non_finite_hessian_raises_solver_error(self, monkeypatch):
+        # for one NaN pair off the diagonal eigvalsh returns NaNs instead of
+        # failing, which the report turned into a ValueError (exit 1, not 2)
+        def not_finite(self, vec):
+            h_mat = np.eye(vec.size)
+            h_mat[0, 1] = h_mat[1, 0] = math.nan
+            return h_mat
+
+        monkeypatch.setattr(Evaluator, "fd_hessian", not_finite)
+        p = ModelParams1D()
+        with pytest.raises(SolverError, match="Hessian is not finite"):
+            spectrum(seed_state("cholesteric", p, 2), p)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_report_rejects_non_finite_eigenvalues(self, bad):
