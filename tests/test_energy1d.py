@@ -19,7 +19,8 @@ from smectic1d import (
     synthesize,
 )
 from smectic1d.energy1d import _operators
-from smectic1d.spectral import _tables
+from smectic1d.spectral import Grid, _tables, analyze
+from smectic1d.tensor import oseen_frank_density_1d
 
 from crosscheck import (
     OFF_DEFAULT,
@@ -452,6 +453,16 @@ class TestEulerLagrangeResidual:
         r_theta, r_rho = el_residual(state, p)
         assert max(np.max(np.abs(r_theta)), np.max(np.abs(r_rho))) < 100.0 * 1e-8
 
+    def test_small_at_converged_minimizer_at_another_cell_height(self):
+        # layered and untilted: with q = 2 the tilt needs a layer amplitude
+        # above t1 = 4.15, near d = -150, where N = 64 leaves a residual of 2.3
+        p = ModelParams1D(**OFF_HEIGHT).with_d(-3.0)
+        state, report = minimize(seed_state("smectic-seed", p, 64), p)
+        assert report.converged
+        assert float(np.max(state.rho_values(default_grid(64, p.h)))) > 0.5
+        r_theta, r_rho = el_residual(state, p)
+        assert max(np.max(np.abs(r_theta)), np.max(np.abs(r_rho))) < 100.0 * 1e-8
+
     def test_residual_grows_linearly_with_perturbation(self):
         p = ModelParams1D().with_d(-0.5)
         state, _ = minimize(seed_state("smectic-seed", p, 64), p)
@@ -500,3 +511,60 @@ class TestDirectorReconstruction:
         grid = default_grid(16, p.h)
         phi, *_ = reconstruct_director(state.theta_values(grid), p)
         assert phi[0] == 0.0
+
+
+def _director_energy_gap(state: SpectralState, p: ModelParams1D) -> tuple[float, float]:
+    """Oseen-Frank energy of the reconstructed director minus F's elastic and chiral terms and k2 sigma^2 h.
+
+    Returned with the reference integral of (k3 - k1) sin^2(theta) theta_z^2.
+    The director comes from :func:`reconstruct_director` on a 16(N+2) grid,
+    fine enough that the band-limited azimuth matches its integrand to
+    rounding; its z-derivative is exact for theta and spectral for phi.
+    phi is a linear ramp plus an odd periodic part, so phi(z) + phi(h - z)
+    is the ramp's rise over the cell.
+    """
+    grid = Grid(16 * (state.n + 2), p.h)
+    theta = state.theta_values(grid)
+    theta_z = synthesize_derivative(state.theta_c, "cosine", grid, 1)
+    phi, n1, n2, n3 = reconstruct_director(theta, p)
+    slope = (phi[1] + phi[-1]) / p.h
+    periodic = analyze(phi - slope * grid.nodes, "sine", grid, grid.m // 2 - 1)
+    phi_z = slope + synthesize_derivative(periodic, "sine", grid, 1)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    dn_dz = np.stack([-n2 * phi_z - np.cos(phi) * sin_t * theta_z, n1 * phi_z - np.sin(phi) * sin_t * theta_z,
+                      cos_t * theta_z], axis=1)
+    director = np.stack([n1, n2, n3], axis=1)
+    density = [oseen_frank_density_1d(n, dn, p.k1, p.k2, p.k3, 0.0, p.sigma) for n, dn in zip(director, dn_dz)]
+    parts = energy(state, p)
+    gap = quadrature(density, p.h) - (parts.elastic_theta + parts.chiral + p.k2 * p.sigma**2 * p.h)
+    return gap, quadrature((p.k3 - p.k1) * sin_t * sin_t * theta_z * theta_z, p.h)
+
+
+class TestDirectorEnergyIdentity:
+    """F is the director's Oseen-Frank energy with the azimuth eliminated, when k1 = k3.
+
+    Pointwise, the density of n = (cos phi cos theta, sin phi cos theta,
+    sin theta) at phi_z = sigma k2 / (k2 cos^2 + k3 sin^2) is F's elastic and
+    chiral densities plus k2 sigma^2 plus (k3 - k1) sin^2(theta) theta_z^2:
+    splay gives the k1 cos^2 part of the theta_z stiffness, bend the k3 sin^2
+    part.  A director whose azimuth advances at another rate has a higher
+    twist-and-bend energy, so both tests check reconstruct_director's phi.
+    """
+
+    @pytest.mark.parametrize("d", [-3.0, -5.0])
+    def test_equals_f_when_k1_equals_k3(self, d):
+        p = ModelParams1D(**{**OFF_DEFAULT, "k3": OFF_DEFAULT["k1"]}).with_d(d)
+        state, report = minimize(seed_state("smectic-seed", p, 32), p)
+        assert report.converged
+        assert float(np.max(state.theta_values(default_grid(32, p.h)))) > 0.3
+        gap, missing = _director_energy_gap(state, p)
+        assert missing == 0.0
+        assert abs(gap) < 1e-13 * abs(report.final_energy)
+
+    def test_misses_the_k3_minus_k1_term_off_the_default_point(self):
+        p = ModelParams1D(**OFF_DEFAULT).with_d(-5.0)
+        state, report = minimize(seed_state("smectic-seed", p, 32), p)
+        assert report.converged
+        gap, missing = _director_energy_gap(state, p)
+        assert missing > 0.01 * abs(report.final_energy)
+        assert gap == pytest.approx(missing, rel=1e-12)

@@ -21,7 +21,7 @@ from smectic1d import (
 )
 from smectic1d.minimize import MEMORY
 
-from crosscheck import OFF_DEFAULT
+from crosscheck import OFF_DEFAULT, OFF_HEIGHT
 
 
 class _Recording(Evaluator):
@@ -102,6 +102,22 @@ class TestMinimize:
         # just below the pitchfork d0 the amplitude is sqrt(4 (d0 - d) / (3 f))
         # up to a relative O(d0 - d): here 5.2e-6 and 4.8e-7 at N = 32
         off = ModelParams1D(**OFF_DEFAULT)
+        p = off.with_d(d_critical(off) - gap)
+        state, report = minimize(seed_state("smectic-seed", p, 32), p)
+        assert report.converged
+        grid = default_grid(32, p.h)
+        amp = float(np.max(state.rho_values(grid)))
+        assert amp == pytest.approx(math.sqrt(4.0 * gap / (3.0 * p.f)), rel=1e-4)
+        assert float(np.max(np.abs(state.theta_values(grid)))) < 1e-9
+
+    @pytest.mark.parametrize("gap", [1e-3, 5e-4])
+    def test_layered_minimizer_at_another_cell_height(self, gap):
+        # on the h = 3 pi cell the layer mode is n0 = 3; a solver that takes
+        # mode k's frequency as k instead of 2 pi k / h relaxes elsewhere.
+        # Here d0 = -0.0148, and the amplitude is off by 2.2e-5 and 2.0e-5
+        # (4.1e-4 at a gap of 1e-2, 1.4e-4 at 1e-4, where the gradient
+        # tolerance limits it)
+        off = ModelParams1D(**OFF_HEIGHT)
         p = off.with_d(d_critical(off) - gap)
         state, report = minimize(seed_state("smectic-seed", p, 32), p)
         assert report.converged
@@ -195,7 +211,9 @@ class TestMinimize:
         # the tilt direction's curvature nearly vanishes here, so BB meets
         # s.y <= 0 again and again; halving each restart step down from
         # STEP_MAX took 3,802 steps, cutting it by safeguarded quadratic
-        # interpolation takes 2,367
+        # interpolation takes 2,367.  The count follows the last bits of d:
+        # at T = -15.219999999999999 (d 2 ulps higher) it is 5,056 (4,385
+        # with halving)
         k = 0.01
         p = replace(ModelParams1D(), k1=k, k2=k, k3=k).at_temperature(-15.22)
         _, report = minimize(seed_state("smectic-seed", p, 64), p)

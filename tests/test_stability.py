@@ -393,6 +393,51 @@ class TestThresholds:
         assert lowest(soft, 0.99 * t1) > 0.0 > lowest(soft, 1.1 * t1)
 
 
+class TestFrozenLayerAtAnotherCellHeight:
+    """The frozen-layer thresholds against their second variation on the h = 3 pi cell (n0 = 3)."""
+
+    N = 32
+
+    def test_t2_zeroes_the_constant_tilt_second_variation(self):
+        # the quadrature second variation of a constant tilt and the (theta_c[0],
+        # theta_c[0]) entry of the exact Hessian both change sign at t2
+        p = ModelParams1D(**OFF_HEIGHT)
+        grid = default_grid(self.N, p.h)
+        ev = Evaluator(self.N, p)
+        _, t2 = tilt_thresholds(p)
+
+        def second_variation(t: float) -> float:
+            return second_variation_tilt(t, p, np.ones(grid.m), grid)
+
+        def entry(t: float) -> float:
+            return ev.hessian(frozen_layer_state(t, 0.0, p, self.N).pack())[0, 0]
+
+        for form in (second_variation, entry):
+            assert abs(form(t2)) < 1e-12
+            assert form(0.999 * t2) > 0.0 > form(1.001 * t2)
+
+    def test_theta_block_positive_definite_below_t1(self):
+        p = replace(ModelParams1D(**OFF_HEIGHT), k1=1e-6)
+        t1, _ = tilt_thresholds(p)
+
+        def lowest(t: float) -> float:
+            h = Evaluator(self.N, p).hessian(frozen_layer_state(t, 0.0, p, self.N).pack())
+            return float(np.linalg.eigvalsh(h[: self.N + 2, : self.N + 2])[0])
+
+        assert lowest(0.99 * t1) > 0.0 > lowest(1.1 * t1)
+
+    def test_second_variation_matches_hessian_quadratic_form(self):
+        p = ModelParams1D(**OFF_HEIGHT)
+        t = 0.7 * tilt_thresholds(p)[1]
+        state = frozen_layer_state(t, 0.0, p, self.N)
+        h = Evaluator(self.N, p).fd_hessian(state.pack())
+        grid = default_grid(self.N, p.h)
+        c = np.zeros(self.N + 2)
+        c[:6] = np.random.default_rng(47).normal(size=6) * 0.5
+        quad = float(c @ h[: self.N + 2, : self.N + 2] @ c)
+        assert second_variation_tilt(t, p, synthesize(c, "cosine", grid), grid) == pytest.approx(quad, rel=1e-6)
+
+
 class TestThetaStar:
     def test_value_at_t2(self):
         p = ModelParams1D()
