@@ -333,7 +333,6 @@ def _cmd_minimize(args: argparse.Namespace) -> None:
     if args.profile:
         _check_output_path(args.profile)
     from .minimize import minimize, seed_state
-    from .spectral import default_grid
 
     config = _load_config(args)
     p = config.params
@@ -343,15 +342,15 @@ def _cmd_minimize(args: argparse.Namespace) -> None:
     print(f"iterations = {report.iterations}", file=sys.stderr)
     print(f"grad_norm = {_fmt(report.final_grad_norm)}", file=sys.stderr)
     print(f"theta_within_range = {state.theta_in_range()}", file=sys.stderr)
-    grid = default_grid(config.n_modes, p.h)
-    theta, rho = state.theta_values(grid), state.rho_values(grid)
+    theta, rho = state.theta_values(), state.rho_values()
     print(f"energy = {_fmt(report.final_energy)}")
     print(f"delta_rho_max = {_fmt(float(rho.max()))}")
     print(f"theta_max = {_fmt(float(theta.max()))}")
     if args.profile:
         from .energy1d import reconstruct_director
+        from .spectral import default_grid
 
-        columns = [grid.nodes, theta, rho, *reconstruct_director(theta, p)]
+        columns = [default_grid(state.n, p.h).nodes, theta, rho, *reconstruct_director(theta, p)]
         _write_text_atomic(args.profile, _csv_text(["z", "theta", "delta_rho", "phi", "n1", "n2", "n3"], columns))
     if not report.converged:
         raise SolverError("minimization did not reach the gradient tolerance")

@@ -108,6 +108,12 @@ class Evaluator:
     (:attr:`weights`).  A term added to the functional must be even in z
     too, or it needs the full grid: the odd cubic term e rho^3 is omitted.
 
+    F's theta_z stiffness is k1, so F is, up to the constant -k2 sigma^2 h,
+    the Oseen-Frank energy of the director of :func:`reconstruct_director`
+    only when k1 = k3; otherwise it lacks int (k3 - k1) sin^2(theta)
+    theta_z^2 dz.  The defaults and all ten acceptance criteria have
+    k1 = k3, and the tests' ``TestDirectorEnergyIdentity`` pins that term.
+
     At N = 64 an evaluation is about fifty numpy calls on 133-node arrays,
     so the overhead per call sets the cost.  The constant factors are
     therefore stored once per parameter set as half-grid arrays, each
@@ -128,7 +134,7 @@ class Evaluator:
 
     def __init__(self, n: int, params: ModelParams1D):
         grid = default_grid(n, params.h)
-        self.n, self.params, self.grid = n, params, grid
+        self.n, self.params = n, params
         self._half = half = grid.m // 2 + 1
         self.weights, self._b_theta, self._b_rho, self._adj_theta, self._adj_rho = _operators(grid, n)
         # constant factors as half-grid arrays, each grouped as in the

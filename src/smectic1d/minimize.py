@@ -136,9 +136,9 @@ def minimize(
     norm.  The state returned is that iterate's canonical representative
     (:meth:`SpectralState.canonical`, theta_c[0] in [0, pi/2]); the report's
     energy is the iterate's, before the fold, and the two agree to rounding.
-    ``iterations`` counts the accepted steps.  The line search is
-    nonmonotone: an accepted energy is at most the largest of the last
-    ``MEMORY`` accepted energies plus its slack of a few ulps,
+    ``iterations`` counts the accepted steps, on every exit.  The line
+    search is nonmonotone: an accepted energy is at most the largest of the
+    last ``MEMORY`` accepted energies plus its slack of a few ulps,
     4 eps max(1, |E|) at the current energy E.  The preconditioned
     direction descends (slope <= 0) because the preconditioner is positive
     definite.  A trial step of non-finite energy fails the Armijo test and
@@ -171,11 +171,8 @@ def minimize(
     step = STEP0
 
     iterations = 0
-    for it in range(1, opts.max_iters + 1):
-        gnorm = float(np.abs(g).max())
-        if gnorm <= opts.tol_grad:
-            return _result(x, e, gnorm, it - 1, True, state0)
-
+    gnorm = float(np.abs(g).max())
+    while gnorm > opts.tol_grad and iterations < opts.max_iters:
         direction = neg_dinv * g
         restart = False
         if s_prev is not None:
@@ -197,30 +194,29 @@ def minimize(
         slack = 4.0 * FLOAT_EPS * max(1.0, abs(e))
         e_ref = max(recent)
         alpha = step
-        accepted = False
         while alpha >= STEP_MIN:
             x_new = x + alpha * direction
             e_new = ev.energy(x_new)
             if math.isfinite(e_new) and e_new <= e_ref + ARMIJO * alpha * slope + slack:
-                accepted = True
                 break
             alpha = _interpolated(alpha, e, slope, e_new) if restart else alpha * BACKTRACK
-        iterations = it
-        if not accepted:
-            # line search stalled even with slack: flat to working precision
-            return _result(best_x, best_e, float(np.abs(best_g).max()), it, False, state0)
+        else:
+            break  # the line search stalled even with slack: flat to working precision
         g_new = ev.gradient(x_new)
         s_prev = x_new - x
         y_prev = g_new - g
         x, e, g = x_new, e_new, g_new
+        gnorm = float(np.abs(g).max())
+        iterations += 1
         recent.append(e)
         if e < best_e:
             best_x, best_e, best_g = x, e, g
 
-    gnorm = float(np.abs(g).max())
-    if gnorm <= opts.tol_grad:
-        return _result(x, e, gnorm, iterations, True, state0)
-    return _result(best_x, best_e, float(np.abs(best_g).max()), iterations, False, state0)
+    converged = gnorm <= opts.tol_grad
+    if not converged:  # max_iters reached or the line search stalled: the best iterate
+        x, e, gnorm = best_x, best_e, float(np.abs(best_g).max())
+    state = SpectralState.from_vector(x, state0.n, state0.h).canonical()
+    return state, MinimizeReport(converged=converged, iterations=iterations, final_grad_norm=gnorm, final_energy=e)
 
 
 def _interpolated(alpha: float, e: float, slope: float, e_new: float) -> float:
@@ -235,10 +231,3 @@ def _interpolated(alpha: float, e: float, slope: float, e_new: float) -> float:
     if not (math.isfinite(e_new) and curvature > 0.0):
         return INTERP_LO * alpha
     return max(INTERP_LO * alpha, min(INTERP_HI * alpha, -slope * alpha * alpha / (2.0 * curvature)))
-
-
-def _result(
-    x: np.ndarray, e: float, gnorm: float, iterations: int, converged: bool, state0: SpectralState
-) -> tuple[SpectralState, MinimizeReport]:
-    state = SpectralState.from_vector(x, state0.n, state0.h).canonical()
-    return state, MinimizeReport(converged=converged, iterations=iterations, final_grad_norm=gnorm, final_energy=e)

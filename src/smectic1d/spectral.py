@@ -151,11 +151,13 @@ class SpectralState:
         """Concatenated coefficient vector (theta_c, rho_s), length 2N+3."""
         return np.concatenate([self.theta_c, self.rho_s])
 
-    def theta_values(self, grid: Grid) -> np.ndarray:
-        return synthesize(self.theta_c, "cosine", grid)
+    def theta_values(self) -> np.ndarray:
+        """theta on the nodes of this state's alias-free grid, ``default_grid(n, h)``."""
+        return synthesize(self.theta_c, "cosine", default_grid(self.n, self.h))
 
-    def rho_values(self, grid: Grid) -> np.ndarray:
-        return synthesize(self.rho_s, "sine", grid)
+    def rho_values(self) -> np.ndarray:
+        """rho on the nodes of this state's alias-free grid, ``default_grid(n, h)``."""
+        return synthesize(self.rho_s, "sine", default_grid(self.n, self.h))
 
     def canonical(self) -> "SpectralState":
         """The representative of this state's tilt class with theta_c[0] in [0, pi/2].
@@ -172,8 +174,7 @@ class SpectralState:
 
     def theta_in_range(self) -> bool:
         """Post-hoc check that the represented tilt stays within [-pi/2, pi/2]."""
-        th = self.theta_values(default_grid(self.n, self.h))
-        return bool(np.all(np.abs(th) <= math.pi / 2))
+        return bool(np.all(np.abs(self.theta_values()) <= math.pi / 2))
 
 
 def gram_diagonal(n: int, h: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from . import stability
 from .energy1d import Evaluator
 from .minimize import FLOAT_EPS, MinimizeOptions, seed_state
 from .params import ModelParams1D, RunConfig, SolverError
-from .spectral import SpectralState, default_grid
+from .spectral import SpectralState
 
 __all__ = [
     "cooling_grid",
@@ -97,12 +97,9 @@ class ElasticRecord:
 
 
 def _relax(
-    candidates: list[SpectralState],
-    params: ModelParams1D,
-    options: MinimizeOptions,
-    evaluator: Evaluator,
+    candidates: list[SpectralState], params: ModelParams1D, options: MinimizeOptions
 ) -> tuple[SpectralState, float, bool]:
-    """Minimize from every candidate; lowest-energy converged result wins.
+    """Minimize from every candidate under one evaluator; lowest-energy converged result wins.
 
     A converged result always beats a non-converged one; non-converged best
     iterates are reported only when nothing converged.  Among equals, a
@@ -114,6 +111,7 @@ def _relax(
     """
     from .minimize import minimize
 
+    evaluator = Evaluator(candidates[0].n, params)
     best: tuple[bool, float, SpectralState] | None = None
     for cand in candidates:
         state, report = minimize(cand, params, options, evaluator=evaluator)
@@ -152,22 +150,20 @@ def sweep_temperature(
     records failed to converge.
     """
     params, n_modes = config.params, config.n_modes
-    grid = default_grid(n_modes, params.h)
     records: list[SweepRecord] = []
     warm: SpectralState | None = None
     for t_val in temperatures:
         params_t = params.at_temperature(float(t_val))
-        evaluator = Evaluator(n_modes, params_t)
         candidates: list[SpectralState] = []
         if not cold_start and warm is not None:
             candidates.append(warm)
         candidates.extend(seed_state(kind, params_t, n_modes) for kind in SWEEP_SEEDS)
-        state, energy_val, converged = _relax(candidates, params_t, config.options, evaluator)
+        state, energy_val, converged = _relax(candidates, params_t, config.options)
         morse = stability.spectrum(state, params_t).morse_index if record_morse else None
         if converged:
             warm = state
-        rho = state.rho_values(grid)
-        theta_max = float(np.max(state.theta_values(grid)))
+        rho = state.rho_values()
+        theta_max = float(np.max(state.theta_values()))
         # the mirror's samples are -rho and their max is 0.0 - min(rho): -min(rho) is -0.0 at rho = 0
         for branch, delta_rho_max in (("+", float(np.max(rho))), ("-", 0.0 - float(np.min(rho)))):
             records.append(
@@ -193,8 +189,10 @@ def _onset(seq: list[SweepRecord], amplitudes: list[float], eps_detect: float) -
     amplitude in T (pitchfork normal form) and clamped to the bracket
     [T of the first record at or above eps_detect, T of the last record
     below it], because a flat or bent amplitude curve extrapolates far past
-    it.  None when no amplitude reaches eps_detect or when the first record
-    already does (onset not bracketed).
+    it.  With no rise to interpolate (the crossing is at the last record,
+    or the amplitude after it is not larger) the bracket's midpoint is
+    returned.  None when no amplitude reaches eps_detect or when the first
+    record already does (onset not bracketed).
     """
     idx = next((i for i, a in enumerate(amplitudes) if a >= eps_detect), None)
     if not idx:  # None: never reached; 0: not bracketed
@@ -214,10 +212,12 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     with delta_rho_max >= eps_detect marks the layering transition; the
     first with theta_max >= eps_detect marks the tilt transition.  Both are
     refined by linear interpolation of the squared amplitude against T and
-    lie inside their bracket.  A transition is reported only when the sweep
-    brackets it: None when it is absent from the swept range, and None when
-    it is not bracketed because the first record is already past the
-    threshold.  ``eps_detect`` must be finite and positive.
+    lie inside their bracket; an onset at the last record, or one after
+    which the amplitude does not rise, is the bracket's midpoint.  A
+    transition is reported only when the sweep brackets it: None when it is
+    absent from the swept range, and None when it is not bracketed because
+    the first record is already past the threshold.  ``eps_detect`` must be
+    finite and positive.
     """
     if not (math.isfinite(eps_detect) and eps_detect > 0):
         raise ValueError(f"eps_detect must be finite and positive, got {eps_detect}")
@@ -250,16 +250,14 @@ def elastic_sweep(config: RunConfig, values: list[float], vary: str) -> list[Ela
     else:
         points = [replace(params, lambda1=v, lambda2=v) for v in values]
     records: list[ElasticRecord] = []
-    grid = default_grid(n_modes, params.h)
     for v, params_v in zip(values, points):
-        evaluator = Evaluator(n_modes, params_v)
         candidates = [seed_state(kind, params_v, n_modes) for kind in ELASTIC_SEEDS]
-        state, energy_val, converged = _relax(candidates, params_v, config.options, evaluator)
+        state, energy_val, converged = _relax(candidates, params_v, config.options)
         records.append(
             ElasticRecord(
                 value=float(v),
                 theta_bar=float(state.theta_c[0]),
-                delta_rho_max=float(np.max(state.rho_values(grid))),
+                delta_rho_max=float(np.max(state.rho_values())),
                 energy=energy_val,
                 converged=converged,
             )

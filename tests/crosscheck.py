@@ -121,8 +121,8 @@ def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray
     _check_state(state, params)
     p = params
     g = default_grid(state.n, params.h)
-    theta = state.theta_values(g)
-    rho = state.rho_values(g)
+    theta = state.theta_values()
+    rho = state.rho_values()
     rho_zz = synthesize_derivative(state.rho_s, "sine", g, 2)
     # the fourth derivative scales sine mode k by omega_k^4 = (2 pi k / h)^4
     omega = (TWO_PI / g.h) * np.arange(1, state.n + 2)

@@ -332,7 +332,7 @@ def test_criterion_10_symmetry_suite(fig3_params, fig3_sweep):
             vec = np.zeros(2 * n + 3)
             vec[(n + 2) + (p.n0 - 1)] = c
             state = SpectralState.from_vector(vec, n, p.h)
-            rho = state.rho_values(grid)
+            rho = state.rho_values()
             lap = synthesize_derivative(state.rho_s, "sine", grid, 2)
             vals = [f_layer(r, lr, p.lambda1, p.q) for r, lr in zip(rho, lap)]
             assert max(vals) < 1e-12

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +98,17 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_commands_parse():
+    # every smectic1d command of the README's shell blocks names flags that
+    # exist: each line is parsed, not run
+    from smectic1d import cli
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, flags=re.S | re.M)
+    commands = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["smectic1d"]]
+    assert len(commands) >= 13
+    for argv in commands:
+        cli._parser().parse_args(argv[1:])

@@ -228,7 +228,7 @@ class TestSymmetries:
             x_rho = x.copy()
             x_rho[18:] = -x_rho[18:]
             state = SpectralState.from_vector(x, 16, p0.h)
-            rho = state.rho_values(default_grid(16, p0.h))
+            rho = state.rho_values()
             _, r_rho_0 = el_residual(state, p0)
             for e in (0.0, -0.0, 1.0):
                 pe = ModelParams1D(e=e)
@@ -311,7 +311,8 @@ class TestHalfGridQuadrature:
     def test_weights_fold_the_trapezoid_rule(self, n):
         p = ModelParams1D()
         ev = Evaluator(n, p)
-        m, w = ev.grid.m, p.h / ev.grid.m
+        m = default_grid(n, p.h).m
+        w = p.h / m
         assert m % 2 == 0
         assert ev.weights.shape == (m // 2 + 1,)
         assert ev.weights[0] == ev.weights[-1] == w
@@ -393,7 +394,8 @@ class TestSharedOperators:
         x = seed_state("smectic-seed", p, 64).pack()
         ev.gradient(x)
         ev.hessian(x)
-        shared = {id(a) for a in (*_operators(ev.grid, 64), *_tables(ev.grid.m, 65))}  # the caches
+        grid = default_grid(64, p.h)
+        shared = {id(a) for a in (*_operators(grid, 64), *_tables(grid.m, 65))}  # the caches
         owned = [a for a in self._owners(ev) if id(a) not in shared]
         assert owned
         assert max(a.nbytes for a in owned) <= 4 * ev.weights.nbytes
@@ -427,8 +429,7 @@ class TestEulerLagrangeResidual:
         r_theta, r_rho = el_residual(state, p)
         assert np.max(np.abs(r_theta)) == 0.0
         # rho equation reduces pointwise to (d + 2 lam2 q^4 cos^4 t0) rho + f rho^3
-        grid = default_grid(64, p.h)
-        rho = state.rho_values(grid)
+        rho = state.rho_values()
         expected = (p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4) * rho + p.f * rho**3
         assert np.max(np.abs(r_rho - expected)) < 1e-12
 
@@ -447,9 +448,8 @@ class TestEulerLagrangeResidual:
         p = ModelParams1D(**OFF_DEFAULT).with_d(d)
         state, report = minimize(seed_state("smectic-seed", p, n), p)
         assert report.converged
-        grid = default_grid(n, p.h)
-        assert (float(np.max(state.theta_values(grid))) > 0.5) == tilted
-        assert float(np.max(state.rho_values(grid))) > 0.4
+        assert (float(np.max(state.theta_values())) > 0.5) == tilted
+        assert float(np.max(state.rho_values())) > 0.4
         r_theta, r_rho = el_residual(state, p)
         assert max(np.max(np.abs(r_theta)), np.max(np.abs(r_rho))) < 100.0 * 1e-8
 
@@ -459,7 +459,7 @@ class TestEulerLagrangeResidual:
         p = ModelParams1D(**OFF_HEIGHT).with_d(-3.0)
         state, report = minimize(seed_state("smectic-seed", p, 64), p)
         assert report.converged
-        assert float(np.max(state.rho_values(default_grid(64, p.h)))) > 0.5
+        assert float(np.max(state.rho_values())) > 0.5
         r_theta, r_rho = el_residual(state, p)
         assert max(np.max(np.abs(r_theta)), np.max(np.abs(r_rho))) < 100.0 * 1e-8
 
@@ -479,7 +479,7 @@ class TestDirectorReconstruction:
     def test_trivial_state_gives_helix(self):
         p = ModelParams1D()
         grid = default_grid(64, p.h)
-        phi, n1, n2, n3 = reconstruct_director(seed_state("cholesteric", p, 64).theta_values(grid), p)
+        phi, n1, n2, n3 = reconstruct_director(seed_state("cholesteric", p, 64).theta_values(), p)
         z = grid.nodes
         assert np.max(np.abs(phi - p.sigma * z)) < 1e-12
         assert np.max(np.abs(n1 - np.cos(p.sigma * z))) < 1e-12
@@ -490,7 +490,7 @@ class TestDirectorReconstruction:
         p = ModelParams1D()
         state = _single_mode_state(0.0, p, theta0_const=math.pi / 2 - p.theta0)
         grid = default_grid(64, p.h)
-        phi, n1, n2, n3 = reconstruct_director(state.theta_values(grid), p)
+        phi, n1, n2, n3 = reconstruct_director(state.theta_values(), p)
         # k2 = k3 makes the azimuth advance uniform even at constant tilt
         assert np.max(np.abs(phi - p.sigma * grid.nodes)) < 1e-10
         assert np.max(np.abs(n3 - math.cos(p.theta0))) < 1e-12
@@ -498,18 +498,16 @@ class TestDirectorReconstruction:
     def test_unit_norm_for_random_states(self):
         p = ModelParams1D()
         rng = np.random.default_rng(29)
-        grid = default_grid(16, p.h)
         for _ in range(10):
             state = SpectralState.from_vector(rng.normal(size=35) * 0.2, 16, p.h)
-            _, n1, n2, n3 = reconstruct_director(state.theta_values(grid), p)
+            _, n1, n2, n3 = reconstruct_director(state.theta_values(), p)
             assert np.max(np.abs(n1**2 + n2**2 + n3**2 - 1.0)) < 1e-12
 
     def test_phi_normalized_at_origin(self):
         p = ModelParams1D()
         rng = np.random.default_rng(31)
         state = SpectralState.from_vector(rng.normal(size=35) * 0.2, 16, p.h)
-        grid = default_grid(16, p.h)
-        phi, *_ = reconstruct_director(state.theta_values(grid), p)
+        phi, *_ = reconstruct_director(state.theta_values(), p)
         assert phi[0] == 0.0
 
 
@@ -524,7 +522,7 @@ def _director_energy_gap(state: SpectralState, p: ModelParams1D) -> tuple[float,
     is the ramp's rise over the cell.
     """
     grid = Grid(16 * (state.n + 2), p.h)
-    theta = state.theta_values(grid)
+    theta = synthesize(state.theta_c, "cosine", grid)
     theta_z = synthesize_derivative(state.theta_c, "cosine", grid, 1)
     phi, n1, n2, n3 = reconstruct_director(theta, p)
     slope = (phi[1] + phi[-1]) / p.h
@@ -556,7 +554,7 @@ class TestDirectorEnergyIdentity:
         p = ModelParams1D(**{**OFF_DEFAULT, "k3": OFF_DEFAULT["k1"]}).with_d(d)
         state, report = minimize(seed_state("smectic-seed", p, 32), p)
         assert report.converged
-        assert float(np.max(state.theta_values(default_grid(32, p.h)))) > 0.3
+        assert float(np.max(state.theta_values())) > 0.3
         gap, missing = _director_energy_gap(state, p)
         assert missing == 0.0
         assert abs(gap) < 1e-13 * abs(report.final_energy)

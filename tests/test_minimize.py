@@ -12,14 +12,13 @@ from smectic1d import (
     ModelParams1D,
     SolverError,
     SpectralState,
-    default_grid,
     d_critical,
     energy,
     gradient,
     minimize,
     seed_state,
 )
-from smectic1d.minimize import MEMORY
+from smectic1d.minimize import INTERP_LO, MEMORY, _interpolated
 
 from crosscheck import OFF_DEFAULT, OFF_HEIGHT
 
@@ -46,6 +45,22 @@ class _Counting(Evaluator):
     def energy(self, vec):
         self.energy_calls += 1
         return super().energy(vec)
+
+
+class _Stalling(Evaluator):
+    """Gives every trial point after ``accepted`` accepted steps an infinite energy, so the line search stalls."""
+
+    def __init__(self, n, params, accepted):
+        super().__init__(n, params)
+        self.accepted, self.gradient_calls = accepted, 0
+
+    def energy(self, vec):
+        # minimize calls gradient at the start and once per accepted step
+        return math.inf if self.gradient_calls > self.accepted else super().energy(vec)
+
+    def gradient(self, vec):
+        self.gradient_calls += 1
+        return super().gradient(vec)
 
 
 class TestSeeds:
@@ -89,12 +104,11 @@ class TestMinimize:
         p = ModelParams1D().with_d(-0.5)
         state, report = minimize(seed_state("smectic-seed", p, 64), p)
         assert report.converged
-        grid = default_grid(64, p.h)
-        amp = float(np.max(state.rho_values(grid)))
+        amp = float(np.max(state.rho_values()))
         # single-mode Galerkin amplitude sqrt(-4 (d - d0) / (3 f))
         oracle = math.sqrt(-4.0 * (p.d - d_critical(p)) / (3.0 * p.f))
         assert amp == pytest.approx(oracle, rel=0.05)
-        assert float(np.max(np.abs(state.theta_values(grid)))) < 1e-3
+        assert float(np.max(np.abs(state.theta_values()))) < 1e-3
         assert report.final_energy < -p.k2 * p.sigma**2 * p.h
 
     @pytest.mark.parametrize("gap", [1e-2, 1e-3])
@@ -105,10 +119,9 @@ class TestMinimize:
         p = off.with_d(d_critical(off) - gap)
         state, report = minimize(seed_state("smectic-seed", p, 32), p)
         assert report.converged
-        grid = default_grid(32, p.h)
-        amp = float(np.max(state.rho_values(grid)))
+        amp = float(np.max(state.rho_values()))
         assert amp == pytest.approx(math.sqrt(4.0 * gap / (3.0 * p.f)), rel=1e-4)
-        assert float(np.max(np.abs(state.theta_values(grid)))) < 1e-9
+        assert float(np.max(np.abs(state.theta_values()))) < 1e-9
 
     @pytest.mark.parametrize("gap", [1e-3, 5e-4])
     def test_layered_minimizer_at_another_cell_height(self, gap):
@@ -121,10 +134,9 @@ class TestMinimize:
         p = off.with_d(d_critical(off) - gap)
         state, report = minimize(seed_state("smectic-seed", p, 32), p)
         assert report.converged
-        grid = default_grid(32, p.h)
-        amp = float(np.max(state.rho_values(grid)))
+        amp = float(np.max(state.rho_values()))
         assert amp == pytest.approx(math.sqrt(4.0 * gap / (3.0 * p.f)), rel=1e-4)
-        assert float(np.max(np.abs(state.theta_values(grid)))) < 1e-9
+        assert float(np.max(np.abs(state.theta_values()))) < 1e-9
 
     def test_mirrored_seed_gives_equal_energy(self):
         p = ModelParams1D().with_d(-0.5)
@@ -241,6 +253,23 @@ class TestMinimize:
         assert not report.converged
         assert report.iterations == 2
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_a_stalled_line_search_counts_the_accepted_steps(self, k):
+        # a stall after k accepted steps returns what stopping at max_iters = k
+        # returns; the step whose line search stalled used to count too, k + 1
+        p = ModelParams1D().with_d(-0.5)
+        seed = seed_state("smectic-seed", p, 64)
+        state, report = minimize(seed, p, evaluator=_Stalling(64, p, k))
+        assert not report.converged
+        assert report.iterations == k
+        if k:
+            stopped, at_max_iters = minimize(seed, p, MinimizeOptions(max_iters=k))
+            assert report == at_max_iters
+            assert state.pack().tobytes() == stopped.pack().tobytes()
+        else:
+            assert report.final_energy == Evaluator(64, p).energy(seed.pack())
+            assert state.pack().tobytes() == seed.pack().tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_error_on_nonfinite_start(self):
         p = ModelParams1D()
@@ -279,6 +308,19 @@ class TestBarzilaiBorwein:
         assert report.converged
         assert report.iterations < 500
         assert state.theta_in_range()
+
+
+class TestInterpolatedRestart:
+    """The cut-down step after a rejected restart trial, :func:`smectic1d.minimize._interpolated`."""
+
+    # at alpha = 8, e = -1 and slope -0.5 the chord reaches e - 4 = -5
+    ALPHA, E, SLOPE = 8.0, -1.0, -0.5
+
+    @pytest.mark.parametrize("e_new", [math.inf, math.nan, -5.0, -6.0], ids=["inf", "nan", "linear", "concave"])
+    def test_fallback_without_a_quadratic_minimum(self, e_new):
+        # a non-finite rejected energy, or a quadratic of zero or negative
+        # curvature (e_new at or below the chord), gives the lower safeguard
+        assert _interpolated(self.ALPHA, self.E, self.SLOPE, e_new) == INTERP_LO * self.ALPHA
 
 
 class TestOptions:

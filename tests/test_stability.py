@@ -179,12 +179,11 @@ class TestExactHessian:
     def test_states_exercise_every_term(self, states):
         # the tilted states have theta != 0 and a layer, so the chi'' and
         # lambda2 cross terms are nonzero; the e = 0.05 state has a layer
-        grid = default_grid(16, states["tilted"][0].h)
         for name in ("tilted", "k2!=k3"):
             state, p = states[name]
-            assert np.min(state.theta_values(grid)) > 0.1
-            assert np.max(state.rho_values(grid)) > 0.1
-        assert np.max(states["e=0.05"][0].rho_values(grid)) > 0.1
+            assert np.min(state.theta_values()) > 0.1
+            assert np.max(state.rho_values()) > 0.1
+        assert np.max(states["e=0.05"][0].rho_values()) > 0.1
 
     def test_reuses_the_last_synthesis(self):
         p = ModelParams1D().with_d(-0.5)

@@ -14,7 +14,6 @@ from smectic1d import (
     SweepRecord,
     cooling_grid,
     d_critical,
-    default_grid,
     detect_transitions,
     elastic_sweep,
     minimize,
@@ -37,7 +36,6 @@ def _assert_minus_records_match_explicit_solves(config, temperatures, records, t
     may differ by tol, relative for the energy and absolute for amplitudes.
     """
     params, n = config.params, config.n_modes
-    grid = default_grid(n, params.h)
     minus = [r for r in records if r.branch == "-"]
     assert len(minus) == len(temperatures)
     for r in minus:
@@ -48,8 +46,8 @@ def _assert_minus_records_match_explicit_solves(config, temperatures, records, t
             state = SpectralState(n=n, h=p.h, theta_c=-state.theta_c, rho_s=state.rho_s)
         assert r.energy == pytest.approx(report.final_energy, rel=tol, abs=0.0), r.T
         assert r.converged == report.converged, r.T
-        assert r.delta_rho_max == pytest.approx(float(np.max(state.rho_values(grid))), rel=0.0, abs=tol), r.T
-        assert r.theta_max == pytest.approx(float(np.max(state.theta_values(grid))), rel=0.0, abs=tol), r.T
+        assert r.delta_rho_max == pytest.approx(float(np.max(state.rho_values())), rel=0.0, abs=tol), r.T
+        assert r.theta_max == pytest.approx(float(np.max(state.theta_values())), rel=0.0, abs=tol), r.T
 
 
 class TestSweepConfig:
@@ -166,7 +164,7 @@ class TestRelax:
             return cand, MinimizeReport(converged, 0, 0.0, energy_val)
 
         monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "minimize", fake_minimize)
-        state, energy_val, converged = sweep._relax(candidates, fig3_params, MinimizeOptions(), None)
+        state, energy_val, converged = sweep._relax(candidates, fig3_params, MinimizeOptions())
         return next(i for i, c in enumerate(candidates) if c is state), energy_val, converged
 
     @pytest.mark.parametrize("energy_val", [-3.0, -0.25, 0.0, 17.5])
@@ -258,6 +256,24 @@ class TestDetectTransitions:
             for T, amp in ((-10.0, 0.0), (-10.02, 0.50), (-10.04, 0.51))
         ]
         assert detect_transitions(records, 1e-3) == (-10.0, -10.0)
+
+    @pytest.mark.parametrize(
+        "amps, onset",
+        [
+            ((0.0, 0.0, 0.5), 0.5 * (-10.02 + -10.04)),
+            ((0.0, 0.5, 0.5), 0.5 * (-10.0 + -10.02)),
+            ((0.0, 0.5, 0.4), 0.5 * (-10.0 + -10.02)),
+        ],
+        ids=["crossing-at-the-last-record", "flat-after-the-crossing", "falling-after-the-crossing"],
+    )
+    def test_onset_at_the_bracket_midpoint_without_a_rise_to_interpolate(self, amps, onset):
+        # no later record with a larger amplitude: nothing to interpolate
+        records = [
+            SweepRecord(T=T, d=T + 10, branch="+", delta_rho_max=amp, theta_max=amp,
+                        energy=0.0, morse_index=None, converged=True)
+            for T, amp in zip((-10.0, -10.02, -10.04), amps)
+        ]
+        assert detect_transitions(records, 1e-3) == (onset, onset)
 
     def test_coarse_tilt_sweep_onset_inside_bracket(self, tilt_params):
         # the tilt jumps on between -11.6 and -11.8; unclamped, the squared
