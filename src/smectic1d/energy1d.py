@@ -127,9 +127,11 @@ class Evaluator:
     vector, so a caller may mutate the array it passed or build one with the
     same bytes anew and still get a fresh evaluation's result bit for bit
     (-0.0 and +0.0 differ in bytes).  The terms are computed per block
-    (theta, rho), then the coupling W that mixes both, so the
+    (theta, rho), then the coupling W that mixes both, and the gradient's
+    theta rows are their own step (:meth:`_theta_rows`), so the
     finite-difference Hessian (:meth:`fd_hessian`) computes the block that a
-    column does not move once and re-synthesizes only the block it moves.
+    column does not move once, re-synthesizes only the block it moves and,
+    in a theta column, assembles only the theta rows.
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -240,45 +242,52 @@ class Evaluator:
         l2 = self._l1x2 * lay  # 2 lambda1 L
         return l2, self._d * rho + self._f * rho2 * rho + l2 * self._q2
 
+    def _theta_rows(self, rho: tuple, w2: np.ndarray, theta_grad: tuple, out: np.ndarray | None = None) -> np.ndarray:
+        """The theta block's gradient B_theta^T (w * dphi/du) from rho_zz, 2 lambda2 W and the theta gradient terms."""
+        sin_2t, chi_t, dphi_dtheta_z = theta_grad
+        dphi_dtheta = chi_t + w2 * sin_2t * rho[1]
+        return np.matmul(self._adj_theta, np.concatenate((dphi_dtheta, dphi_dtheta_z)), out=out)
+
     def _assemble(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> np.ndarray:
         """The gradient B^T (w * dphi/du) of each block from its terms and gradient terms and from W."""
-        sin2, rho_zz = theta[4], rho[1]
-        sin_2t, chi_t, dphi_dtheta_z = theta_grad
         l2, rho_only = rho_grad
         w2 = self._l2x2 * cw  # 2 lambda2 W
-        dphi_dtheta = chi_t + w2 * sin_2t * rho_zz
         dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
-        dphi_drho_zz = l2 + w2 * sin2
+        dphi_drho_zz = l2 + w2 * theta[4]
 
         n = self.n
         g = np.empty(2 * n + 3)
-        np.matmul(self._adj_theta, np.concatenate((dphi_dtheta, dphi_dtheta_z)), out=g[: n + 2])
+        self._theta_rows(rho, w2, theta_grad, out=g[: n + 2])
         np.matmul(self._adj_rho, np.concatenate((dphi_drho, dphi_drho_zz)), out=g[n + 2 :])
         return g
 
     def fd_hessian(self, vec: np.ndarray) -> np.ndarray:
-        """Hessian by central differences of the gradient, as (H + H^T)/2.
+        """Hessian by central differences of the gradient, mixed block taken once, as (H + H^T)/2.
 
         Column j differences the gradient at vec +- delta e_j and
         vec +- 2 delta e_j, delta = HESSIAN_FD_STEP * max(1, |vec|_inf), and
         combines them as (4 col_delta - col_2delta) / 3 (Richardson), which
         cancels the leading O(delta^2) error exactly for the polynomial
-        terms; the asymmetry that (H + H^T)/2 removes is at the
+        terms.  A theta column differences the theta rows of the gradient
+        only: the mixed block d^2F/dtheta_c drho_s is differenced once, from
+        the rho columns, and mirrored, so (H + H^T)/2 leaves it as computed
+        and averages only the diagonal blocks, whose asymmetry is at the
         finite-difference noise floor.  Every probe is vec + 0.0 with
         coefficient j moved, so the block that j does not lie in is
         synthesized once and each probe synthesizes only the block it moves;
-        each column is, bit for bit, what fresh gradient calls give.
+        every entry computed is, bit for bit, what fresh gradient calls give.
         """
         n = self.n
         probe = vec + 0.0
         theta, rho = self._theta_terms(probe[: n + 2]), self._rho_terms(probe[n + 2 :])
-        theta_grad, rho_grad = self._theta_grad_terms(theta), self._rho_grad_terms(rho)
+        theta_grad = self._theta_grad_terms(theta)
 
         def gradient_at(j: int, value: float) -> np.ndarray:
+            """The gradient at the probe with coefficient j at ``value``: its theta rows only for a theta column."""
             probe[j] = value
             if j < n + 2:
                 moved = self._theta_terms(probe[: n + 2])
-                return self._assemble(moved, rho, self._coupling(moved, rho), self._theta_grad_terms(moved), rho_grad)
+                return self._theta_rows(rho, self._l2x2 * self._coupling(moved, rho), self._theta_grad_terms(moved))
             moved = self._rho_terms(probe[n + 2 :])
             return self._assemble(theta, moved, self._coupling(theta, moved), theta_grad, self._rho_grad_terms(moved))
 
@@ -290,7 +299,8 @@ class Evaluator:
             col_1 = (gradient_at(j, x_j + delta) - gradient_at(j, x_j - delta)) / delta2
             col_2 = (gradient_at(j, x_j + delta2) - gradient_at(j, x_j - delta2)) / (4.0 * delta)
             probe[j] = x_j + 0.0
-            h_mat[:, j] = (4.0 * col_1 - col_2) / 3.0
+            h_mat[: col_1.size, j] = (4.0 * col_1 - col_2) / 3.0
+        h_mat[n + 2 :, : n + 2] = h_mat[: n + 2, n + 2 :].T
         return 0.5 * (h_mat + h_mat.T)
 
     def hessian(self, vec: np.ndarray) -> np.ndarray:

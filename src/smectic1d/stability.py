@@ -62,7 +62,8 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
 
     Eigenvalues are Rayleigh quotients per unit L2 norm: the generalized
     problem H v = mu G v with the finite-difference coefficient Hessian H of
-    :meth:`Evaluator.fd_hessian` and the diagonal Gram matrix G of the basis.
+    :meth:`Evaluator.fd_hessian` (its mixed theta-rho block differenced once,
+    from the rho columns) and the diagonal Gram matrix G of the basis.
     ``eigvalsh`` returns them ascending.  A state whose cell height is not
     ``params.h`` raises ValueError; a Hessian that overflows (coefficients
     near the float limit) or a failed eigensolve raises SolverError.

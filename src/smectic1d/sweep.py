@@ -56,7 +56,8 @@ def cooling_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     """The temperatures t_start, t_start - |dt|, ... down to t_end, the grid of a cooling sweep.
 
     Each value must be finite, dt nonzero and t_end at most t_start (equal
-    values give one point), and the grid must have a finite point count.
+    values give one point), and the grid must have a finite point count
+    that a float64 array can hold.
     """
     for name, value in (("t_start", t_start), ("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
@@ -65,10 +66,15 @@ def cooling_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
         raise ValueError("dt must be nonzero")
     if t_end > t_start:
         raise ValueError(f"sweeps run cooling only: t_end = {t_end} must not exceed t_start = {t_start}")
+    grid = f"t_start = {t_start} to t_end = {t_end} in steps of dt = {dt}"
     steps = (t_start - t_end) / abs(dt)
     if not math.isfinite(steps):
-        raise ValueError(f"t_start = {t_start} to t_end = {t_end} in steps of dt = {dt} has no finite point count")
-    return t_start - abs(dt) * np.arange(int(math.floor(steps + 1e-9)) + 1)
+        raise ValueError(f"{grid} has no finite point count")
+    count = int(math.floor(steps + 1e-9)) + 1
+    # numpy cannot size a float64 array of more than intp max bytes
+    if count > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"{grid} has {count:.3g} points, more than a float64 array can hold")
+    return t_start - abs(dt) * np.arange(count)
 
 
 @dataclass(frozen=True)

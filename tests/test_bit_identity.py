@@ -91,32 +91,32 @@ EVALUATION_DIGESTS = {
         "breakdown": "8a61e1d6100134a6",
         "gradient": "d5e209e4daf6a436",
         "hessian": "21ad3ba972108d2e",
-        "fd_hessian": "f3ec7b1e099190f0",
-        "spectrum": "d5ce62c03c52a310",
+        "fd_hessian": "b3a3b63c47aa5f61",
+        "spectrum": "05971a9adfcad93d",
     },
     (16, 0.05, "layers"): {
         "energy": "0dcf6a27f7b285c7",
         "breakdown": "b08d7e92d23cd683",
         "gradient": "0e53b6a05b4190a1",
         "hessian": "54bcfc634c52987f",
-        "fd_hessian": "9f3e7fd136345576",
-        "spectrum": "dcfbc93f6a55269b",
+        "fd_hessian": "d9a6a655624f0b2e",
+        "spectrum": "c3981b5b426ec486",
     },
     (64, 0.0, "layers"): {
         "energy": "cf8f10d3e29b513f",
         "breakdown": "5325eddb847e9998",
         "gradient": "1e58147d5b65794a",
         "hessian": "a43e7143d5d07e34",
-        "fd_hessian": "07ff1ec24d72abb1",
-        "spectrum": "f34ecfc467e63949",
+        "fd_hessian": "96a4f2cdeec2ec94",
+        "spectrum": "936c218b0baa9454",
     },
     (64, 0.05, "layers"): {
         "energy": "e81a2551e989d08e",
         "breakdown": "2053c181551d1cdc",
         "gradient": "016f7c995367b551",
         "hessian": "4bee7b8fe5565424",
-        "fd_hessian": "a184ed673cb3eaa5",
-        "spectrum": "5bd988454aa1b133",
+        "fd_hessian": "abc2aa9ad8761188",
+        "spectrum": "eda1764d434a65d9",
     },
     (16, 0.0, "no-layers"): {
         "energy": "b664a4840a612a51",
@@ -144,7 +144,7 @@ def test_evaluation_digests(key):
 
 @pytest.fixture(scope="module")
 def tilt_onset_records(fig3_params):
-    """The T grid of the benchmark's tilt_onset workload: 11 BB relaxations, the longest 224 steps."""
+    """The T grid of the benchmark's tilt_onset workload: 11 BB relaxations, 711 steps, the longest 142."""
     return sweep_temperature(RunConfig(fig3_params), cooling_grid(-21.2, -22.2, 0.2), record_morse=True)
 
 

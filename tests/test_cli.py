@@ -444,6 +444,9 @@ class TestSweepCommand:
              "t_start = 0.0 to t_end = -1.0 in steps of dt = 5e-324 has no finite point count"),
             (["--t-start", "1e308", "--t-end", "-1e308", "--dt", "1"],
              "t_start = 1e+308 to t_end = -1e+308 in steps of dt = 1.0 has no finite point count"),
+            # a point count numpy cannot size: its bare "Maximum allowed size exceeded" before
+            (["--t-start", "-10", "--t-end", "-10.2", "--dt", "1e-300"],
+             "t_start = -10.0 to t_end = -10.2 in steps of dt = 1e-300 has 2e+299 points"),
         ],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, capsys, monkeypatch, flags, message):

@@ -112,13 +112,36 @@ class TestHessian:
         Evaluator(64, p).fd_hessian(np.concatenate((np.full(66, -0.0), rho_s)))
         assert syntheses == {"theta": 265, "rho": 261}
 
+    def test_theta_columns_assemble_the_theta_rows_only(self):
+        # each of the 4 (2N + 3) = 524 probes at N = 64 assembles the theta
+        # rows of the gradient, one adjoint product with (diag(w) B_theta)^T;
+        # only the 4 (N + 1) = 260 probes of the rho columns assemble the rho
+        # rows, so the mixed block is differenced once, from the rho columns
+        products = {"theta": 0, "rho": 0}
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products[self.block] += ufunc is np.matmul
+                inputs = tuple(a.view(np.ndarray) if isinstance(a, Counting) else a for a in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        p = ModelParams1D()
+        ev = Evaluator(64, p)
+        for block in products:
+            counted = getattr(ev, f"_adj_{block}").view(Counting)
+            counted.block = block
+            setattr(ev, f"_adj_{block}", counted)
+        k = np.concatenate([np.arange(66), np.arange(1, 66)])
+        ev.fd_hessian(0.1 * np.random.default_rng(7).standard_normal(131) / (1.0 + k))
+        assert products == {"theta": 524, "rho": 260}
+
     @pytest.mark.parametrize("kind", ["layered", "untilted", "no-layers"])
     def test_matches_a_reference_built_from_fresh_gradients(self, kind):
         # the reference: each probe is x + 0.0 with one coefficient moved by
-        # +-delta or +-2 delta, its gradient comes from a fresh evaluator, and
-        # the columns are Richardson-combined as the docstring says
-        # a seeded vector with both blocks nonzero (tilt and layers), or with
-        # one block set to -0.0
+        # +-delta or +-2 delta, its gradient comes from a fresh evaluator, the
+        # columns are Richardson-combined and the mixed block is taken from
+        # the rho columns, as the docstring says; a seeded vector with both
+        # blocks nonzero (tilt and layers), or with one block set to -0.0
         n = 16
         p = ModelParams1D().with_d(-0.5)
         k = np.concatenate([np.arange(n + 2), np.arange(1, n + 2)])
@@ -139,6 +162,7 @@ class TestHessian:
             col_1 = (fresh_gradient(j, delta) - fresh_gradient(j, -delta)) / (2.0 * delta)
             col_2 = (fresh_gradient(j, 2.0 * delta) - fresh_gradient(j, -2.0 * delta)) / (4.0 * delta)
             ref[:, j] = (4.0 * col_1 - col_2) / 3.0
+        ref[n + 2 :, : n + 2] = ref[: n + 2, n + 2 :].T
         assert Evaluator(n, p).fd_hessian(x).tobytes() == (0.5 * (ref + ref.T)).tobytes()
 
 
@@ -235,6 +259,18 @@ class TestSpectrum:
             if p in onset:
                 assert report.morse_index == onset[p]
                 assert report.min_eigenvalue == pytest.approx(p.d - d_critical(p), abs=1e-12)
+
+    @pytest.mark.parametrize("t_val, morse", [(-10.5, 0), (-21.6, 3)], ids=["fig3-layered", "tilt-onset-saddle"])
+    def test_lowest_eigenvalue_matches_the_exact_hessian(self, t_val, morse):
+        # the eigenvalue that decides the Morse index, at N = 64: the fig3
+        # sweep's layered minimum and the tilt_onset sweep's untilted saddle
+        p = ModelParams1D().at_temperature(t_val)
+        state, _ = minimize(seed_state("smectic-seed", p, 64), p)
+        scale = 1.0 / np.sqrt(gram_diagonal(64, p.h))
+        exact = np.linalg.eigvalsh(Evaluator(64, p).hessian(state.pack()) * np.outer(scale, scale))
+        report = spectrum(state, p)
+        assert abs(report.min_eigenvalue - exact[0]) <= 1e-10
+        assert report.morse_index == StabilityReport(exact).morse_index == morse
 
     def test_rejects_a_state_of_another_cell_height(self):
         # the Gram of the h = pi state would mass-normalize the 2 pi model's Hessian

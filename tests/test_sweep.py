@@ -84,6 +84,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             cooling_grid(t_start, t_end, dt)
 
+    def test_grid_too_long_for_an_array_rejected(self):
+        # 2e299 points: numpy's bare "Maximum allowed size exceeded" before
+        message = "t_start = -10.0 to t_end = -10.2 in steps of dt = 1e-300 has 2e+299 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cooling_grid(-10.0, -10.2, 1e-300)
+
 
 class TestSweepTemperature:
     def test_solvers_read_from_their_modules_at_each_call(self, fig3_params, monkeypatch):
