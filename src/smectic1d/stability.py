@@ -32,9 +32,13 @@ class StabilityReport:
     """Ascending mass-normalized Hessian eigenvalues at a state.
 
     The eigenvalues live in the discretized (sine-restricted) perturbation
-    space: sine modes only for the smectic variable, so the cosine partners
-    and the constant mode of the smectic perturbations are absent.  The Morse
-    index counts the eigenvalues below -TOL_EIG.
+    space of the ansatz: theta in cosines, rho in sines.  Perturbations of
+    the other parity (theta sines and rho cosines, which include the layer
+    translation) are not checked, so the Morse index, which counts the
+    eigenvalues below -TOL_EIG, can be higher in the full periodic space.
+    On the k = 0.025 saddle branch at N = 16 it is 1 here against 3 there
+    at T = -21.0, and 3 against 7 at T = -22.0.  No fig3 or ``tilt_sweep``
+    record is affected.
     """
 
     eigenvalues: np.ndarray
@@ -64,9 +68,13 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     problem H v = mu G v with the finite-difference coefficient Hessian H of
     :meth:`Evaluator.fd_hessian` (its mixed theta-rho block differenced once,
     from the rho columns) and the diagonal Gram matrix G of the basis.
-    ``eigvalsh`` returns them ascending.  A state whose cell height is not
-    ``params.h`` raises ValueError; a Hessian that overflows (coefficients
-    near the float limit) or a failed eigensolve raises SolverError.
+    ``eigvalsh`` returns them ascending.  Perturbations of the other parity
+    (theta sines, rho cosines) are not checked: see :class:`StabilityReport`.
+    At e != 0 a relaxed state is stationary only within the ansatz, because
+    e rho^2 is even in z and so pushes on the rho cosines, which the basis
+    lacks.  A state whose cell height is not ``params.h`` raises
+    ValueError; a Hessian that overflows (coefficients near the float
+    limit) or a failed eigensolve raises SolverError.
     """
     _check_state(state, params)
     scale = 1.0 / np.sqrt(gram_diagonal(state.n, state.h))

@@ -50,6 +50,9 @@ SWEEP_SEEDS = ("smectic-seed",)
 ELASTIC_SEEDS = ("smectic-seed", "conical-seed")
 #: A sweep aborts when more than this share of its points fail to converge.
 MAX_FAILURE_FRACTION = 0.2
+#: The amplitude (delta_rho_max or theta_max) at which a record counts as
+#: layered or tilted in :func:`detect_transitions`.
+EPS_DETECT = 1e-3
 
 
 def cooling_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
@@ -188,19 +191,19 @@ def sweep_temperature(
     return records
 
 
-def _onset(seq: list[SweepRecord], amplitudes: list[float], eps_detect: float) -> float | None:
-    """Bracketed onset: the first amplitude >= eps_detect after one below it.
+def _onset(seq: list[SweepRecord], amplitudes: list[float]) -> float | None:
+    """Bracketed onset: the first amplitude >= EPS_DETECT after one below it.
 
     The zero crossing is refined by linear interpolation of the squared
     amplitude in T (pitchfork normal form) and clamped to the bracket
-    [T of the first record at or above eps_detect, T of the last record
+    [T of the first record at or above EPS_DETECT, T of the last record
     below it], because a flat or bent amplitude curve extrapolates far past
     it.  With no rise to interpolate (the crossing is at the last record,
     or the amplitude after it is not larger) the bracket's midpoint is
-    returned.  None when no amplitude reaches eps_detect or when the first
+    returned.  None when no amplitude reaches EPS_DETECT or when the first
     record already does (onset not bracketed).
     """
-    idx = next((i for i, a in enumerate(amplitudes) if a >= eps_detect), None)
+    idx = next((i for i, a in enumerate(amplitudes) if a >= EPS_DETECT), None)
     if not idx:  # None: never reached; 0: not bracketed
         return None
     t_i, a_i = seq[idx].T, amplitudes[idx]
@@ -211,22 +214,19 @@ def _onset(seq: list[SweepRecord], amplitudes: list[float], eps_detect: float) -
     return 0.5 * (t_above + t_i)
 
 
-def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[float | None, float | None]:
+def detect_transitions(records: list[SweepRecord]) -> tuple[float | None, float | None]:
     """Locate the layering and tilt onsets in a cooling sweep.
 
     Records must be ordered by decreasing T.  The first record (largest T)
-    with delta_rho_max >= eps_detect marks the layering transition; the
-    first with theta_max >= eps_detect marks the tilt transition.  Both are
+    with delta_rho_max >= EPS_DETECT marks the layering transition; the
+    first with theta_max >= EPS_DETECT marks the tilt transition.  Both are
     refined by linear interpolation of the squared amplitude against T and
     lie inside their bracket; an onset at the last record, or one after
     which the amplitude does not rise, is the bracket's midpoint.  A
     transition is reported only when the sweep brackets it: None when it is
     absent from the swept range, and None when it is not bracketed because
-    the first record is already past the threshold.  ``eps_detect`` must be
-    finite and positive.
+    the first record is already past the threshold.
     """
-    if not (math.isfinite(eps_detect) and eps_detect > 0):
-        raise ValueError(f"eps_detect must be finite and positive, got {eps_detect}")
     if not records:
         return None, None
     branch = records[0].branch
@@ -234,8 +234,8 @@ def detect_transitions(records: list[SweepRecord], eps_detect: float) -> tuple[f
     temps = [r.T for r in seq]
     if any(t2 >= t1 for t1, t2 in zip(temps, temps[1:])):
         raise ValueError("records must be ordered by strictly decreasing T")
-    t_chs = _onset(seq, [r.delta_rho_max for r in seq], eps_detect)
-    t_hssc = _onset(seq, [r.theta_max for r in seq], eps_detect)
+    t_chs = _onset(seq, [r.delta_rho_max for r in seq])
+    t_hssc = _onset(seq, [r.theta_max for r in seq])
     return t_chs, t_hssc
 
 

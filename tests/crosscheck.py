@@ -47,6 +47,7 @@ from smectic1d import Evaluator, ModelParams1D, SpectralState, SweepRecord, d_cr
 from smectic1d.energy1d import _check_state
 from smectic1d.minimize import frozen_layer_state
 from smectic1d.spectral import TWO_PI, Grid, _tables, analyze, synthesize
+from smectic1d.sweep import EPS_DETECT
 from smectic1d.tensor import QGradient, QTensor, tensor_curl, tensor_divergence
 
 #: Model coefficients that break the default coincidences q = sigma,
@@ -295,15 +296,11 @@ def optimal_constant_tilt(
 # -- pitchfork exponent of a sweep --------------------------------------------
 
 
-def pitchfork_exponent(
-    records: list[SweepRecord],
-    d0: float,
-    window: float,
-    eps_detect: float = 1e-3,
-) -> float:
+def pitchfork_exponent(records: list[SweepRecord], d0: float, window: float) -> float:
     """Least-squares slope of log(delta_rho_max) against log(d0 - d).
 
-    Uses the layered records with d in (d0 - window, d0); a clean pitchfork
+    Uses the layered records (delta_rho_max >= EPS_DETECT, the threshold of
+    ``detect_transitions``) with d in (d0 - window, d0); a clean pitchfork
     gives slope 1/2.
 
     Raises
@@ -314,7 +311,7 @@ def pitchfork_exponent(
     pts = [
         (r.d, r.delta_rho_max)
         for r in records
-        if d0 - window < r.d < d0 and r.delta_rho_max >= eps_detect and r.converged
+        if d0 - window < r.d < d0 and r.delta_rho_max >= EPS_DETECT and r.converged
     ]
     if len(pts) < 5:
         raise ValueError(f"insufficient records for the pitchfork fit: {len(pts)} inside the window, need >= 5")

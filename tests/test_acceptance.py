@@ -39,6 +39,7 @@ from smectic1d import (
     tilt_thresholds,
 )
 from smectic1d.spectral import gram_diagonal
+from smectic1d.sweep import EPS_DETECT
 
 from crosscheck import (
     analytic_cholesteric_spectrum,
@@ -60,7 +61,7 @@ def test_criterion_01_cholesteric_to_helical_smectic_temperature(fig3_params, fi
     ok = False
     t_chs = None
     try:
-        t_chs, _ = detect_transitions(fig3_sweep, 1e-3)
+        t_chs, _ = detect_transitions(fig3_sweep)
         assert t_chs is not None, "no layering transition detected in the swept range"
         assert t_chs == pytest.approx(-10.40, abs=0.05)
         analytic = temperature_from_d(d_critical(fig3_params), fig3_params)
@@ -117,11 +118,11 @@ def test_criterion_02_helical_smectic_to_smectic_cstar_temperature(fig3_params, 
     t_hssc = t_spectral = None
     try:
         t1_fig3, _ = tilt_thresholds(fig3_params)
-        _, t_fig3 = detect_transitions(fig3_sweep, 1e-3)
+        _, t_fig3 = detect_transitions(fig3_sweep)
         assert t_fig3 is None, f"tilt onset {t_fig3} reported where the t1 bound forbids one"
-        assert all(r.theta_max < 1e-3 and r.delta_rho_max < t1_fig3 for r in fig3_sweep)
+        assert all(r.theta_max < EPS_DETECT and r.delta_rho_max < t1_fig3 for r in fig3_sweep)
 
-        _, t_hssc = detect_transitions(tilt_sweep, 1e-3)
+        _, t_hssc = detect_transitions(tilt_sweep)
         assert t_hssc is not None, "no tilt transition bracketed in the k = 0.0025 sweep T = -11.5 .. -11.7"
         assert t_hssc == pytest.approx(-11.60, abs=0.05)
         t_spectral = _spectral_tilt_onset(tilt_params, tilt_sweep[0].T, tilt_sweep[-1].T)
@@ -183,7 +184,7 @@ def test_criterion_04_pitchfork_law(fig3_params, fig3_sweep):
         slope = pitchfork_exponent(fig3_sweep, d0, window=0.1)
         assert slope == pytest.approx(0.50, abs=0.05)
         window = [r for r in fig3_sweep
-                  if r.branch == "+" and d0 - 0.1 < r.d < d0 and r.delta_rho_max >= 1e-3]
+                  if r.branch == "+" and d0 - 0.1 < r.d < d0 and r.delta_rho_max >= EPS_DETECT]
         nearest = max(window, key=lambda r: r.d)
         coeff = nearest.delta_rho_max / math.sqrt(d0 - nearest.d)
         assert coeff == pytest.approx(math.sqrt(4.0 / (3.0 * fig3_params.f)), rel=0.05)

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import pkgutil
@@ -112,3 +113,32 @@ def test_readme_commands_parse():
     assert len(commands) >= 13
     for argv in commands:
         cli._parser().parse_args(argv[1:])
+
+
+#: Flags the README names that are not smectic1d options: pip's, and the
+#: prose shorthand for the three --eta1/--eta2/--eta24 flags.
+README_OTHER_FLAGS = {"--no-build-isolation", "--eta"}
+
+
+def test_readme_and_parser_name_the_same_options():
+    # each subcommand, option and config key is documented, and each flag
+    # the README names exists, so a new knob or a removed one shows here
+    from smectic1d import cli
+    from smectic1d.params import RunConfig, format_config
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    subparsers = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert sorted(c for c in subparsers.choices if f"smectic1d {c} " not in text) == []
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    assert sorted(options - named) == []
+    assert sorted(named - options - README_OTHER_FLAGS) == []
+    # the config keys, in the order --echo writes them
+    keys = [line.split(" = ")[0] for line in format_config(RunConfig()).splitlines()]
+    assert f"`{' '.join(keys)}`" in " ".join(text.split())

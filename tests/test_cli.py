@@ -35,8 +35,9 @@ class TestValidateParams:
             ("# q only\nq = 3.5\n",
              "config line 2: incommensurate layer wavenumber: q*h/(2*pi) = 3.5 is not a positive integer"),
             ("N = 15\n", "config line 1: N must be an even integer >= 2, got 15"),
+            ("k1 = 0.025\nN 64\n", "config line 2: expected 'key = value', got 'N 64'"),
         ],
-        ids=["one-key", "q-and-h", "q-only", "N"],
+        ids=["one-key", "q-and-h", "q-only", "N", "no-equals-sign"],
     )
     def test_rejected_config_value_names_its_line(self, tmp_path, capsys, text, message):
         # used to print the flag's message, without the line
@@ -372,6 +373,25 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "morse_index = 0" in err
 
+    def test_unconverged_minimizer_exits_2_without_a_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "spec.csv"
+        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5", "--at", "minimizer", "--max-iters", "1"]
+        assert run([*argv, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver error: minimization did not reach the gradient tolerance\n"
+        assert not out_path.exists()
+
+    def test_stdout_without_out_matches_the_file(self, tmp_path, capsys):
+        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5"]
+        out_path = tmp_path / "spec.csv"
+        assert run([*argv, "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("index,eigenvalue\n")
+        assert stdout.encode() == out_path.read_bytes()
+
 
 class TestThresholdsCommand:
     def test_prints_thresholds_and_theta_star(self, tmp_path, capsys):
@@ -431,14 +451,15 @@ class TestSweepCommand:
         "flags, message",
         [
             (["--t-start", "-10.6", "--t-end", "-10.3", "--dt", "0.05"], "cooling"),
-            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "0"], "eps-detect"),
-            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect=-1e-3"], "eps-detect"),
-            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "-1e-3"],
-             "--eps-detect must be positive"),
+            # the amplitude threshold is sweep.EPS_DETECT, not a flag
+            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0.05", "--eps-detect", "1e-3"],
+             "error: unrecognized arguments: --eps-detect 1e-3"),
+            (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "0"], "dt must be nonzero"),
+            (["--t-start", "nan", "--t-end", "-10.6", "--dt", "0.05"], "t_start must be finite, got nan"),
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "-nan"], "dt must be finite, got nan"),
             (["--t-start", "-10.3", "--t-end", "-Inf", "--dt", "0.05"], "t_end must be finite, got -inf"),
-            (["--t-start", "-10", "--t-end", "-10.5", "--dt", "0.25", "--eps-detect", "inf"],
-             "--eps-detect must be finite, got inf"),
+            (["--t-start", "-10", "--t-end", "-10.5", "--dt", "0.25", "--d", "-0.5", "--T", "-10.5"],
+             "give either --d or --T, not both"),
             # grids whose point count overflows: an OverflowError traceback before
             (["--t-start", "0", "--t-end", "-1", "--dt", "5e-324"],
              "t_start = 0.0 to t_end = -1.0 in steps of dt = 5e-324 has no finite point count"),
@@ -529,6 +550,22 @@ class TestOutputPathCheckedFirst:
         assert target in err
         assert ".tmp-" not in err
 
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path, capsys, monkeypatch):
+        renamed = []
+
+        def refuse(src, dst):
+            renamed.append(os.path.basename(src))
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr("smectic1d.cli.os.replace", refuse)
+        data = tmp_path / "profile.csv"
+        data.write_text("z,theta,delta_rho\n0,0.1,0.2\n")
+        target = tmp_path / "profile.svg"
+        assert run(["plot", "--kind", "profile", "--data", str(data), "--out", str(target)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert len(renamed) == 1 and renamed[0].startswith(".tmp-")
+        assert sorted(os.listdir(tmp_path)) == ["profile.csv"]
+
     def test_directory_as_output_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
         solved = []
         monkeypatch.setattr("smectic1d.sweep.sweep_temperature", lambda *a, **k: solved.append(a))
@@ -557,6 +594,12 @@ class TestElasticSweepCommand:
         assert captured.err == "error: --values: could not convert string to float: 'abc'\n"
         assert not out_path.exists()
 
+    def test_no_values_exits_1(self, tmp_path, capsys):
+        out_path = tmp_path / "k.csv"
+        assert run(["elastic-sweep", "--vary", "k", "--values", ",", "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == "error: no values supplied\n"
+        assert not out_path.exists()
+
 
 class TestTensorCheckCommand:
     def test_passes(self, capsys):
@@ -578,7 +621,7 @@ class TestTensorCheckCommand:
         assert captured.out == ""
         assert captured.err == "error: --rng-seed must be nonnegative, got -1\n"
 
-    @pytest.mark.parametrize("flag", ["--eta1", "--eta2", "--eta24", "--sigma", "--s-plus", "--tol"])
+    @pytest.mark.parametrize("flag", ["--eta1", "--eta2", "--eta24", "--sigma", "--s-plus"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "-Infinity"])
     def test_non_finite_option_exits_1_naming_it(self, capsys, flag, value):
         # --sigma nan used to fail as "Q must be exactly symmetric", and
@@ -601,13 +644,33 @@ class TestTensorCheckCommand:
         assert captured.out.count("-> FAIL") == 3
         assert captured.err == "error: uniaxial reduction check failed\n"
 
-    @pytest.mark.parametrize("value", ["0", "-0.0", "-1e-3"])
-    def test_non_positive_tol_exits_1_before_computing(self, capsys, value):
-        # used to print three "-> FAIL" lines and "uniaxial reduction check failed"
-        assert run(["tensor-check", "--tol", value]) == 1
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "0"], ["--sigma", "2"], ["--sigma", "1e4"], ["--sigma", "1e6"], ["--sigma", "1e8"],
+         ["--eta1", "1e6", "--eta2", "1e6", "--eta24", "1e6", "--s-plus", "1e3"]],
+        ids=["sigma-0", "sigma-2", "sigma-1e4", "sigma-1e6", "sigma-1e8", "eta-1e6-s-plus-1e3"],
+    )
+    def test_exact_identity_passes_at_any_scale(self, capsys, flags):
+        # the bound scales with the densities: at sigma = 1e6 the residual is
+        # 7.5e11 and its rounding spreads it by about 1e-3
+        assert run(["tensor-check", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.endswith("-> ok") for line in lines)
+
+    def test_offset_wrong_by_a_relative_1e_9_fails(self, monkeypatch, capsys):
+        # the mean is checked to the rounding of the densities, not to 1%
+        from smectic1d import tensor
+
+        offset = tensor.uniaxial_reduction_offset
+        monkeypatch.setattr(tensor, "uniaxial_reduction_offset", lambda *args: offset(*args) * (1.0 + 1e-9))
+        assert run(["tensor-check"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --tol must be positive, got {float(value)}\n"
+        assert captured.out.count("-> FAIL") == 3
+        assert captured.err == "error: uniaxial reduction check failed\n"
+
+    def test_tolerance_is_not_a_flag(self, capsys):
+        assert run(["tensor-check", "--tol", "1e-6"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --tol 1e-6\n"
 
 
 class TestPlot:
@@ -733,8 +796,8 @@ class TestPlot:
 
     @pytest.mark.parametrize(
         "lo, hi",
-        [(1e16, 1e16 + 4), (1e-20, 2e-20), (0.0, 5e-324), (-1.7e308, 1.7e308), (1.7e308, 1.7976931348623157e308)],
-        ids=["step-below-spacing", "tiny-magnitude", "subnormal-span", "span-overflows", "up-to-the-largest-float"],
+        [(1e16, 1e16 + 4), (1e-20, 2e-20), (0.0, 5e-324), (1.7e308, 1.7976931348623157e308)],
+        ids=["step-below-spacing", "tiny-magnitude", "subnormal-span", "up-to-the-largest-float"],
     )
     def test_ticks_are_bounded_and_finite(self, child_env, lo, hi):
         child = self.BOUNDED_CHILD + (

@@ -21,6 +21,7 @@ from smectic1d import (
     sweep_temperature,
     temperature_from_d,
 )
+from smectic1d.sweep import EPS_DETECT
 
 from crosscheck import pitchfork_exponent
 
@@ -217,19 +218,19 @@ class TestReferenceSweepInvariants:
 class TestDetectTransitions:
     def test_layering_onset(self, fig3_params):
         records = sweep_temperature(RunConfig(fig3_params), cooling_grid(-10.3, -10.6, 0.02))
-        t_chs, t_hssc = detect_transitions(records, 1e-3)
+        t_chs, t_hssc = detect_transitions(records)
         assert t_chs == pytest.approx(temperature_from_d(d_critical(fig3_params), fig3_params), abs=0.02)
         assert t_hssc is None
 
     def test_absent_when_out_of_range(self, fig3_params):
         records = sweep_temperature(RunConfig(fig3_params), cooling_grid(-9.5, -9.9, 0.1))
-        assert detect_transitions(records, 1e-3) == (None, None)
+        assert detect_transitions(records) == (None, None)
 
     def test_requires_decreasing_order(self):
         rec = lambda T: SweepRecord(T=T, d=T + 10, branch="+", delta_rho_max=0.0, theta_max=0.0,
                                     energy=0.0, morse_index=None, converged=True)
         with pytest.raises(ValueError, match="decreasing"):
-            detect_transitions([rec(-10.0), rec(-9.0)], 1e-3)
+            detect_transitions([rec(-10.0), rec(-9.0)])
 
     def test_synthetic_pitchfork_refinement(self):
         # amplitude^2 exactly linear in T below the onset at T0 = -10.0
@@ -240,7 +241,7 @@ class TestDetectTransitions:
             amp = math.sqrt(slope * (t0 - T)) if T < t0 else 0.0
             records.append(SweepRecord(T=T, d=T + 10, branch="+", delta_rho_max=amp, theta_max=0.0,
                                        energy=0.0, morse_index=None, converged=True))
-        t_chs, _ = detect_transitions(records, 1e-3)
+        t_chs, _ = detect_transitions(records)
         assert t_chs == pytest.approx(t0, abs=1e-12)
 
     def test_not_bracketed_when_first_record_is_past_threshold(self):
@@ -251,7 +252,7 @@ class TestDetectTransitions:
                         theta_max=0.01 * (i + 1), energy=0.0, morse_index=None, converged=True)
             for i in range(4)
         ]
-        assert detect_transitions(records, 1e-3) == (None, None)
+        assert detect_transitions(records) == (None, None)
 
     def test_onset_clamped_to_its_bracket(self):
         # squared amplitudes 0.25 -> 0.2601 extrapolate to T = -9.525, above
@@ -261,7 +262,7 @@ class TestDetectTransitions:
                         energy=0.0, morse_index=None, converged=True)
             for T, amp in ((-10.0, 0.0), (-10.02, 0.50), (-10.04, 0.51))
         ]
-        assert detect_transitions(records, 1e-3) == (-10.0, -10.0)
+        assert detect_transitions(records) == (-10.0, -10.0)
 
     @pytest.mark.parametrize(
         "amps, onset",
@@ -269,8 +270,10 @@ class TestDetectTransitions:
             ((0.0, 0.0, 0.5), 0.5 * (-10.02 + -10.04)),
             ((0.0, 0.5, 0.5), 0.5 * (-10.0 + -10.02)),
             ((0.0, 0.5, 0.4), 0.5 * (-10.0 + -10.02)),
+            ((0.0, math.nextafter(EPS_DETECT, 0.0), EPS_DETECT), 0.5 * (-10.02 + -10.04)),
         ],
-        ids=["crossing-at-the-last-record", "flat-after-the-crossing", "falling-after-the-crossing"],
+        ids=["crossing-at-the-last-record", "flat-after-the-crossing", "falling-after-the-crossing",
+             "one-ulp-below-then-at-EPS_DETECT"],
     )
     def test_onset_at_the_bracket_midpoint_without_a_rise_to_interpolate(self, amps, onset):
         # no later record with a larger amplitude: nothing to interpolate
@@ -279,22 +282,16 @@ class TestDetectTransitions:
                         energy=0.0, morse_index=None, converged=True)
             for T, amp in zip((-10.0, -10.02, -10.04), amps)
         ]
-        assert detect_transitions(records, 1e-3) == (onset, onset)
+        assert detect_transitions(records) == (onset, onset)
 
     def test_coarse_tilt_sweep_onset_inside_bracket(self, tilt_params):
         # the tilt jumps on between -11.6 and -11.8; unclamped, the squared
         # amplitudes extrapolate to T = -11.456
         records = sweep_temperature(RunConfig(tilt_params), cooling_grid(-11.4, -12.0, 0.2))
         amps = [r.theta_max for r in records if r.branch == "+"]
-        assert amps[1] < 1e-3 <= amps[2]
-        _, t_hssc = detect_transitions(records, 1e-3)
+        assert amps[1] < EPS_DETECT <= amps[2]
+        _, t_hssc = detect_transitions(records)
         assert -11.8 <= t_hssc <= -11.6
-
-    # an infinite threshold reported every onset as absent
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
-    def test_nonpositive_threshold_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps_detect"):
-            detect_transitions([], eps)
 
 
 class TestPitchforkExponent:
