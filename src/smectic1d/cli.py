@@ -12,7 +12,7 @@ This is the only module with I/O side effects.  Subcommands:
 * ``plot``             render a CSV into a standalone SVG
 
 Exit codes: 0 success, 1 invalid parameters or configuration, 2 solver
-failure, 3 I/O failure.  Data goes to files or stdout; diagnostics go to
+failure or an allocation numpy refuses, 3 I/O failure.  Data goes to files or stdout; diagnostics go to
 stderr.  ``--tol-grad`` must be finite and positive, and ``plot``
 draws finite values only.
 
@@ -551,6 +551,9 @@ def run(argv: list[str]) -> int:
         return 1
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array numpy cannot allocate, such as the trig table of a huge --n-modes
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -85,6 +85,19 @@ def _operators(grid: Grid, n: int) -> tuple[np.ndarray, ...]:
     return ops
 
 
+def _per_probe(op: np.ndarray, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """op @ x for each row x of ``stack``, one matrix-vector product per row.
+
+    Not one matrix-matrix product: gemm rounds differently from gemv, so a
+    probe of a stack would not get the bits of the same probe alone.
+    """
+    if out is None:
+        out = np.empty((len(stack), len(op)))
+    for x, row in zip(stack, out):
+        np.matmul(op, x, out=row)
+    return out
+
+
 class Evaluator:
     """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
@@ -127,11 +140,15 @@ class Evaluator:
     vector, so a caller may mutate the array it passed or build one with the
     same bytes anew and still get a fresh evaluation's result bit for bit
     (-0.0 and +0.0 differ in bytes).  The terms are computed per block
-    (theta, rho), then the coupling W that mixes both, and the gradient's
-    theta rows are their own step (:meth:`_theta_rows`), so the
-    finite-difference Hessian (:meth:`fd_hessian`) computes the block that a
-    column does not move once, re-synthesizes only the block it moves and,
-    in a theta column, assembles only the theta rows.
+    (theta, rho) from its samples, then the coupling W that mixes both, and
+    dphi/du of the theta block is its own step (:meth:`_dphi_dtheta`), so
+    the finite-difference Hessian (:meth:`fd_hessian`) computes the block
+    that a column does not move once, re-synthesizes only the block it moves
+    and, in a theta column, assembles only the theta rows.  Every term
+    method is elementwise along the last axis, so it runs unchanged on a
+    (4, M/2+1) stack of the four probes of a column; only the products with
+    B and its adjoint stay one matrix-vector product per probe, because a
+    matrix-matrix product rounds differently and would change the bits.
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -162,23 +179,19 @@ class Evaluator:
         # an evaluator never pair the key of one evaluation with the terms of another
         self._last: tuple[bytes, tuple] | None = None
 
-    # -- field synthesis -------------------------------------------------
+    # -- pointwise terms -------------------------------------------------
 
-    def _theta_terms(self, tc: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _theta_terms(self, theta: np.ndarray, theta_z: np.ndarray) -> tuple[np.ndarray, ...]:
         """theta, theta_z, sin, cos, sin^2 and k3 sin^2 of theta, the last as (k3 sin) sin like the chiral denominators.
 
         Powers are explicit products throughout: numpy's vectorized ** is not exactly
         even in its argument, which would break the exact rho -> -rho energy symmetry.
         """
-        u = self._b_theta @ tc
-        theta, theta_z = u[: self._half], u[self._half :]
         sin_t = np.sin(theta)
         return theta, theta_z, sin_t, np.cos(theta), sin_t * sin_t, self._k3 * sin_t * sin_t
 
-    def _rho_terms(self, rs: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _rho_terms(self, rho: np.ndarray, rho_zz: np.ndarray) -> tuple[np.ndarray, ...]:
         """rho, rho_zz, rho^2 and the layer term L = rho_zz + q^2 rho."""
-        u = self._b_rho @ rs
-        rho, rho_zz = u[: self._half], u[self._half :]
         return rho, rho_zz, rho * rho, rho_zz + self._q2 * rho
 
     def _coupling(self, theta: tuple, rho: tuple) -> np.ndarray:
@@ -191,8 +204,9 @@ class Evaluator:
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        theta = self._theta_terms(vec[: self.n + 2])
-        rho = self._rho_terms(vec[self.n + 2 :])
+        n, half = self.n, self._half
+        u, v = self._b_theta @ vec[: n + 2], self._b_rho @ vec[n + 2 :]
+        theta, rho = self._theta_terms(u[:half], u[half:]), self._rho_terms(v[:half], v[half:])
         terms = (theta, rho, self._coupling(theta, rho))
         self._last = (key, terms)
         return terms
@@ -227,7 +241,12 @@ class Evaluator:
     def gradient(self, vec: np.ndarray) -> np.ndarray:
         """Exact gradient of the discretized energy with respect to the coefficients."""
         theta, rho, cw = self._pointwise(vec)
-        return self._assemble(theta, rho, cw, self._theta_grad_terms(theta), self._rho_grad_terms(rho))
+        dphi_theta, dphi_rho = self._dphi_du(theta, rho, cw, self._theta_grad_terms(theta), self._rho_grad_terms(rho))
+        n = self.n
+        g = np.empty(2 * n + 3)
+        np.matmul(self._adj_theta, np.concatenate(dphi_theta), out=g[: n + 2])
+        np.matmul(self._adj_rho, np.concatenate(dphi_rho), out=g[n + 2 :])
+        return g
 
     def _theta_grad_terms(self, theta_terms: tuple) -> tuple[np.ndarray, ...]:
         """sin(2 theta), chi'(theta) and dphi/dtheta_z = 2 k1 theta_z."""
@@ -242,24 +261,20 @@ class Evaluator:
         l2 = self._l1x2 * lay  # 2 lambda1 L
         return l2, self._d * rho + self._f * rho2 * rho + l2 * self._q2
 
-    def _theta_rows(self, rho: tuple, w2: np.ndarray, theta_grad: tuple, out: np.ndarray | None = None) -> np.ndarray:
-        """The theta block's gradient B_theta^T (w * dphi/du) from rho_zz, 2 lambda2 W and the theta gradient terms."""
+    def _dphi_dtheta(self, rho: tuple, w2: np.ndarray, theta_grad: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(dphi/dtheta, dphi/dtheta_z) from rho_zz, 2 lambda2 W and the theta gradient terms."""
         sin_2t, chi_t, dphi_dtheta_z = theta_grad
-        dphi_dtheta = chi_t + w2 * sin_2t * rho[1]
-        return np.matmul(self._adj_theta, np.concatenate((dphi_dtheta, dphi_dtheta_z)), out=out)
+        return chi_t + w2 * sin_2t * rho[1], dphi_dtheta_z
 
-    def _assemble(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> np.ndarray:
-        """The gradient B^T (w * dphi/du) of each block from its terms and gradient terms and from W."""
+    def _dphi_du(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> tuple:
+        """dphi/du of each block, (dphi/dtheta, dphi/dtheta_z) and (dphi/drho, dphi/drho_zz), from its terms and W.
+
+        The gradient of a block is its adjoint times the concatenated pair.
+        """
         l2, rho_only = rho_grad
         w2 = self._l2x2 * cw  # 2 lambda2 W
         dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
-        dphi_drho_zz = l2 + w2 * theta[4]
-
-        n = self.n
-        g = np.empty(2 * n + 3)
-        self._theta_rows(rho, w2, theta_grad, out=g[: n + 2])
-        np.matmul(self._adj_rho, np.concatenate((dphi_drho, dphi_drho_zz)), out=g[n + 2 :])
-        return g
+        return self._dphi_dtheta(rho, w2, theta_grad), (dphi_drho, l2 + w2 * theta[4])
 
     def fd_hessian(self, vec: np.ndarray) -> np.ndarray:
         """Hessian by central differences of the gradient, mixed block taken once, as (H + H^T)/2.
@@ -274,31 +289,48 @@ class Evaluator:
         and averages only the diagonal blocks, whose asymmetry is at the
         finite-difference noise floor.  Every probe is vec + 0.0 with
         coefficient j moved, so the block that j does not lie in is
-        synthesized once and each probe synthesizes only the block it moves;
-        every entry computed is, bit for bit, what fresh gradient calls give.
+        synthesized once.  The four probes of a column are one (4, .) stack
+        of the block they move, and the block methods run once on the stack;
+        only the products stay per probe, one matrix-vector product each for
+        the synthesis and for each adjoint (see :func:`_per_probe`).  Every
+        entry computed is, bit for bit, what fresh gradient calls give.
         """
-        n = self.n
-        probe = vec + 0.0
-        theta, rho = self._theta_terms(probe[: n + 2]), self._rho_terms(probe[n + 2 :])
-        theta_grad = self._theta_grad_terms(theta)
-
-        def gradient_at(j: int, value: float) -> np.ndarray:
-            """The gradient at the probe with coefficient j at ``value``: its theta rows only for a theta column."""
-            probe[j] = value
-            if j < n + 2:
-                moved = self._theta_terms(probe[: n + 2])
-                return self._theta_rows(rho, self._l2x2 * self._coupling(moved, rho), self._theta_grad_terms(moved))
-            moved = self._rho_terms(probe[n + 2 :])
-            return self._assemble(theta, moved, self._coupling(theta, moved), theta_grad, self._rho_grad_terms(moved))
+        n, half = self.n, self._half
+        rest = vec + 0.0
+        u, v = self._b_theta @ rest[: n + 2], self._b_rho @ rest[n + 2 :]
+        theta, rho = self._theta_terms(u[:half], u[half:]), self._rho_terms(v[:half], v[half:])
+        # broadcast over the four probes of a rho column, whose dphi/dtheta_z is the one at rest
+        theta_grad = tuple(np.broadcast_to(term, (4, half)) for term in self._theta_grad_terms(theta))
 
         delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(vec))))
         delta2 = 2.0 * delta
-        h_mat = np.empty((probe.size, probe.size))
-        for j in range(probe.size):
-            x_j = vec[j]
-            col_1 = (gradient_at(j, x_j + delta) - gradient_at(j, x_j - delta)) / delta2
-            col_2 = (gradient_at(j, x_j + delta2) - gradient_at(j, x_j - delta2)) / (4.0 * delta)
-            probe[j] = x_j + 0.0
+        steps = np.array([delta, -delta, delta2, -delta2])
+        stacks = np.tile(rest[: n + 2], (4, 1)), np.tile(rest[n + 2 :], (4, 1))
+
+        def synthesize(op: np.ndarray, stack: np.ndarray, k: int, x_k: float) -> tuple[np.ndarray, np.ndarray]:
+            """Samples and derivatives of the probes with coefficient k at x_k +- delta and x_k +- 2 delta."""
+            stack[:, k] = x_k + steps
+            samples = _per_probe(op, stack)
+            stack[:, k] = x_k + 0.0
+            return samples[:, :half], samples[:, half:]
+
+        g = np.empty((4, rest.size))  # the gradients of a column's probes, by row
+        h_mat = np.empty((rest.size, rest.size))
+        for j in range(rest.size):
+            if j < n + 2:
+                moved = self._theta_terms(*synthesize(self._b_theta, stacks[0], j, vec[j]))
+                w2 = self._l2x2 * self._coupling(moved, rho)
+                dphi = (self._dphi_dtheta(rho, w2, self._theta_grad_terms(moved)),)
+            else:
+                moved = self._rho_terms(*synthesize(self._b_rho, stacks[1], j - n - 2, vec[j]))
+                cw = self._coupling(theta, moved)
+                dphi = self._dphi_du(theta, moved, cw, theta_grad, self._rho_grad_terms(moved))
+            # the theta rows of every column's probes, the rho rows of a rho column's only
+            for adj, pair, out in zip((self._adj_theta, self._adj_rho), dphi, (g[:, : n + 2], g[:, n + 2 :])):
+                _per_probe(adj, np.concatenate(pair, axis=1), out=out)
+            rows = g[:, : n + 2] if j < n + 2 else g
+            col_1 = (rows[0] - rows[1]) / delta2
+            col_2 = (rows[2] - rows[3]) / (4.0 * delta)
             h_mat[: col_1.size, j] = (4.0 * col_1 - col_2) / 3.0
         h_mat[n + 2 :, : n + 2] = h_mat[: n + 2, n + 2 :].T
         return 0.5 * (h_mat + h_mat.T)

@@ -393,6 +393,21 @@ class TestSpectrumCommand:
         assert stdout.encode() == out_path.read_bytes()
 
 
+    def test_refused_allocation_exits_2_with_one_line(self, capsys, monkeypatch):
+        # a huge --n-modes asks numpy for a trig table it cannot allocate
+        # (11.9 GiB at --n-modes 20000); that used to end in numpy's
+        # _ArrayMemoryError traceback.  The builder raises here, so nothing
+        # large is allocated
+        def refuse(grid, n):
+            raise MemoryError(f"Unable to allocate the operators of N = {n}")
+
+        monkeypatch.setattr("smectic1d.energy1d._operators", refuse)
+        assert run(["spectrum", "--n-modes", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver error: out of memory: Unable to allocate the operators of N = 20000\n"
+
+
 class TestThresholdsCommand:
     def test_prints_thresholds_and_theta_star(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path)

@@ -90,33 +90,9 @@ class TestHessian:
         scale = np.max(np.abs(raw))
         assert np.max(np.abs(raw - raw.T)) / scale < 1e-6
 
-    def test_signed_zero_block_is_synthesized_once_per_move(self, monkeypatch):
-        # an untilted layered state with a -0.0 theta block: every probe
-        # rests at x + 0.0, so each block is synthesized once at rest and
-        # once for each of the four gradients of each of its columns,
-        # 4 (N + 2) + 1 = 265 theta and 4 (N + 1) + 1 = 261 rho syntheses at
-        # N = 64; a synthesis of both blocks per probe would be 4 (2N + 3) =
-        # 524 of each
-        syntheses = {"theta": 0, "rho": 0}
-        for block in syntheses:
-            method = getattr(Evaluator, f"_{block}_terms")
-
-            def counting(self, coefficients, block=block, method=method):
-                syntheses[block] += 1
-                return method(self, coefficients)
-
-            monkeypatch.setattr(Evaluator, f"_{block}_terms", counting)
-        p = ModelParams1D()
-        rng = np.random.default_rng(7)
-        rho_s = 0.1 * rng.standard_normal(65) / np.arange(1, 66)
-        Evaluator(64, p).fd_hessian(np.concatenate((np.full(66, -0.0), rho_s)))
-        assert syntheses == {"theta": 265, "rho": 261}
-
-    def test_theta_columns_assemble_the_theta_rows_only(self):
-        # each of the 4 (2N + 3) = 524 probes at N = 64 assembles the theta
-        # rows of the gradient, one adjoint product with (diag(w) B_theta)^T;
-        # only the 4 (N + 1) = 260 probes of the rho columns assemble the rho
-        # rows, so the mixed block is differenced once, from the rho columns
+    @staticmethod
+    def _count_products(ev: Evaluator, attribute: str) -> dict[str, int]:
+        """Count the matrix products with the operators ``ev._{attribute}_theta`` and ``ev._{attribute}_rho``."""
         products = {"theta": 0, "rho": 0}
 
         class Counting(np.ndarray):
@@ -125,25 +101,48 @@ class TestHessian:
                 inputs = tuple(a.view(np.ndarray) if isinstance(a, Counting) else a for a in inputs)
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        p = ModelParams1D()
-        ev = Evaluator(64, p)
         for block in products:
-            counted = getattr(ev, f"_adj_{block}").view(Counting)
+            counted = getattr(ev, f"_{attribute}_{block}").view(Counting)
             counted.block = block
-            setattr(ev, f"_adj_{block}", counted)
+            setattr(ev, f"_{attribute}_{block}", counted)
+        return products
+
+    def test_signed_zero_block_is_synthesized_once_per_move(self):
+        # an untilted layered state with a -0.0 theta block: every probe
+        # rests at x + 0.0, so each block is synthesized once at rest and
+        # once for each of the four probes of each of its columns, one
+        # product with B_theta or B_rho each: 4 (N + 2) + 1 = 265 theta and
+        # 4 (N + 1) + 1 = 261 rho syntheses at N = 64; a synthesis of both
+        # blocks per probe would be 4 (2N + 3) = 524 of each
+        ev = Evaluator(64, ModelParams1D())
+        syntheses = self._count_products(ev, "b")
+        rng = np.random.default_rng(7)
+        rho_s = 0.1 * rng.standard_normal(65) / np.arange(1, 66)
+        ev.fd_hessian(np.concatenate((np.full(66, -0.0), rho_s)))
+        assert syntheses == {"theta": 265, "rho": 261}
+
+    def test_theta_columns_assemble_the_theta_rows_only(self):
+        # each of the 4 (2N + 3) = 524 probes at N = 64 assembles the theta
+        # rows of the gradient, one adjoint product with (diag(w) B_theta)^T;
+        # only the 4 (N + 1) = 260 probes of the rho columns assemble the rho
+        # rows, so the mixed block is differenced once, from the rho columns
+        ev = Evaluator(64, ModelParams1D())
+        products = self._count_products(ev, "adj")
         k = np.concatenate([np.arange(66), np.arange(1, 66)])
         ev.fd_hessian(0.1 * np.random.default_rng(7).standard_normal(131) / (1.0 + k))
         assert products == {"theta": 524, "rho": 260}
 
-    @pytest.mark.parametrize("kind", ["layered", "untilted", "no-layers"])
+    @pytest.mark.parametrize("kind", ["layered", "untilted", "no-layers", "N=64", "off-default", "off-height"])
     def test_matches_a_reference_built_from_fresh_gradients(self, kind):
         # the reference: each probe is x + 0.0 with one coefficient moved by
         # +-delta or +-2 delta, its gradient comes from a fresh evaluator, the
         # columns are Richardson-combined and the mixed block is taken from
         # the rho columns, as the docstring says; a seeded vector with both
-        # blocks nonzero (tilt and layers), or with one block set to -0.0
-        n = 16
-        p = ModelParams1D().with_d(-0.5)
+        # blocks nonzero (tilt and layers), or with one block set to -0.0,
+        # and the first at the benchmark's N = 64 and at the two off-default
+        # parameter sets
+        n = 64 if kind == "N=64" else 16
+        p = ModelParams1D(**{"off-default": OFF_DEFAULT, "off-height": OFF_HEIGHT}.get(kind, {})).with_d(-0.5)
         k = np.concatenate([np.arange(n + 2), np.arange(1, n + 2)])
         x = 0.2 * np.random.default_rng(3).standard_normal(2 * n + 3) / (1.0 + k)
         if kind == "untilted":

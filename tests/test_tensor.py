@@ -205,6 +205,21 @@ class TestReduction:
         res = tn.reduction_residual(*tn.unit_field(z, a, b), self.S_PLUS, 1.3, 0.7, 0.9, 0.0)
         assert np.max(np.abs(res)) < 1e-9
 
+    def test_random_directors_with_perpendicular_derivatives(self):
+        # the reduction is a pointwise identity in (n, dn/dz) with dn/dz . n = 0,
+        # so samples that belong to no field must meet the offset too, within
+        # tensor-check's own tolerance 1e-12 s_plus^2 max|eta| (|sigma| + 2)^2
+        rng = np.random.default_rng(24)
+        n = rng.normal(size=(20, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        dn_dz = rng.normal(size=(20, 3))
+        dn_dz -= np.sum(dn_dz * n, axis=1)[:, None] * n
+        etas = (1.3, 0.7, 0.9)
+        res = tn.reduction_residual(n, dn_dz, self.S_PLUS, *etas, self.SIGMA)
+        tol = 1e-12 * self.S_PLUS**2 * max(etas) * (abs(self.SIGMA) + 2.0) ** 2
+        assert np.ptp(res) <= tol
+        assert abs(np.mean(res) - tn.uniaxial_reduction_offset(self.S_PLUS, etas[0], self.SIGMA)) <= tol
+
     @pytest.mark.parametrize("a, b", [(2.0, 0.0), (0.0, 0.0), (0.7, 1.1)])
     def test_unit_field_is_unit_and_its_derivative_exact(self, a, b):
         z = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
