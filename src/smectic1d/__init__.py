@@ -23,7 +23,7 @@ _EXPORTS = {
     for module, names in {
         "tensor": ("tensor",),
         "params": (
-            "MinimizeOptions", "ModelParams1D", "OFConstants", "RunConfig", "compute_s_plus", "d_from_temperature",
+            "ModelParams1D", "OFConstants", "RunConfig", "compute_s_plus", "d_from_temperature",
             "format_config", "map_to_oseen_frank", "parse_config", "SolverError", "temperature_from_d",
             "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
         ),

@@ -12,9 +12,8 @@ This is the only module with I/O side effects.  Subcommands:
 * ``plot``             render a CSV into a standalone SVG
 
 Exit codes: 0 success, 1 invalid parameters or configuration, 2 solver
-failure or an allocation numpy refuses, 3 I/O failure.  Data goes to files or stdout; diagnostics go to
-stderr.  ``--tol-grad`` must be finite and positive, and ``plot``
-draws finite values only.
+failure or an allocation numpy refuses, 3 I/O failure.  Data goes to files
+or stdout; diagnostics go to stderr.  ``plot`` draws finite values only.
 
 Each subcommand imports the solver modules it needs when it runs, so
 ``validate-params``, ``thresholds`` and ``plot`` never import numpy.
@@ -31,7 +30,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import params as params_mod
 from .params import SEED_KINDS, ModelParams1D, RunConfig, SolverError, format_config, parse_config
@@ -41,7 +40,8 @@ __all__ = ["run", "main", "emit_svg"]
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix matching: "sweep --d -7" would set --dt
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse's own pattern reads "-10" and "-9.5" as values but "-1e1"
         # and "-inf" as options; no flag here looks like a number, so all of
         # these are values, and the non-finite ones reach the finite checks
@@ -95,24 +95,21 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The run configuration: the ``--config`` file or the defaults, then the flags of ``_add_common``."""
+    """The run configuration: the ``--config`` file or the defaults, then the flags of ``_add_config``."""
     if args.config:
         with open(args.config, "r") as fh:
             config = parse_config(fh.read())
     else:
         config = RunConfig()
     p = config.params
-    if args.T is not None and args.d is not None:
+    d, T, n_modes = (getattr(args, name, None) for name in ("d", "T", "n_modes"))
+    if T is not None and d is not None:
         raise ValueError("give either --d or --T, not both")
-    if args.d is not None:
-        p = p.with_d(args.d)
-    elif args.T is not None:
-        p = p.at_temperature(args.T)
-    # N is checked before the solver settings, as in a config file
-    n_modes = config.n_modes if args.n_modes is None else args.n_modes
-    config = replace(config, params=p, n_modes=n_modes)
-    overrides = {f.name: getattr(args, f.name) for f in fields(config.options) if getattr(args, f.name) is not None}
-    return replace(config, options=replace(config.options, **overrides))
+    if d is not None:
+        p = p.with_d(d)
+    elif T is not None:
+        p = p.at_temperature(T)
+    return replace(config, params=p, n_modes=config.n_modes if n_modes is None else n_modes)
 
 
 # --- CSV and SVG output ------------------------------------------------------------
@@ -333,7 +330,7 @@ def _cmd_minimize(args: argparse.Namespace) -> None:
     config = _load_config(args)
     p = config.params
     state0 = seed_state(args.seed, p, config.n_modes)
-    state, report = minimize(state0, p, config.options)
+    state, report = minimize(state0, p)
     print(f"converged = {report.converged}", file=sys.stderr)
     print(f"iterations = {report.iterations}", file=sys.stderr)
     print(f"grad_norm = {_fmt(report.final_grad_norm)}", file=sys.stderr)
@@ -364,7 +361,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
         state = seed_state("cholesteric", p, config.n_modes)
     else:
         state0 = seed_state(args.seed, p, config.n_modes)
-        state, report = minimize(state0, p, config.options)
+        state, report = minimize(state0, p)
         if not report.converged:
             raise SolverError("minimization did not reach the gradient tolerance")
     report = stability.spectrum(state, p)
@@ -469,13 +466,13 @@ def _cmd_plot(args: argparse.Namespace) -> None:
 # --- parser wiring ----------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_config(sub: argparse.ArgumentParser, *, n_modes: bool = True, d: bool = True) -> None:
     sub.add_argument("--config", help="configuration file (key = value lines)")
-    sub.add_argument("--d", type=float, default=None, help="override the smectic bulk coefficient d")
-    sub.add_argument("--T", type=float, default=None, help="set d from the temperature map")
-    sub.add_argument("--n-modes", dest="n_modes", type=int, default=None, help="truncation order N")
-    sub.add_argument("--tol-grad", dest="tol_grad", type=float, default=None)
-    sub.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    if n_modes:
+        sub.add_argument("--n-modes", dest="n_modes", type=int, default=None, help="truncation order N")
+    if d:
+        sub.add_argument("--d", type=float, default=None, help="override the smectic bulk coefficient d")
+        sub.add_argument("--T", type=float, default=None, help="set d from the temperature map")
 
 
 def _parser() -> _Parser:
@@ -483,32 +480,32 @@ def _parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("validate-params", help="validate a configuration and print derived quantities")
-    _add_common(sp)
+    _add_config(sp)
     sp.add_argument("--echo", action="store_true", help="print the parsed configuration and exit")
     for flag in ("A", "B", "C", "eta1", "eta2", "eta24"):
         sp.add_argument(f"--{flag}", type=float, default=None, help="tensor-model constant (optional)")
     sp.set_defaults(func=_cmd_validate_params)
 
     sp = subs.add_parser("minimize", help="relax a single state")
-    _add_common(sp)
+    _add_config(sp)
     sp.add_argument("--seed", choices=SEED_KINDS, default="smectic-seed")
     sp.add_argument("--profile", help="write the relaxed profile CSV here")
     sp.set_defaults(func=_cmd_minimize)
 
     sp = subs.add_parser("spectrum", help="Hessian spectrum at a state")
-    _add_common(sp)
+    _add_config(sp)
     sp.add_argument("--at", choices=("cholesteric", "minimizer"), default="cholesteric")
     sp.add_argument("--seed", choices=SEED_KINDS, default="smectic-seed", help="seed when --at minimizer")
     sp.add_argument("--out", help="spectrum CSV path (stdout when omitted)")
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = subs.add_parser("thresholds", help="closed-form transition thresholds")
-    _add_common(sp)
+    _add_config(sp, n_modes=False, d=False)
     sp.add_argument("--t", type=float, default=None, help="layer amplitude at which to report theta_star")
     sp.set_defaults(func=_cmd_thresholds)
 
     sp = subs.add_parser("sweep", help="temperature sweep")
-    _add_common(sp)
+    _add_config(sp, d=False)
     sp.add_argument("--t-start", dest="t_start", type=float, required=True)
     sp.add_argument("--t-end", dest="t_end", type=float, required=True)
     sp.add_argument("--dt", type=float, required=True)
@@ -518,7 +515,7 @@ def _parser() -> _Parser:
     sp.set_defaults(func=_cmd_sweep)
 
     sp = subs.add_parser("elastic-sweep", help="sweep the elastic constants at fixed d")
-    _add_common(sp)
+    _add_config(sp)
     sp.add_argument("--vary", choices=("k", "lambda"), required=True)
     sp.add_argument("--values", required=True, help="comma-separated constant values")
     sp.add_argument("--out", required=True)
@@ -552,7 +549,7 @@ def run(argv: list[str]) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # an array numpy cannot allocate, such as the trig table of a huge --n-modes
+    except MemoryError as exc:  # an array numpy cannot allocate, such as a trig table on a machine short of memory
         print(f"solver error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,15 +12,14 @@ leaves a saddle below the layering onset does not crawl.  That long step is
 cut down by safeguarded quadratic interpolation (Nocedal & Wright,
 *Numerical Optimization*, section 3.5), not by halving, so a restart does
 not spend some twenty energy calls descending from the bound; a BB trial
-step is halved.  The iteration
-runs in diagonally preconditioned variables: the closed-form quadratic
-curvature of each basis mode (layer stiffness
+step is halved.  The iteration runs in diagonally preconditioned variables:
+the closed-form quadratic curvature of each basis mode (layer stiffness
 2*lambda1*((2*pi*k/h)^2 - q^2)^2 for the smectic modes, twist stiffness
 2*k1*((2*pi*k/h)^2 + sigma^2) for the tilt modes) rescales the gradient,
 which removes the ~1e5 curvature spread between high layer modes and the
 nearly flat pitchfork direction.  Without it the line search stalls below
 the floating-point resolution of the energy long before the gradient
-tolerance is met.
+tolerance ``TOL_GRAD`` is met.
 """
 
 from __future__ import annotations
@@ -32,12 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy1d import Evaluator, _check_state
-from .params import SEED_KINDS, MinimizeOptions, ModelParams1D, SolverError, d_critical
+from .params import SEED_KINDS, ModelParams1D, SolverError, d_critical
 from .spectral import SpectralState, gram_diagonal
 
-__all__ = ["MinimizeOptions", "MinimizeReport", "minimize", "seed_state", "SEED_KINDS"]
+__all__ = ["MinimizeReport", "minimize", "seed_state", "SEED_KINDS"]
 
 
+# Stopping rule: the sup-norm of the coefficient gradient at which a
+# relaxation has converged, and the cap on its accepted steps.
+TOL_GRAD = 1e-8
+MAX_ITERS = 1_000_000
 # Step policy: the step tried at the first iteration, the backtracking
 # factor of a BB trial step, the safeguard interval [INTERP_LO, INTERP_HI]
 # (fractions of the rejected step) of the quadratic interpolation that cuts
@@ -54,8 +57,12 @@ MEMORY = 10
 ARMIJO = 1e-4
 STEP_MIN = 1e-16
 STEP_MAX = 1e6
-# Machine epsilon, the unit of the line search's floating-point slack.
 FLOAT_EPS = float(np.finfo(float).eps)
+
+
+def energy_slack(e: float) -> float:
+    """The floating-point slack of an energy comparison at energy ``e``: 4 eps max(1, |e|), a few ulps."""
+    return 4.0 * FLOAT_EPS * max(1.0, abs(e))
 
 
 @dataclass(frozen=True)
@@ -122,27 +129,24 @@ def _precondition_diagonal(n: int, params: ModelParams1D) -> np.ndarray:
 
 
 def minimize(
-    state0: SpectralState,
-    params: ModelParams1D,
-    opts: MinimizeOptions = MinimizeOptions(),
-    evaluator: Evaluator | None = None,
+    state0: SpectralState, params: ModelParams1D, evaluator: Evaluator | None = None
 ) -> tuple[SpectralState, MinimizeReport]:
     """Minimize the discretized energy starting from ``state0``.
 
     Returns the final state together with a report.  ``converged`` means the
-    sup-norm of the gradient fell to ``tol_grad`` and the last iterate is
-    returned; otherwise (``max_iters`` reached, or the line search stalled)
+    sup-norm of the gradient fell to ``TOL_GRAD`` and the last iterate is
+    returned; otherwise (``MAX_ITERS`` steps, or the line search stalled)
     the lowest-energy iterate accepted so far is returned with its gradient
     norm.  The state returned is that iterate's canonical representative
     (:meth:`SpectralState.canonical`, theta_c[0] in [0, pi/2]); the report's
     energy is the iterate's, before the fold, and the two agree to rounding.
     ``iterations`` counts the accepted steps, on every exit.  The line
     search is nonmonotone: an accepted energy is at most the largest of the
-    last ``MEMORY`` accepted energies plus its slack of a few ulps,
-    4 eps max(1, |E|) at the current energy E.  The preconditioned
-    direction descends (slope <= 0) because the preconditioner is positive
-    definite.  A trial step of non-finite energy fails the Armijo test and
-    is cut back like any other, so every accepted energy is finite.
+    last ``MEMORY`` accepted energies plus the :func:`energy_slack` of the
+    current one.  The preconditioned direction descends (slope <= 0)
+    because the preconditioner is positive definite.  A trial step of
+    non-finite energy fails the Armijo test and is cut back like any other,
+    so every accepted energy is finite.
 
     Raises
     ------
@@ -172,7 +176,7 @@ def minimize(
 
     iterations = 0
     gnorm = float(np.abs(g).max())
-    while gnorm > opts.tol_grad and iterations < opts.max_iters:
+    while gnorm > TOL_GRAD and iterations < MAX_ITERS:
         direction = neg_dinv * g
         restart = False
         if s_prev is not None:
@@ -191,7 +195,7 @@ def minimize(
         # falls below the energy's floating-point resolution while the
         # analytic gradient stays accurate, and a zero-slack test
         # deadlocks the line search
-        slack = 4.0 * FLOAT_EPS * max(1.0, abs(e))
+        slack = energy_slack(e)
         e_ref = max(recent)
         alpha = step
         while alpha >= STEP_MIN:
@@ -212,8 +216,8 @@ def minimize(
         if e < best_e:
             best_x, best_e, best_g = x, e, g
 
-    converged = gnorm <= opts.tol_grad
-    if not converged:  # max_iters reached or the line search stalled: the best iterate
+    converged = gnorm <= TOL_GRAD
+    if not converged:  # MAX_ITERS reached or the line search stalled: the best iterate
         x, e, gnorm = best_x, best_e, float(np.abs(best_g).max())
     state = SpectralState.from_vector(x, state0.n, state0.h).canonical()
     return state, MinimizeReport(converged=converged, iterations=iterations, final_grad_norm=gnorm, final_energy=e)

@@ -282,46 +282,28 @@ def theta_star(t: float, params: ModelParams1D) -> float:
 # --- configuration file format ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
-    """Stopping criteria of ``minimize.minimize``.
-
-    ``tol_grad`` is a finite positive sup-norm threshold on the coefficient
-    gradient and ``max_iters`` caps the number of accepted steps.
-    """
-
-    tol_grad: float = 1e-8
-    max_iters: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        # an infinite tolerance would report the unrelaxed seed as converged
-        if not (math.isfinite(self.tol_grad) and self.tol_grad > 0):
-            raise ParamError(f"tol_grad must be finite and positive, got {self.tol_grad}", "tol_grad")
-        if self.max_iters < 1:
-            raise ParamError(f"max_iters must be >= 1, got {self.max_iters}", "max_iters")
+#: The largest truncation order N, a fixed bound so that a huge N fails alike on every machine: by
+#: tracemalloc a cholesteric ``spectrum`` peaks at about 260 (N+2)^2 bytes (1.3, 4.4 and 16.6 MiB
+#: at N = 64, 128 and 256), so N = 2000 needs 260 * 2002^2 bytes, about 1 GiB.
+N_MAX = 2000
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The run settings, which both sweeps take whole: parameters, truncation order N, solver options."""
+    """The run settings, which both sweeps take whole: the parameters and the truncation order N."""
 
     params: ModelParams1D = ModelParams1D()
     n_modes: int = 64
-    options: MinimizeOptions = MinimizeOptions()
 
     def __post_init__(self) -> None:
-        if self.n_modes < 2 or self.n_modes % 2 != 0:
-            raise ParamError(f"N must be an even integer >= 2, got {self.n_modes}", "N")
+        if not 2 <= self.n_modes <= N_MAX or self.n_modes % 2 != 0:
+            raise ParamError(f"N must be an even integer from 2 to {N_MAX}, got {self.n_modes}", "N")
 
 
 #: Each config key, in the order ``format_config`` writes them, with the type
 #: its value parses to (that of the field's default): the fields of
-#: ModelParams1D, then N, then the fields of MinimizeOptions.
-_CONFIG_TYPES = {
-    **{f.name: type(f.default) for f in fields(ModelParams1D)},
-    "N": int,
-    **{f.name: type(f.default) for f in fields(MinimizeOptions)},
-}
+#: ModelParams1D, then N.
+_CONFIG_TYPES = {**{f.name: type(f.default) for f in fields(ModelParams1D)}, "N": int}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -353,10 +335,8 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
     param_kw = {f.name: seen[f.name] for f in fields(ModelParams1D) if f.name in seen}
-    options = {f.name: seen[f.name] for f in fields(MinimizeOptions) if f.name in seen}
     try:
-        config = RunConfig(params=ModelParams1D(**param_kw), **({"n_modes": seen["N"]} if "N" in seen else {}))
-        return replace(config, options=MinimizeOptions(**options))
+        return RunConfig(params=ModelParams1D(**param_kw), **({"n_modes": seen["N"]} if "N" in seen else {}))
     except ParamError as exc:
         at = sorted(lines[k] for k in exc.keys if k in lines)  # the defaults pass every check
         raise ValueError(f"config line{'s' * (len(at) > 1)} {' and '.join(map(str, at))}: {exc}") from None
@@ -367,7 +347,7 @@ def format_config(config: RunConfig) -> str:
 
     ``parse_config(format_config(c))`` reproduces ``c`` exactly.
     """
-    values = {**vars(config.params), "N": config.n_modes, **vars(config.options)}
+    values = {**vars(config.params), "N": config.n_modes}
     return "".join(
         f"{key} = {values[key]:.17g}\n" if kind is float else f"{key} = {values[key]}\n"
         for key, kind in _CONFIG_TYPES.items()

@@ -1,7 +1,7 @@
 """Temperature and elastic-constant sweeps with transition detection.
 
-Both sweeps take the run settings whole, a :class:`RunConfig` (parameters,
-truncation order N, solver options), and a list of values.  A temperature
+Both sweeps take the run settings whole, a :class:`RunConfig` (parameters
+and truncation order N), and a list of values.  A temperature
 sweep walks a list of temperatures, in the CLI the cooling grid of
 :func:`cooling_grid`.  At each point it sets d = alpha2*(T - T2star),
 minimizes from the previous converged state (warm start) plus fresh seeds,
@@ -29,7 +29,7 @@ import numpy as np
 # here while a wrapper sat on them (bench/probe.py) would keep it after removal
 from . import stability
 from .energy1d import Evaluator
-from .minimize import FLOAT_EPS, MinimizeOptions, seed_state
+from .minimize import energy_slack, seed_state
 from .params import ModelParams1D, RunConfig, SolverError
 from .spectral import SpectralState
 
@@ -105,15 +105,13 @@ class ElasticRecord:
     converged: bool
 
 
-def _relax(
-    candidates: list[SpectralState], params: ModelParams1D, options: MinimizeOptions
-) -> tuple[SpectralState, float, bool]:
+def _relax(candidates: list[SpectralState], params: ModelParams1D) -> tuple[SpectralState, float, bool]:
     """Minimize from every candidate under one evaluator; lowest-energy converged result wins.
 
     A converged result always beats a non-converged one; non-converged best
     iterates are reported only when nothing converged.  Among equals, a
     later candidate wins only when its energy is lower by more than the
-    line search's floating-point slack, 4 eps max(1, |E_best|): two
+    line search's floating-point slack at E_best (:func:`energy_slack`): two
     candidates that relax to the same state end a few ulps apart, and the
     earlier one (the warm start of a temperature sweep, the smectic seed of
     an elastic sweep) is kept whatever the sign of those ulps.
@@ -123,13 +121,13 @@ def _relax(
     evaluator = Evaluator(candidates[0].n, params)
     best: tuple[bool, float, SpectralState] | None = None
     for cand in candidates:
-        state, report = minimize(cand, params, options, evaluator=evaluator)
+        state, report = minimize(cand, params, evaluator=evaluator)
         key = (report.converged, report.final_energy, state)
         if best is None:
             best = key
         elif key[0] and not best[0]:
             best = key
-        elif key[0] == best[0] and key[1] < best[1] - 4.0 * FLOAT_EPS * max(1.0, abs(best[1])):
+        elif key[0] == best[0] and key[1] < best[1] - energy_slack(best[1]):
             best = key
     assert best is not None
     return best[2], best[1], best[0]
@@ -167,7 +165,7 @@ def sweep_temperature(
         if not cold_start and warm is not None:
             candidates.append(warm)
         candidates.extend(seed_state(kind, params_t, n_modes) for kind in SWEEP_SEEDS)
-        state, energy_val, converged = _relax(candidates, params_t, config.options)
+        state, energy_val, converged = _relax(candidates, params_t)
         morse = stability.spectrum(state, params_t).morse_index if record_morse else None
         if converged:
             warm = state
@@ -258,7 +256,7 @@ def elastic_sweep(config: RunConfig, values: list[float], vary: str) -> list[Ela
     records: list[ElasticRecord] = []
     for v, params_v in zip(values, points):
         candidates = [seed_state(kind, params_v, n_modes) for kind in ELASTIC_SEEDS]
-        state, energy_val, converged = _relax(candidates, params_v, config.options)
+        state, energy_val, converged = _relax(candidates, params_v)
         records.append(
             ElasticRecord(
                 value=float(v),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import smectic1d
+from smectic1d import cli
 from smectic1d.cli import emit_svg, run
 
 
@@ -34,7 +36,7 @@ class TestValidateParams:
              "config lines 1 and 3: incommensurate layer wavenumber: q*h/(2*pi) = 3.5 is not a positive integer"),
             ("# q only\nq = 3.5\n",
              "config line 2: incommensurate layer wavenumber: q*h/(2*pi) = 3.5 is not a positive integer"),
-            ("N = 15\n", "config line 1: N must be an even integer >= 2, got 15"),
+            ("N = 15\n", "config line 1: N must be an even integer from 2 to 2000, got 15"),
             ("k1 = 0.025\nN 64\n", "config line 2: expected 'key = value', got 'N 64'"),
         ],
         ids=["one-key", "q-and-h", "q-only", "N", "no-equals-sign"],
@@ -140,6 +142,44 @@ class TestValidateParams:
         assert run(["validate-params", "--config", str(tmp_path / "missing.cfg")]) == 3
 
 
+class TestUnreadSettings:
+    """A subcommand takes only the flags it reads, and the solver's stopping rule is no setting."""
+
+    #: The required flags of each subcommand, so that an extra flag is the only error.
+    REQUIRED = {
+        "validate-params": [],
+        "minimize": [],
+        "spectrum": [],
+        "thresholds": [],
+        "sweep": ["--t-start", "-10", "--t-end", "-10", "--dt", "1", "--out", "s.csv"],
+        "elastic-sweep": ["--vary", "k", "--values", "0.025", "--out", "k.csv"],
+        "tensor-check": [],
+        "plot": ["--kind", "profile", "--data", "p.csv", "--out", "p.svg"],
+    }
+    # the thresholds depend on neither d nor N, and a sweep sets d from each T;
+    # these flags were taken and ignored
+    CASES = [(c, f) for c in REQUIRED for f in (["--tol-grad", "1e-8"], ["--max-iters", "3"])] + [
+        ("thresholds", ["--d", "-3"]), ("thresholds", ["--T", "-3"]), ("thresholds", ["--n-modes", "8"]),
+        ("sweep", ["--d", "-7"]), ("sweep", ["--T", "-3"]),
+    ]
+
+    def test_every_subcommand_is_covered(self):
+        subparsers = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(subparsers.choices) == sorted(self.REQUIRED)
+
+    @pytest.mark.parametrize("command, flag", CASES, ids=[f"{c}{f[0]}" for c, f in CASES])
+    def test_unread_flag_exits_1(self, capsys, command, flag):
+        assert run([command, *self.REQUIRED[command], *flag]) == 1
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+    @pytest.mark.parametrize("key, value", [("tol_grad", "1e-8"), ("max_iters", "1000000")])
+    def test_solver_setting_is_not_a_config_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"N = 16\n{key} = {value}\n")
+        assert run(["validate-params", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: config line 2: unknown key '{key}'\n")
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self, child_env):
         proc = subprocess.run(
@@ -149,17 +189,25 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "d_critical = " in proc.stdout
 
+    #: A child that runs the CLI's minimize with the step cap lowered to 1.
+    CAPPED_MINIMIZE = (
+        "import importlib, sys\n"
+        "importlib.import_module('smectic1d.minimize').MAX_ITERS = 1\n"
+        "from smectic1d.cli import run\n"
+        "sys.exit(run(['minimize']))\n"
+    )
+
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            (["validate-params", "--config", "bad.cfg"], 1,
+            (["-m", "smectic1d", "validate-params", "--config", "bad.cfg"], 1,
              "error: config line 1: k1 must be positive and finite, got -1.0"),
-            (["sweep", "--t-start", "-10", "--t-end", "-9", "--dt", "0.1", "--out", "s.csv"], 1,
+            (["-m", "smectic1d", "sweep", "--t-start", "-10", "--t-end", "-9", "--dt", "0.1", "--out", "s.csv"], 1,
              "error: sweeps run cooling only: t_end = -9.0 must not exceed t_start = -10.0"),
-            (["minimize", "--max-iters", "1"], 2, "solver error: minimization did not reach the gradient tolerance"),
-            (["spectrum", "--d", "1e308", "--n-modes", "4"], 2,
+            (["-c", CAPPED_MINIMIZE], 2, "solver error: minimization did not reach the gradient tolerance"),
+            (["-m", "smectic1d", "spectrum", "--d", "1e308", "--n-modes", "4"], 2,
              "solver error: eigenvalue solve failed: Eigenvalues did not converge"),
-            (["minimize", "--profile", "missing/p.csv"], 3,
+            (["-m", "smectic1d", "minimize", "--profile", "missing/p.csv"], 3,
              "i/o error: [Errno 2] output directory does not exist: 'missing/p.csv'"),
         ],
         ids=["config-line", "cooling-grid", "max-iters", "eigensolve", "missing-directory"],
@@ -168,8 +216,7 @@ class TestModuleEntry:
         # a failed eigensolve used to end in a RuntimeError traceback
         (tmp_path / "bad.cfg").write_text("k1 = -1\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "smectic1d", *argv], capture_output=True, text=True, timeout=60, cwd=tmp_path,
-            env=child_env,
+            [sys.executable, *argv], capture_output=True, text=True, timeout=60, cwd=tmp_path, env=child_env,
         )
         assert proc.returncode == code
         assert proc.stderr.splitlines()[-1] == message
@@ -269,6 +316,12 @@ class TestBatchOutputsUnchanged:
     def test_bytes_match_the_recorded_digests(self, tmp_path, child_env):
         assert self.outputs(tmp_path, child_env) == self.DIGESTS
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, child_env, threads):
+        # OpenBLAS rounds a matrix-matrix product differently on 1 thread
+        # than on 2; no output may use such a product
+        assert self.outputs(tmp_path, {**child_env, "OPENBLAS_NUM_THREADS": threads}) == self.DIGESTS
+
 
 class TestMorseOutputsUnchanged:
     """A sweep CSV with a non-empty morse_index column and its dashed bifurcation plot, byte for byte.
@@ -319,14 +372,16 @@ class TestMinimizeCommand:
         assert run(["minimize", "--config", cfg, "--d", "-5", "--seed", "smectic-seed"]) == 0
         assert "theta_within_range = True" in capsys.readouterr().err
 
-    def test_nonconvergence_exits_2(self, tmp_path):
+    def test_nonconvergence_exits_2(self, tmp_path, monkeypatch):
         cfg = _write_fig3_config(tmp_path)
-        code = run(["minimize", "--config", cfg, "--max-iters", "1", "--tol-grad", "1e-15"])
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "MAX_ITERS", 1)
+        code = run(["minimize", "--config", cfg])
         assert code == 2
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_infinite_tolerance_exits_1(self, tmp_path, capsys, monkeypatch, source):
-        # used to exit 0 with converged = True and iterations = 0 on the unrelaxed seed
+        # used to exit 0 with converged = True and iterations = 0 on the
+        # unrelaxed seed; the tolerance is fixed now, neither a flag nor a key
         relaxed = []
         monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "minimize", lambda *a, **k: relaxed.append(a))
         cfg = tmp_path / "inf.cfg"
@@ -335,9 +390,8 @@ class TestMinimizeCommand:
         assert run(["minimize", *flags, "--d", "-0.7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        # a config value is reported with its line, a flag as it is
-        where = "config line 2: " if source == "config" else ""
-        assert captured.err == f"error: {where}tol_grad must be finite and positive, got inf\n"
+        message = "config line 2: unknown key 'tol_grad'" if source == "config" else "unrecognized arguments: --tol-grad inf"
+        assert captured.err == f"error: {message}\n"
         assert not relaxed
 
     def test_conflicting_d_and_t_rejected(self, tmp_path):
@@ -373,9 +427,10 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "morse_index = 0" in err
 
-    def test_unconverged_minimizer_exits_2_without_a_csv(self, tmp_path, capsys):
+    def test_unconverged_minimizer_exits_2_without_a_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "MAX_ITERS", 1)
         out_path = tmp_path / "spec.csv"
-        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5", "--at", "minimizer", "--max-iters", "1"]
+        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5", "--at", "minimizer"]
         assert run([*argv, "--out", str(out_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -394,18 +449,30 @@ class TestSpectrumCommand:
 
 
     def test_refused_allocation_exits_2_with_one_line(self, capsys, monkeypatch):
-        # a huge --n-modes asks numpy for a trig table it cannot allocate
-        # (11.9 GiB at --n-modes 20000); that used to end in numpy's
+        # an array numpy cannot allocate used to end in numpy's
         # _ArrayMemoryError traceback.  The builder raises here, so nothing
-        # large is allocated
+        # large is allocated, even at the largest N
         def refuse(grid, n):
             raise MemoryError(f"Unable to allocate the operators of N = {n}")
 
         monkeypatch.setattr("smectic1d.energy1d._operators", refuse)
-        assert run(["spectrum", "--n-modes", "20000"]) == 2
+        assert run(["spectrum", "--n-modes", "2000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "solver error: out of memory: Unable to allocate the operators of N = 20000\n"
+        assert captured.err == "solver error: out of memory: Unable to allocate the operators of N = 2000\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "minimize", "validate-params"])
+    def test_huge_n_modes_exits_1_before_allocating(self, capsys, monkeypatch, command):
+        # N = 1e9 was refused by numpy under a memory limit (exit 2) and
+        # killed for memory without one (exit 137)
+        built = []
+        for target in ("smectic1d.energy1d._operators", "smectic1d.energy1d._tables", "smectic1d.spectral._tables"):
+            monkeypatch.setattr(target, lambda *a, target=target: built.append(target))
+        assert run([command, "--n-modes", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N must be an even integer from 2 to 2000, got 1000000000\n"
+        assert not built
 
 
 class TestThresholdsCommand:
@@ -473,8 +540,9 @@ class TestSweepCommand:
             (["--t-start", "nan", "--t-end", "-10.6", "--dt", "0.05"], "t_start must be finite, got nan"),
             (["--t-start", "-10.3", "--t-end", "-10.6", "--dt", "-nan"], "dt must be finite, got nan"),
             (["--t-start", "-10.3", "--t-end", "-Inf", "--dt", "0.05"], "t_end must be finite, got -inf"),
+            # a sweep sets d from each T, so it takes neither flag
             (["--t-start", "-10", "--t-end", "-10.5", "--dt", "0.25", "--d", "-0.5", "--T", "-10.5"],
-             "give either --d or --T, not both"),
+             "error: unrecognized arguments: --d -0.5 --T -10.5"),
             # grids whose point count overflows: an OverflowError traceback before
             (["--t-start", "0", "--t-end", "-1", "--dt", "5e-324"],
              "t_start = 0.0 to t_end = -1.0 in steps of dt = 5e-324 has no finite point count"),

@@ -442,7 +442,7 @@ class TestEulerLagrangeResidual:
 
     # layered and untilted at d = -3, tilted (theta_max 0.82) at d = -5; the
     # tilted state takes N = 128 because at N = 64 its residual is truncation
-    # error, 6.6e-6 at any tol_grad (3.3e-3, 6.6e-6, 1.1e-8, 8.3e-10 at N = 32, 64, 96, 128)
+    # error, 6.6e-6 at any gradient tolerance (3.3e-3, 6.6e-6, 1.1e-8, 8.3e-10 at N = 32, 64, 96, 128)
     @pytest.mark.parametrize("d, n, tilted", [(-3.0, 64, False), (-5.0, 128, True)], ids=["layered", "tilted"])
     def test_small_at_converged_minimizer_off_the_default_point(self, d, n, tilted):
         p = ModelParams1D(**OFF_DEFAULT).with_d(d)

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from smectic1d import (
     Evaluator,
-    MinimizeOptions,
     ModelParams1D,
     SolverError,
     SpectralState,
@@ -18,9 +18,13 @@ from smectic1d import (
     minimize,
     seed_state,
 )
-from smectic1d.minimize import INTERP_LO, MEMORY, _interpolated
+from smectic1d.minimize import INTERP_LO, MEMORY, TOL_GRAD, _interpolated
 
 from crosscheck import OFF_DEFAULT, OFF_HEIGHT
+
+#: The minimizer module, whose MAX_ITERS a test lowers (the package attribute
+#: ``smectic1d.minimize`` is the function).
+MINIMIZER = importlib.import_module("smectic1d.minimize")
 
 
 class _Recording(Evaluator):
@@ -148,12 +152,11 @@ class TestMinimize:
 
     def test_convergence_certificate(self):
         p = ModelParams1D().with_d(-0.5)
-        opts = MinimizeOptions()
-        state, report = minimize(seed_state("smectic-seed", p, 64), p, opts)
+        state, report = minimize(seed_state("smectic-seed", p, 64), p)
         assert report.converged
         # recompute the gradient independently of the solver's bookkeeping
         g = gradient(state, p)
-        assert float(np.max(np.abs(g))) <= opts.tol_grad
+        assert float(np.max(np.abs(g))) <= TOL_GRAD
         assert float(np.max(np.abs(g))) == report.final_grad_norm
 
     @pytest.mark.parametrize(
@@ -181,7 +184,7 @@ class TestMinimize:
             window = history[max(0, k - MEMORY) : k]
             assert history[k] <= max(window) + 4.0 * eps * max(1.0, abs(history[k - 1]))
 
-    def test_max_iters_after_an_uphill_step_returns_the_best_iterate(self):
+    def test_max_iters_after_an_uphill_step_returns_the_best_iterate(self, monkeypatch):
         # below the tilt onset the smectic seed's relaxation accepts steps
         # that raise the energy; stopped right after one, minimize returns
         # the lowest-energy iterate accepted so far, not the last one
@@ -192,7 +195,8 @@ class TestMinimize:
         uphill = [k for k in range(1, len(ev.history)) if ev.history[k] > ev.history[k - 1]]
         assert len(uphill) >= 5
         k = uphill[0]
-        state, report = minimize(seed_state("smectic-seed", p, 64), p, MinimizeOptions(max_iters=k))
+        monkeypatch.setattr(MINIMIZER, "MAX_ITERS", k)
+        state, report = minimize(seed_state("smectic-seed", p, 64), p)
         assert not report.converged
         assert report.iterations == k
         assert report.final_energy == min(ev.history[: k + 1]) < ev.history[k]
@@ -247,15 +251,16 @@ class TestMinimize:
         with pytest.raises(ValueError, match="evaluator was built for other parameters"):
             minimize(seed_state("smectic-seed", a, 16), a, evaluator=evaluator)
 
-    def test_max_iters_reports_not_converged(self):
+    def test_max_iters_reports_not_converged(self, monkeypatch):
         p = ModelParams1D().with_d(-0.5)
-        _, report = minimize(seed_state("smectic-seed", p, 64), p, MinimizeOptions(max_iters=2))
+        monkeypatch.setattr(MINIMIZER, "MAX_ITERS", 2)
+        _, report = minimize(seed_state("smectic-seed", p, 64), p)
         assert not report.converged
         assert report.iterations == 2
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_a_stalled_line_search_counts_the_accepted_steps(self, k):
-        # a stall after k accepted steps returns what stopping at max_iters = k
+    def test_a_stalled_line_search_counts_the_accepted_steps(self, monkeypatch, k):
+        # a stall after k accepted steps returns what stopping at MAX_ITERS = k
         # returns; the step whose line search stalled used to count too, k + 1
         p = ModelParams1D().with_d(-0.5)
         seed = seed_state("smectic-seed", p, 64)
@@ -263,7 +268,8 @@ class TestMinimize:
         assert not report.converged
         assert report.iterations == k
         if k:
-            stopped, at_max_iters = minimize(seed, p, MinimizeOptions(max_iters=k))
+            monkeypatch.setattr(MINIMIZER, "MAX_ITERS", k)
+            stopped, at_max_iters = minimize(seed, p)
             assert report == at_max_iters
             assert state.pack().tobytes() == stopped.pack().tobytes()
         else:
@@ -279,13 +285,14 @@ class TestMinimize:
         with pytest.raises(SolverError):
             minimize(state, p)
 
-    def test_energy_never_increases_against_start(self):
+    def test_energy_never_increases_against_start(self, monkeypatch):
         p = ModelParams1D().with_d(-0.8)
+        monkeypatch.setattr(MINIMIZER, "MAX_ITERS", 500)
         rng = np.random.default_rng(33)
         for _ in range(5):
             state0 = SpectralState.from_vector(rng.normal(size=131) * 0.1, 64, p.h)
             e0 = energy(state0, p).total
-            _, report = minimize(state0, p, MinimizeOptions(max_iters=500))
+            _, report = minimize(state0, p)
             assert report.final_energy <= e0
 
 
@@ -323,17 +330,6 @@ class TestInterpolatedRestart:
         assert _interpolated(self.ALPHA, self.E, self.SLOPE, e_new) == INTERP_LO * self.ALPHA
 
 
-class TestOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MinimizeOptions(tol_grad=0.0)
-        with pytest.raises(ValueError):
-            MinimizeOptions(max_iters=0)
-        # with tol_grad = inf the unrelaxed seed was reported as converged
-        with pytest.raises(ValueError, match="tol_grad must be finite"):
-            MinimizeOptions(tol_grad=math.inf)
-
-
 class TestCanonicalForm:
     """theta is defined modulo pi and the energy is even in it; minimize returns one representative."""
 
@@ -353,13 +349,14 @@ class TestCanonicalForm:
         assert energy(canon, p).total == pytest.approx(e, rel=0.0, abs=1e-12 * max(1.0, abs(e)))
 
     @pytest.mark.parametrize("max_iters", [1, 1_000_000])
-    def test_minimize_returns_the_canonical_state(self, max_iters):
+    def test_minimize_returns_the_canonical_state(self, monkeypatch, max_iters):
         # a conical seed shifted by -pi relaxes to a mean tilt near 0.86 - pi
         # at k = 0.0025; both exits (stopped and converged) fold it back
         p = replace(ModelParams1D().with_d(-5.0), k1=0.0025, k2=0.0025, k3=0.0025)
         seed = seed_state("conical-seed", p, 16)
         theta_c = seed.theta_c.copy()
         theta_c[0] -= math.pi
-        state, report = minimize(replace(seed, theta_c=theta_c), p, MinimizeOptions(max_iters=max_iters))
+        monkeypatch.setattr(MINIMIZER, "MAX_ITERS", max_iters)
+        state, report = minimize(replace(seed, theta_c=theta_c), p)
         assert 0.0 <= state.theta_c[0] <= math.pi / 2
         assert report.final_energy == pytest.approx(energy(state, p).total, rel=1e-12)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from smectic1d import (
-    MinimizeOptions,
     RunConfig,
     SolverError,
     SpectralState,
@@ -42,7 +41,7 @@ def _assert_minus_records_match_explicit_solves(config, temperatures, records, t
     for r in minus:
         p = params.at_temperature(r.T)
         seed = seed_state("smectic-seed", p, n)
-        state, report = minimize(SpectralState(n=n, h=p.h, theta_c=seed.theta_c, rho_s=-seed.rho_s), p, config.options)
+        state, report = minimize(SpectralState(n=n, h=p.h, theta_c=seed.theta_c, rho_s=-seed.rho_s), p)
         if state.theta_c[0] < 0:  # records hold the positive-tilt representative
             state = SpectralState(n=n, h=p.h, theta_c=-state.theta_c, rho_s=state.rho_s)
         assert r.energy == pytest.approx(report.final_energy, rel=tol, abs=0.0), r.T
@@ -149,10 +148,10 @@ class TestSweepTemperature:
         records = sweep_temperature(RunConfig(fig3_params, n_modes=16), QUICK[:4], record_morse=True)
         assert all(r.morse_index == 0 for r in records)  # minimizers are stable
 
-    def test_failure_fraction_guard(self, fig3_params):
-        config = RunConfig(fig3_params, options=MinimizeOptions(max_iters=1, tol_grad=1e-15))
+    def test_failure_fraction_guard(self, fig3_params, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "MAX_ITERS", 1)
         with pytest.raises(SolverError):
-            sweep_temperature(config, QUICK)
+            sweep_temperature(RunConfig(fig3_params), QUICK)
 
 
 class TestRelax:
@@ -166,12 +165,12 @@ class TestRelax:
         candidates = [seed_state("smectic-seed", fig3_params, 4) for _ in outcomes]
         by_id = {id(c): o for c, o in zip(candidates, outcomes)}
 
-        def fake_minimize(cand, params, options, evaluator=None):
+        def fake_minimize(cand, params, evaluator=None):
             converged, energy_val = by_id[id(cand)]
             return cand, MinimizeReport(converged, 0, 0.0, energy_val)
 
         monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "minimize", fake_minimize)
-        state, energy_val, converged = sweep._relax(candidates, fig3_params, MinimizeOptions())
+        state, energy_val, converged = sweep._relax(candidates, fig3_params)
         return next(i for i, c in enumerate(candidates) if c is state), energy_val, converged
 
     @pytest.mark.parametrize("energy_val", [-3.0, -0.25, 0.0, 17.5])
