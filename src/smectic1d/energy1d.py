@@ -85,19 +85,6 @@ def _operators(grid: Grid, n: int) -> tuple[np.ndarray, ...]:
     return ops
 
 
-def _per_probe(op: np.ndarray, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """op @ x for each row x of ``stack``, one matrix-vector product per row.
-
-    Not one matrix-matrix product: gemm rounds differently from gemv, so a
-    probe of a stack would not get the bits of the same probe alone.
-    """
-    if out is None:
-        out = np.empty((len(stack), len(op)))
-    for x, row in zip(stack, out):
-        np.matmul(op, x, out=row)
-    return out
-
-
 class Evaluator:
     """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
@@ -136,19 +123,15 @@ class Evaluator:
 
     The pointwise terms of the last vector evaluated are the one kept
     entry, so the gradient at an accepted line-search point reuses the
-    fields its energy synthesized.  The entry is keyed on the bytes of the
-    vector, so a caller may mutate the array it passed or build one with the
-    same bytes anew and still get a fresh evaluation's result bit for bit
-    (-0.0 and +0.0 differ in bytes).  The terms are computed per block
-    (theta, rho) from its samples, then the coupling W that mixes both, and
-    dphi/du of the theta block is its own step (:meth:`_dphi_dtheta`), so
-    the finite-difference Hessian (:meth:`fd_hessian`) computes the block
-    that a column does not move once, re-synthesizes only the block it moves
-    and, in a theta column, assembles only the theta rows.  Every term
-    method is elementwise along the last axis, so it runs unchanged on a
-    (4, M/2+1) stack of the four probes of a column; only the products with
-    B and its adjoint stay one matrix-vector product per probe, because a
-    matrix-matrix product rounds differently and would change the bits.
+    fields its energy synthesized.  The entry is keyed on the shape and the
+    bytes of the vector, so a caller may mutate the array it passed or build
+    one with the same bytes anew and still get a fresh evaluation's result
+    bit for bit (-0.0 and +0.0 differ in bytes).  :meth:`gradient` also
+    takes a (k, 2N+3) stack of vectors, one per row, with one matrix-matrix
+    product per block in place of the matrix-vector product; every
+    pointwise term is elementwise along the last axis, so the same code
+    serves both.  The finite-difference Hessian (:meth:`fd_hessian`) is a
+    plain stencil over such stacks.
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -175,39 +158,36 @@ class Evaluator:
         self._d_half, self._f_quarter = full(0.5 * p.d), full(0.25 * p.f)
         self._chi0 = full(-(p.k2 * p.k2 * p.sigma * p.sigma))  # chi = chi0 cos^2 / D
         self._chi1 = full(p.k2 * p.k2 * p.k3 * p.sigma * p.sigma)  # chi' = chi1 sin(2 theta) / D^2
-        # (bytes, terms) of the last vector, replaced as one pair: threads sharing
+        # ((shape, bytes), terms) of the last vector, replaced as one pair: threads sharing
         # an evaluator never pair the key of one evaluation with the terms of another
-        self._last: tuple[bytes, tuple] | None = None
+        self._last: tuple[tuple, tuple] | None = None
 
     # -- pointwise terms -------------------------------------------------
 
-    def _theta_terms(self, theta: np.ndarray, theta_z: np.ndarray) -> tuple[np.ndarray, ...]:
-        """theta, theta_z, sin, cos, sin^2 and k3 sin^2 of theta, the last as (k3 sin) sin like the chiral denominators.
-
-        Powers are explicit products throughout: numpy's vectorized ** is not exactly
-        even in its argument, which would break the exact rho -> -rho energy symmetry.
-        """
-        sin_t = np.sin(theta)
-        return theta, theta_z, sin_t, np.cos(theta), sin_t * sin_t, self._k3 * sin_t * sin_t
-
-    def _rho_terms(self, rho: np.ndarray, rho_zz: np.ndarray) -> tuple[np.ndarray, ...]:
-        """rho, rho_zz, rho^2 and the layer term L = rho_zz + q^2 rho."""
-        return rho, rho_zz, rho * rho, rho_zz + self._q2 * rho
-
-    def _coupling(self, theta: tuple, rho: tuple) -> np.ndarray:
-        """W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho from the terms of each block; it mixes both."""
-        return theta[4] * rho[1] + self._q2_cos2t0 * rho[0]
-
     def _pointwise(self, vec: np.ndarray) -> tuple:
-        """(theta terms, rho terms, W) of ``vec``; the kept entry if ``vec`` has its bytes."""
-        key = vec.tobytes()
+        """The pointwise terms of ``vec``, a vector or a stack; the kept entry if ``vec`` has its shape and bytes.
+
+        theta, theta_z, sin, cos, sin^2 and k3 sin^2 of theta (the last as
+        (k3 sin) sin, like the chiral denominators); rho, rho_zz, rho^2 and
+        the layer term L = rho_zz + q^2 rho; and the coupling
+        W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  Powers are explicit
+        products throughout: numpy's vectorized ** is not exactly even in its
+        argument, which would break the exact rho -> -rho energy symmetry.
+        """
+        key = (vec.shape, vec.tobytes())
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
         n, half = self.n, self._half
-        u, v = self._b_theta @ vec[: n + 2], self._b_rho @ vec[n + 2 :]
-        theta, rho = self._theta_terms(u[:half], u[half:]), self._rho_terms(v[:half], v[half:])
-        terms = (theta, rho, self._coupling(theta, rho))
+        u, v = vec[..., : n + 2] @ self._b_theta.T, vec[..., n + 2 :] @ self._b_rho.T
+        theta, theta_z, rho, rho_zz = u[..., :half], u[..., half:], v[..., :half], v[..., half:]
+        sin_t = np.sin(theta)
+        sin2 = sin_t * sin_t
+        terms = (
+            theta, theta_z, sin_t, np.cos(theta), sin2, self._k3 * sin_t * sin_t,
+            rho, rho_zz, rho * rho, rho_zz + self._q2 * rho,
+            sin2 * rho_zz + self._q2_cos2t0 * rho,
+        )
         self._last = (key, terms)
         return terms
 
@@ -217,9 +197,12 @@ class Evaluator:
         """The five weighted sums: elastic, chiral, bulk, layer, coupling.
 
         The integrands are the rows of one array, summed against the
-        half-grid weights in one product.
+        half-grid weights in one product.  Only :meth:`gradient` takes a
+        stack: here one would sum to lists, so it is refused.
         """
-        (_, theta_z, _, cos_t, _, k3s2), (_, _, rho2, lay), cw = self._pointwise(vec)
+        if vec.ndim != 1:
+            raise ValueError(f"the energy takes one coefficient vector, got shape {vec.shape}")
+        _, theta_z, _, cos_t, _, k3s2, _, _, rho2, lay, cw = self._pointwise(vec)
         c2 = cos_t * cos_t
         rows = np.array([
             self._k1 * theta_z * theta_z,
@@ -239,100 +222,51 @@ class Evaluator:
         return elastic + chiral + bulk + layer + coupling
 
     def gradient(self, vec: np.ndarray) -> np.ndarray:
-        """Exact gradient of the discretized energy with respect to the coefficients."""
-        theta, rho, cw = self._pointwise(vec)
-        dphi_theta, dphi_rho = self._dphi_du(theta, rho, cw, self._theta_grad_terms(theta), self._rho_grad_terms(rho))
-        n = self.n
-        g = np.empty(2 * n + 3)
-        np.matmul(self._adj_theta, np.concatenate(dphi_theta), out=g[: n + 2])
-        np.matmul(self._adj_rho, np.concatenate(dphi_rho), out=g[n + 2 :])
-        return g
+        """Exact gradient of the discretized energy with respect to the coefficients.
 
-    def _theta_grad_terms(self, theta_terms: tuple) -> tuple[np.ndarray, ...]:
-        """sin(2 theta), chi'(theta) and dphi/dtheta_z = 2 k1 theta_z."""
-        theta, theta_z, _, cos_t, _, k3s2 = theta_terms
+        ``vec`` is one coefficient vector, or a (k, 2N+3) stack of them with
+        the gradient of row i in row i.  Either way each block takes one
+        product with B and one with its adjoint: a matrix-vector product for
+        a vector, a matrix-matrix product for a stack, which rounds
+        differently, so a stacked row agrees with the gradient of that row
+        alone to rounding, not bit for bit.
+        """
+        theta, theta_z, _, cos_t, sin2, k3s2, rho, rho_zz, rho2, lay, cw = self._pointwise(vec)
         sin_2t = np.sin(theta + theta)
         den = self._k2 * cos_t * cos_t + k3s2
-        return sin_2t, self._chi1 * sin_2t / (den * den), self._k1x2 * theta_z
-
-    def _rho_grad_terms(self, rho_terms: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """2 lambda1 L and dphi/drho without W: d rho + f rho^3 + 2 lambda1 L q^2, in that order."""
-        rho, _, rho2, lay = rho_terms
         l2 = self._l1x2 * lay  # 2 lambda1 L
-        return l2, self._d * rho + self._f * rho2 * rho + l2 * self._q2
-
-    def _dphi_dtheta(self, rho: tuple, w2: np.ndarray, theta_grad: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(dphi/dtheta, dphi/dtheta_z) from rho_zz, 2 lambda2 W and the theta gradient terms."""
-        sin_2t, chi_t, dphi_dtheta_z = theta_grad
-        return chi_t + w2 * sin_2t * rho[1], dphi_dtheta_z
-
-    def _dphi_du(self, theta: tuple, rho: tuple, cw: np.ndarray, theta_grad: tuple, rho_grad: tuple) -> tuple:
-        """dphi/du of each block, (dphi/dtheta, dphi/dtheta_z) and (dphi/drho, dphi/drho_zz), from its terms and W.
-
-        The gradient of a block is its adjoint times the concatenated pair.
-        """
-        l2, rho_only = rho_grad
         w2 = self._l2x2 * cw  # 2 lambda2 W
-        dphi_drho = rho_only + w2 * self._q2 * self._cos2t0
-        return self._dphi_dtheta(rho, w2, theta_grad), (dphi_drho, l2 + w2 * theta[4])
+        # dphi/du of each block: (dphi/dtheta, dphi/dtheta_z) and (dphi/drho, dphi/drho_zz)
+        dphi_theta = self._chi1 * sin_2t / (den * den) + w2 * sin_2t * rho_zz, self._k1x2 * theta_z
+        dphi_rho = (
+            self._d * rho + self._f * rho2 * rho + l2 * self._q2 + w2 * self._q2 * self._cos2t0,
+            l2 + w2 * sin2,
+        )
+        n = self.n
+        g = np.empty(vec.shape)
+        np.matmul(np.concatenate(dphi_theta, axis=-1), self._adj_theta.T, out=g[..., : n + 2])
+        np.matmul(np.concatenate(dphi_rho, axis=-1), self._adj_rho.T, out=g[..., n + 2 :])
+        return g
 
     def fd_hessian(self, vec: np.ndarray) -> np.ndarray:
-        """Hessian by central differences of the gradient, mixed block taken once, as (H + H^T)/2.
+        """Hessian by Richardson-combined central differences of the gradient, as (H + H^T)/2.
 
-        Column j differences the gradient at vec +- delta e_j and
-        vec +- 2 delta e_j, delta = HESSIAN_FD_STEP * max(1, |vec|_inf), and
-        combines them as (4 col_delta - col_2delta) / 3 (Richardson), which
-        cancels the leading O(delta^2) error exactly for the polynomial
-        terms.  A theta column differences the theta rows of the gradient
-        only: the mixed block d^2F/dtheta_c drho_s is differenced once, from
-        the rho columns, and mirrored, so (H + H^T)/2 leaves it as computed
-        and averages only the diagonal blocks, whose asymmetry is at the
-        finite-difference noise floor.  Every probe is vec + 0.0 with
-        coefficient j moved, so the block that j does not lie in is
-        synthesized once.  The four probes of a column are one (4, .) stack
-        of the block they move, and the block methods run once on the stack;
-        only the products stay per probe, one matrix-vector product each for
-        the synthesis and for each adjoint (see :func:`_per_probe`).  Every
-        entry computed is, bit for bit, what fresh gradient calls give.
+        Column j is (4 c(delta) - c(2 delta)) / 3 with
+        c(s) = (g(x + s e_j) - g(x - s e_j)) / 2s and
+        delta = HESSIAN_FD_STEP * max(1, |vec|_inf), which cancels the
+        leading O(delta^2) error exactly for the polynomial terms.  Each probe
+        is vec + 0.0 with coefficient j moved, and the four probes of a
+        column are one stacked :meth:`gradient` call.
         """
-        n, half = self.n, self._half
-        rest = vec + 0.0
-        u, v = self._b_theta @ rest[: n + 2], self._b_rho @ rest[n + 2 :]
-        theta, rho = self._theta_terms(u[:half], u[half:]), self._rho_terms(v[:half], v[half:])
-        # broadcast over the four probes of a rho column, whose dphi/dtheta_z is the one at rest
-        theta_grad = tuple(np.broadcast_to(term, (4, half)) for term in self._theta_grad_terms(theta))
-
         delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(vec))))
-        delta2 = 2.0 * delta
-        steps = np.array([delta, -delta, delta2, -delta2])
-        stacks = np.tile(rest[: n + 2], (4, 1)), np.tile(rest[n + 2 :], (4, 1))
-
-        def synthesize(op: np.ndarray, stack: np.ndarray, k: int, x_k: float) -> tuple[np.ndarray, np.ndarray]:
-            """Samples and derivatives of the probes with coefficient k at x_k +- delta and x_k +- 2 delta."""
-            stack[:, k] = x_k + steps
-            samples = _per_probe(op, stack)
-            stack[:, k] = x_k + 0.0
-            return samples[:, :half], samples[:, half:]
-
-        g = np.empty((4, rest.size))  # the gradients of a column's probes, by row
-        h_mat = np.empty((rest.size, rest.size))
-        for j in range(rest.size):
-            if j < n + 2:
-                moved = self._theta_terms(*synthesize(self._b_theta, stacks[0], j, vec[j]))
-                w2 = self._l2x2 * self._coupling(moved, rho)
-                dphi = (self._dphi_dtheta(rho, w2, self._theta_grad_terms(moved)),)
-            else:
-                moved = self._rho_terms(*synthesize(self._b_rho, stacks[1], j - n - 2, vec[j]))
-                cw = self._coupling(theta, moved)
-                dphi = self._dphi_du(theta, moved, cw, theta_grad, self._rho_grad_terms(moved))
-            # the theta rows of every column's probes, the rho rows of a rho column's only
-            for adj, pair, out in zip((self._adj_theta, self._adj_rho), dphi, (g[:, : n + 2], g[:, n + 2 :])):
-                _per_probe(adj, np.concatenate(pair, axis=1), out=out)
-            rows = g[:, : n + 2] if j < n + 2 else g
-            col_1 = (rows[0] - rows[1]) / delta2
-            col_2 = (rows[2] - rows[3]) / (4.0 * delta)
-            h_mat[: col_1.size, j] = (4.0 * col_1 - col_2) / 3.0
-        h_mat[n + 2 :, : n + 2] = h_mat[: n + 2, n + 2 :].T
+        steps = np.array([delta, -delta, 2.0 * delta, -2.0 * delta])
+        probes = np.tile(vec + 0.0, (4, 1))
+        h_mat = np.empty((vec.size, vec.size))
+        for j in range(vec.size):
+            probes[:, j] = vec[j] + steps
+            g = self.gradient(probes)
+            probes[:, j] = vec[j] + 0.0
+            h_mat[:, j] = (4.0 * ((g[0] - g[1]) / (2.0 * delta)) - (g[2] - g[3]) / (4.0 * delta)) / 3.0
         return 0.5 * (h_mat + h_mat.T)
 
     def hessian(self, vec: np.ndarray) -> np.ndarray:
@@ -344,7 +278,7 @@ class Evaluator:
         the last energy or gradient at ``vec``.
         """
         p = self.params
-        (theta, _, sin_t, cos_t, sin2, _), (_, rho_zz, rho2, _), cw = self._pointwise(vec)
+        theta, _, sin_t, cos_t, sin2, _, _, rho_zz, rho2, _, cw = self._pointwise(vec)
         q2, cos2t0 = p.q * p.q, math.cos(p.theta0) ** 2
         l1, l2 = 2.0 * p.lambda1, 2.0 * p.lambda2
 

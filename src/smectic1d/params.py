@@ -284,7 +284,9 @@ def theta_star(t: float, params: ModelParams1D) -> float:
 
 #: The largest truncation order N, a fixed bound so that a huge N fails alike on every machine: by
 #: tracemalloc a cholesteric ``spectrum`` peaks at about 260 (N+2)^2 bytes (1.3, 4.4 and 16.6 MiB
-#: at N = 64, 128 and 256), so N = 2000 needs 260 * 2002^2 bytes, about 1 GiB.
+#: at N = 64, 128 and 256), so N = 2000 needs 260 * 2002^2 bytes, about 1 GiB.  It bounds memory, not
+#: time: the finite-difference Hessian of a spectrum grows about as N^3 (0.02, 0.1, 0.5 and 3 s at
+#: N = 64, 128, 256 and 512 on a 2-core x86-64 machine), so a spectrum near N_MAX takes minutes.
 N_MAX = 2000
 
 

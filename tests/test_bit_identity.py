@@ -13,7 +13,11 @@ digests may differ under another numpy or BLAS.
 """
 
 import hashlib
+import json
+import subprocess
+import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,17 @@ def _vector(n: int, seed: int, kind: str) -> np.ndarray:
     return x
 
 
+def _fd_digests(n: int, e: float, kind: str) -> dict[str, str]:
+    """The digests of the finite-difference Hessian and of its spectrum."""
+    params = replace(ModelParams1D(), e=e)
+    x = _vector(n, n + int(1000 * e), kind)
+    state = SpectralState.from_vector(x, n, params.h)
+    return {
+        "fd_hessian": _digest(Evaluator(n, params).fd_hessian(x)),
+        "spectrum": _digest(stability.spectrum(state, params).eigenvalues),
+    }
+
+
 def _evaluation_digests(n: int, e: float, kind: str) -> dict[str, str]:
     params = replace(ModelParams1D(), e=e)
     x = _vector(n, n + int(1000 * e), kind)
@@ -74,14 +89,12 @@ def _evaluation_digests(n: int, e: float, kind: str) -> dict[str, str]:
     hess = ev.hessian(x)
     # a fresh evaluator synthesizes the fields anew: the same bits
     assert np.array_equal(Evaluator(n, params).gradient(x), grad)
-    state = SpectralState.from_vector(x, n, params.h)
     return {
         "energy": _digest([energy]),
         "breakdown": _digest(tuple(breakdown)),
         "gradient": _digest(grad),
         "hessian": _digest(hess),
-        "fd_hessian": _digest(ev.fd_hessian(x)),
-        "spectrum": _digest(stability.spectrum(state, params).eigenvalues),
+        **_fd_digests(n, e, kind),
     }
 
 
@@ -91,48 +104,48 @@ EVALUATION_DIGESTS = {
         "breakdown": "8a61e1d6100134a6",
         "gradient": "d5e209e4daf6a436",
         "hessian": "21ad3ba972108d2e",
-        "fd_hessian": "b3a3b63c47aa5f61",
-        "spectrum": "05971a9adfcad93d",
+        "fd_hessian": "abedf3d832413bf2",
+        "spectrum": "7df4012b7b5901fa",
     },
     (16, 0.05, "layers"): {
         "energy": "0dcf6a27f7b285c7",
         "breakdown": "b08d7e92d23cd683",
         "gradient": "0e53b6a05b4190a1",
         "hessian": "54bcfc634c52987f",
-        "fd_hessian": "d9a6a655624f0b2e",
-        "spectrum": "c3981b5b426ec486",
+        "fd_hessian": "202c5ad484287982",
+        "spectrum": "3e67c47f4cabc177",
     },
     (64, 0.0, "layers"): {
         "energy": "cf8f10d3e29b513f",
         "breakdown": "5325eddb847e9998",
         "gradient": "1e58147d5b65794a",
         "hessian": "a43e7143d5d07e34",
-        "fd_hessian": "96a4f2cdeec2ec94",
-        "spectrum": "936c218b0baa9454",
+        "fd_hessian": "37aa5e9796a17376",
+        "spectrum": "542abfca6da3476e",
     },
     (64, 0.05, "layers"): {
         "energy": "e81a2551e989d08e",
         "breakdown": "2053c181551d1cdc",
         "gradient": "016f7c995367b551",
         "hessian": "4bee7b8fe5565424",
-        "fd_hessian": "abc2aa9ad8761188",
-        "spectrum": "eda1764d434a65d9",
+        "fd_hessian": "db6e59fb9b9041ef",
+        "spectrum": "ab362531c282e88b",
     },
     (16, 0.0, "no-layers"): {
         "energy": "b664a4840a612a51",
         "breakdown": "67927094e47ee5db",
         "gradient": "00244e898fca83f5",
         "hessian": "59be41db863b169e",
-        "fd_hessian": "0d64a91166c61498",
-        "spectrum": "ef1d2036dd3f776f",
+        "fd_hessian": "7787d13c7692bc95",
+        "spectrum": "abdacdbec6519e0c",
     },
     (64, 0.0, "untilted"): {
         "energy": "f3d8a90afb81ca49",
         "breakdown": "09c5adadebcfbd9b",
         "gradient": "154934f622128bf4",
         "hessian": "6269c0debdc28108",
-        "fd_hessian": "875a3c7c0ed34680",
-        "spectrum": "539d053817f7b95a",
+        "fd_hessian": "6176621ee8f547ae",
+        "spectrum": "35a9bf60e7ad571c",
     },
 }
 
@@ -140,6 +153,23 @@ EVALUATION_DIGESTS = {
 @pytest.mark.parametrize("key", list(EVALUATION_DIGESTS), ids=lambda k: f"N{k[0]}-e{k[1]}-{k[2]}")
 def test_evaluation_digests(key):
     assert _evaluation_digests(*key) == EVALUATION_DIGESTS[key]
+
+
+def test_fd_digests_do_not_depend_on_the_blas_thread_count(child_env):
+    # the FD Hessian differences stacked gradients, matrix-matrix products
+    # that OpenBLAS may split across threads; the exact Hessian's digests
+    # do depend on the thread count (ROADMAP, Known defects) and stay out
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import test_bit_identity as t; "
+        "print(json.dumps({repr(key): t._fd_digests(*key) for key in t.EVALUATION_DIGESTS}))"
+    )
+    found = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)], capture_output=True,
+                              text=True, timeout=300, env={**child_env, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        found.append(json.loads(proc.stdout))
+    assert found[0] == found[1]
 
 
 @pytest.fixture(scope="module")

@@ -293,7 +293,7 @@ class TestBatchOutputsUnchanged:
         "k.svg": "51910ac8f9af148a",
         "profile.csv": "1b7201ad34d273bb",
         "profile.svg": "f5ef60bfde4c60df",
-        "spectrum.csv": "b003767faa43bab7",
+        "spectrum.csv": "d4caf7e326aeae98",
         "sweep.csv": "693721cde56b5582",
         "sweep.svg": "d170d847b5ff19fc",
     }
@@ -318,8 +318,8 @@ class TestBatchOutputsUnchanged:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, child_env, threads):
-        # OpenBLAS rounds a matrix-matrix product differently on 1 thread
-        # than on 2; no output may use such a product
+        # OpenBLAS rounds the exact Hessian's matrix-matrix products
+        # differently on 1 thread than on 2; no output may use them
         assert self.outputs(tmp_path, {**child_env, "OPENBLAS_NUM_THREADS": threads}) == self.DIGESTS
 
 
