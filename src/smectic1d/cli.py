@@ -8,7 +8,7 @@ This is the only module with I/O side effects.  Subcommands:
 * ``thresholds``       print the closed-form transition thresholds
 * ``sweep``            temperature sweep, write the bifurcation CSV
 * ``elastic-sweep``    sweep the elastic constants, write a CSV
-* ``tensor-check``     verify the uniaxial reduction of the tensor energy
+* ``tensor-check``     verify the uniaxial reduction of the tensor energy on sampled fields
 * ``plot``             render a CSV into a standalone SVG
 
 Exit codes: 0 success, 1 invalid parameters or configuration, 2 solver

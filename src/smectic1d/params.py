@@ -133,7 +133,10 @@ def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) ->
 
     On the uniaxial manifold with order parameter ``s_plus``:
     ``k1 = k3 = s_plus^2*(eta1 + eta2)/2``, ``k2 = s_plus^2*eta1``,
-    ``k4 = s_plus^2*(eta24 - eta1)/2``.
+    ``k4 = s_plus^2*(eta24 - eta1)/2``.  It always returns k3 = k1, which
+    :class:`OFConstants` enforces, so the tensor route reaches F only where F
+    is the exact Oseen-Frank energy; k1 != k3 enters only through
+    :class:`ModelParams1D` directly, as in the tests' ``OFF_DEFAULT``.
 
     Raises
     ------

@@ -48,7 +48,6 @@ from smectic1d.energy1d import _check_state
 from smectic1d.minimize import frozen_layer_state
 from smectic1d.spectral import TWO_PI, Grid, _tables, analyze, synthesize
 from smectic1d.sweep import EPS_DETECT
-from smectic1d.tensor import QGradient, QTensor, tensor_curl, tensor_divergence
 
 #: Model coefficients that break the default coincidences q = sigma,
 #: k1 = k2 = k3, n0 = 4 and lambda1 = lambda2 (here n0 = 6), so that a term
@@ -323,38 +322,44 @@ def pitchfork_exponent(records: list[SweepRecord], d0: float, window: float) -> 
 
 # -- tensor elastic density, expanded form ------------------------------------
 
+#: The Levi-Civita symbol with eps[0, 1, 2] = +1.
+EPS = np.zeros((3, 3, 3))
+EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
+EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
 
-def f_el_expanded(q: QTensor, g: QGradient, eta1: float, eta2: float, eta24: float, sigma: float) -> float:
+
+def f_el_expanded(q: np.ndarray, g: np.ndarray, eta1: float, eta2: float, eta24: float, sigma: float) -> float:
     """Tensor elastic density in the expanded (quadratic-form) arrangement.
 
     (eta1/2)|grad Q|^2 + ((eta2-eta24)/2) Q_{ij,j} Q_{ik,k}
     + ((eta24-eta1)/2) Q_{ij,k} Q_{ik,j}
-    + 2 eta1 sigma eps_{ikl} Q_{lj,k} Q_{ij} + 2 eta1 sigma^2 |Q|^2.
+    + 2 eta1 sigma eps_{ikl} Q_{lj,k} Q_{ij} + 2 eta1 sigma^2 |Q|^2,
+    for one Q of shape (3, 3) and its gradient G[i, j, k] = dQ_ij/dx_k.
 
-    Agrees with :func:`smectic1d.tensor.f_el` identically.
+    Agrees with :func:`smectic1d.tensor.f_el` identically.  Its divergence
+    and Levi-Civita contraction are its own, not the library's.
     """
-    a = g.g
-    div = tensor_divergence(g)
+    div = np.einsum("ijj->i", g)  # Q_{ij,j}
     div2 = float(div @ div)
-    grad2 = float(np.sum(a * a))
-    mixed = float(np.sum(a * a.transpose(0, 2, 1)))  # Q_{ij,k} Q_{ik,j}
-    cross = float(np.sum(tensor_curl(g) * q.m))
+    grad2 = float(np.sum(g * g))
+    mixed = float(np.einsum("ijk,ikj->", g, g))  # Q_{ij,k} Q_{ik,j}
+    cross = float(np.einsum("ikl,ljk,ij->", EPS, g, q))  # eps_{ikl} Q_{lj,k} Q_{ij}
     return (
         0.5 * eta1 * grad2
         + 0.5 * (eta2 - eta24) * div2
         + 0.5 * (eta24 - eta1) * mixed
         + 2.0 * eta1 * sigma * cross
-        + 2.0 * eta1 * sigma * sigma * float(np.sum(q.m * q.m))
+        + 2.0 * eta1 * sigma * sigma * float(np.sum(q * q))
     )
 
 
 # -- bulk and layer densities --------------------------------------------------
 
 
-def f_bn(q: QTensor, A: float, B: float, C: float) -> float:
-    """Nematic bulk density (A/2)trQ^2 - (B/3)trQ^3 + (C/4)(trQ^2)^2."""
-    t2 = float(np.sum(q.m * q.m))
-    return 0.5 * A * t2 - (B / 3.0) * float(np.trace(q.m @ q.m @ q.m)) + 0.25 * C * t2 * t2
+def f_bn(q: np.ndarray, A: float, B: float, C: float) -> float:
+    """Nematic bulk density (A/2)trQ^2 - (B/3)trQ^3 + (C/4)(trQ^2)^2 of one Q of shape (3, 3)."""
+    t2 = float(np.sum(q * q))
+    return 0.5 * A * t2 - (B / 3.0) * float(np.trace(q @ q @ q)) + 0.25 * C * t2 * t2
 
 
 def f_layer(rho: float, lap_rho: float, lambda1: float, q: float) -> float:

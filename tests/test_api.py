@@ -62,6 +62,15 @@ def test_spectrum_layer_does_not_import_the_minimizer(child_env):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_tensor_module_is_array_functions_only():
+    # the per-sample Q types are gone, so a re-added object type shows here
+    from smectic1d import tensor
+
+    names = ["f_el", "oseen_frank_density_1d", "uniaxial_reduction_offset", "unit_field", "reduction_residual"]
+    assert tensor.__all__ == names
+    assert [n for n, v in vars(tensor).items() if isinstance(v, type) and not n.startswith("_")] == []
+
+
 def test_dir_lists_every_export():
     assert set(smectic1d.__all__) <= set(dir(smectic1d))
 

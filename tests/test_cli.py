@@ -288,7 +288,7 @@ class TestBatchOutputsUnchanged:
         "6:plot:stdout": "e3b0c44298fc1c14",
         "7:elastic-sweep:stdout": "e3b0c44298fc1c14",
         "8:plot:stdout": "e3b0c44298fc1c14",
-        "9:tensor-check:stdout": "a1ba4def3c7d561c",
+        "9:tensor-check:stdout": "47eb0ff997ed3ba3",
         "k.csv": "1951bd990d095d44",
         "k.svg": "51910ac8f9af148a",
         "profile.csv": "1b7201ad34d273bb",
