@@ -90,15 +90,15 @@ class Evaluator:
 
     Works on the alias-free grid ``default_grid(N, h)`` of M = 4(N+2) nodes
     in the Galerkin operator form (Boyd, *Chebyshev and Fourier Spectral
-    Methods*): the samples of a block are u = B c, its gradient is
-    B^T (w * dphi/du) and its Hessian B^T diag(w * d^2phi/du^2) B, with w the
-    quadrature weights.  B_theta stacks theta over theta_z and B_rho rho
-    over rho_zz, so an energy costs one matrix-vector product per block and
-    a gradient one more, with the weighted adjoint (diag(w) B)^T.  The
-    operators (about 560 KB at N = 64) are cached per (M, N, h) by
-    :func:`_operators`, not built per evaluator: a sweep builds one
-    evaluator per point and callers may keep many alive, so per-instance
-    copies would grow the memory with the number kept.
+    Methods*): the samples of a block are u = B c and its gradient is
+    B^T (w * dphi/du), with w the quadrature weights.  B_theta stacks theta
+    over theta_z and B_rho rho over rho_zz, so an energy costs one
+    matrix-vector product per block and a gradient one more, with the
+    weighted adjoint (diag(w) B)^T.  The operators (about 560 KB at N = 64)
+    are cached per (M, N, h) by :func:`_operators`, not built per evaluator:
+    a sweep builds one evaluator per point and callers may keep many alive,
+    so per-instance copies would grow the memory with the number kept.
+    Only :meth:`hessian` builds its trig table (about 0.55 MB at N = 64).
 
     Only the nodes z_j, j = 0 ... M/2, are used.  theta and the cosine modes
     are even in z; rho, theta_z, rho_zz and the sine modes are odd.  Every
@@ -272,10 +272,11 @@ class Evaluator:
     def hessian(self, vec: np.ndarray) -> np.ndarray:
         """Exact Hessian of the discretized energy with respect to the coefficients.
 
-        B^T diag(w d^2phi/du^2) B per pair of blocks, u the stacked samples of
-        B_theta and B_rho; returned as (H + H^T)/2, exactly symmetric (the
-        asymmetry removed is rounding only).  Shares the field synthesis of
-        the last energy or gradient at ``vec``.
+        By product to sum, entry (j, l) of a block is a signed half-sum of the transform of w phi'' at
+        |j - l| and j + l: one matrix-vector product per phi'' with the table of frequencies 0 ... 2N+2
+        < M/2, and the theta_z rows' constant 2 k1 gathers to the diagonal k1 h omega_j^2.  Symmetric
+        by construction, with bits that do not depend on the BLAS thread count.  Reuses the field
+        synthesis of the last energy or gradient at ``vec``.
         """
         p = self.params
         theta, _, sin_t, cos_t, sin2, _, _, rho_zz, rho2, _, cw = self._pointwise(vec)
@@ -295,15 +296,20 @@ class Evaluator:
         phi_rq = (l1 + l2 * cos2t0 * sin2) * q2
         phi_qq = l1 + l2 * sin2 * sin2
 
-        half, b_rho, adj_theta, adj_rho = self._half, self._b_rho, self._adj_theta, self._adj_rho
-        # each product is (diag(w) B_a)^T diag(d^2phi/da db) B_b; theta_z mixes with no field
-        h_tt = adj_theta @ (np.concatenate((phi_tt, self._k1x2))[:, None] * self._b_theta)
-        h_tr = adj_theta[:, :half] @ (phi_tr[:, None] * b_rho[:half] + phi_tq[:, None] * b_rho[half:])
-        h_rq = adj_rho[:, :half] @ (phi_rq[:, None] * b_rho[half:])
-        h_rr = adj_rho @ (np.concatenate((phi_rr, phi_qq))[:, None] * b_rho) + h_rq + h_rq.T
-        # symmetrized per diagonal block, so the assembled matrix is exactly
-        # symmetric without a full-size temporary
-        return np.block([[0.5 * (h_tt + h_tt.T), h_tr], [h_tr.T, 0.5 * (h_rr + h_rr.T)]])
+        cos_m, sin_m = (table[: self._half] for table in _tables(4 * (self.n + 2), 2 * self.n + 2))
+        j = np.arange(self.n + 2)
+        dif, tot, sign = np.abs(j[:, None] - j), j[:, None] + j, np.sign(j - j[:, None])
+        om2 = ((TWO_PI / p.h) * j) ** 2
+
+        def gather(phi, table, a, b):  # (a T[|j - l|] + b T[j + l]) / 2 with T = (w phi) @ table
+            t = (self.weights * phi) @ table
+            return 0.5 * (a * t[dif] + b * t[tot])
+
+        # cos j cos l: (1, 1); sin j sin l: (1, -1); cos j sin l: (sign(l - j), 1); rho modes start at 1
+        rr, rq, qq = (gather(phi, cos_m, 1.0, -1.0) for phi in (phi_rr, phi_rq, phi_qq))
+        h_tr = (gather(phi_tr, sin_m, sign, 1.0) - gather(phi_tq, sin_m, sign, 1.0) * om2)[:, 1:]
+        h_rr = (rr - (om2[:, None] + om2) * rq + np.outer(om2, om2) * qq)[1:, 1:]
+        return np.block([[gather(phi_tt, cos_m, 1.0, 1.0) + np.diag(p.k1 * p.h * om2), h_tr], [h_tr.T, h_rr]])
 
 
 def _check_state(state: SpectralState, params: ModelParams1D) -> None:

@@ -46,13 +46,12 @@ def f_el(q: np.ndarray, g: np.ndarray, eta1: float, eta2: float, eta24: float, s
     return 0.5 * eta1 * np.sum(chiral * chiral, axis=(-2, -1)) + 0.5 * eta2 * div2 + 0.5 * eta24 * (mixed - div2)
 
 
-def oseen_frank_density_1d(n: np.ndarray, dn_dz: np.ndarray, k1: float, k2: float, k3: float, k4: float,
-                           sigma: float) -> np.ndarray:
+def oseen_frank_density_1d(n: np.ndarray, dn_dz: np.ndarray, k1: float, k2: float, k3: float, sigma: float) -> np.ndarray:
     """Director elastic density for a z-only field, per sample of shape (..., 3).
 
-    k1 (div n)^2 + k2 (n . curl n + sigma)^2 + k3 |n x curl n|^2
-    + (k2 + k4)(tr((grad n)^2) - (div n)^2); the saddle-splay bracket
-    vanishes identically for one-dimensional fields.
+    k1 (div n)^2 + k2 (n . curl n + sigma)^2 + k3 |n x curl n|^2.  The
+    saddle-splay term (k2 + k4)(tr((grad n)^2) - (div n)^2) vanishes
+    identically for one-dimensional fields, so the density takes no k4.
     """
     div = dn_dz[..., 2]
     curl = np.stack([-dn_dz[..., 1], dn_dz[..., 0], np.zeros_like(div)], axis=-1)
@@ -110,8 +109,8 @@ def reduction_residual(n: np.ndarray, dn_dz: np.ndarray, s_plus: float, eta1: fl
 
     # raw mapped constants: the identity holds for any eta combination, so
     # the admissibility chain of map_to_oseen_frank is not applied
-    k1, k2, k4 = director_constants(eta1, eta2, eta24, s_plus)
+    k1, k2, _ = director_constants(eta1, eta2, eta24, s_plus)
     q = s_plus * (n[:, :, None] * n[:, None, :] - np.eye(3) / 3.0)
     g = np.zeros((len(n), 3, 3, 3))
     g[..., 2] = s_plus * (dn_dz[:, :, None] * n[:, None, :] + n[:, :, None] * dn_dz[:, None, :])
-    return f_el(q, g, eta1, eta2, eta24, sigma) - oseen_frank_density_1d(n, dn_dz, k1, k2, k1, k4, sigma)
+    return f_el(q, g, eta1, eta2, eta24, sigma) - oseen_frank_density_1d(n, dn_dz, k1, k2, k1, sigma)

@@ -7,6 +7,9 @@ another way, so that a test can compare the two:
 - :func:`el_residual`: the strong-form Euler-Lagrange residuals on the grid,
   pointwise and with the cubic term e rho^2, against the weak-form gradient
   of :class:`smectic1d.Evaluator`.
+- :func:`gemm_hessian`: the exact Hessian as the operator product
+  B^T diag(w d^2phi/du^2) B over all M nodes, against the product-to-sum
+  gather of :meth:`smectic1d.Evaluator.hessian`.
 - :func:`analytic_cholesteric_spectrum` and :func:`morse_index_analytic`: the
   closed-form second variation at the trivial state, against
   :func:`smectic1d.spectrum`.
@@ -147,6 +150,46 @@ def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray
         + 2.0 * p.lambda1 * (rho_zzzz + 2.0 * q2 * rho_zz + q2 * q2 * rho) \
         + 2.0 * p.lambda2 * (prod_zz + q2 * cos2t0 * w_field)
     return r_theta, r_rho
+
+
+# -- exact Hessian, operator form ----------------------------------------------
+
+
+def gemm_hessian(vec: np.ndarray, n: int, params: ModelParams1D) -> np.ndarray:
+    """The exact coefficient Hessian as B^T diag(w d^2phi/du^2) B, not symmetrized.
+
+    B samples each basis function and its derivative on all M nodes of the
+    grid (theta over theta_z from the cosines, rho over rho_zz from the
+    sines) and w = h/M is the trapezoid weight, so the matrix products sum
+    over the full grid, where :meth:`smectic1d.Evaluator.hessian` gathers
+    half-grid transforms.  The pointwise second derivatives phi_ab
+    (t = theta, r = rho, q = rho_zz) are written out here anew.
+    """
+    p = params
+    grid = default_grid(n, p.h)
+    cos_t, sin_t = _tables(grid.m, n + 1)
+    omega = (TWO_PI / p.h) * np.arange(n + 2)
+    b_t, b_tz, b_r, b_q = cos_t, -sin_t * omega, sin_t[:, 1:], -sin_t[:, 1:] * omega[1:] ** 2
+    theta, rho, rho_zz = b_t @ vec[: n + 2], b_r @ vec[n + 2 :], b_q @ vec[n + 2 :]
+    q2, c2t0 = p.q**2, math.cos(p.theta0) ** 2
+    s2, sin_2t, cos_2t = np.sin(theta) ** 2, np.sin(2.0 * theta), np.cos(2.0 * theta)
+    w_field = s2 * rho_zz + q2 * c2t0 * rho
+    den = p.k2 * (1.0 - s2) + p.k3 * s2
+    chi2 = 2.0 * p.k2**2 * p.k3 * p.sigma**2 * (cos_2t * den - (p.k3 - p.k2) * sin_2t**2) / den**3
+    phi_tt = chi2 + 2.0 * p.lambda2 * ((sin_2t * rho_zz) ** 2 + 2.0 * w_field * cos_2t * rho_zz)
+    phi_tr = 2.0 * p.lambda2 * q2 * c2t0 * sin_2t * rho_zz
+    phi_tq = 2.0 * p.lambda2 * sin_2t * (s2 * rho_zz + w_field)
+    phi_rr = p.d + 3.0 * p.f * rho**2 + 2.0 * (p.lambda1 + p.lambda2 * c2t0**2) * q2**2
+    phi_rq = 2.0 * (p.lambda1 + p.lambda2 * c2t0 * s2) * q2
+    phi_qq = 2.0 * (p.lambda1 + p.lambda2 * s2**2)
+
+    def form(a: np.ndarray, phi, b: np.ndarray) -> np.ndarray:
+        return a.T @ ((grid.h / grid.m) * np.broadcast_to(phi, grid.m)[:, None] * b)
+
+    h_tt = form(b_t, phi_tt, b_t) + form(b_tz, 2.0 * p.k1, b_tz)
+    h_tr = form(b_t, phi_tr, b_r) + form(b_t, phi_tq, b_q)
+    h_rr = form(b_r, phi_rr, b_r) + form(b_r, phi_rq, b_q) + form(b_q, phi_rq, b_r) + form(b_q, phi_qq, b_q)
+    return np.block([[h_tt, h_tr], [h_tr.T, h_rr]])
 
 
 # -- closed-form spectrum at the trivial state --------------------------------

@@ -9,7 +9,8 @@ a pitchfork the Barzilai-Borwein iterations amplify a last-bit change into
 different iteration counts and states.
 
 Recorded on Python 3.11.7 with numpy 2.4.6 on x86-64 Linux (OpenBLAS); the
-digests may differ under another numpy or BLAS.
+digests may differ under another numpy or BLAS, but not with the number of
+BLAS threads (tested in a child process per thread count).
 """
 
 import hashlib
@@ -24,6 +25,8 @@ import pytest
 
 from smectic1d import ModelParams1D, RunConfig, SpectralState, cooling_grid, stability, sweep_temperature
 from smectic1d.energy1d import Evaluator
+
+from crosscheck import OFF_DEFAULT, OFF_HEIGHT, gemm_hessian
 
 
 def _digest(*arrays) -> str:
@@ -103,7 +106,7 @@ EVALUATION_DIGESTS = {
         "energy": "93afa44313182707",
         "breakdown": "8a61e1d6100134a6",
         "gradient": "d5e209e4daf6a436",
-        "hessian": "21ad3ba972108d2e",
+        "hessian": "ca577c6124063c9f",
         "fd_hessian": "abedf3d832413bf2",
         "spectrum": "7df4012b7b5901fa",
     },
@@ -111,7 +114,7 @@ EVALUATION_DIGESTS = {
         "energy": "0dcf6a27f7b285c7",
         "breakdown": "b08d7e92d23cd683",
         "gradient": "0e53b6a05b4190a1",
-        "hessian": "54bcfc634c52987f",
+        "hessian": "8e01ea0929433843",
         "fd_hessian": "202c5ad484287982",
         "spectrum": "3e67c47f4cabc177",
     },
@@ -119,7 +122,7 @@ EVALUATION_DIGESTS = {
         "energy": "cf8f10d3e29b513f",
         "breakdown": "5325eddb847e9998",
         "gradient": "1e58147d5b65794a",
-        "hessian": "a43e7143d5d07e34",
+        "hessian": "ad66ff53d74356b4",
         "fd_hessian": "37aa5e9796a17376",
         "spectrum": "542abfca6da3476e",
     },
@@ -127,7 +130,7 @@ EVALUATION_DIGESTS = {
         "energy": "e81a2551e989d08e",
         "breakdown": "2053c181551d1cdc",
         "gradient": "016f7c995367b551",
-        "hessian": "4bee7b8fe5565424",
+        "hessian": "898259c07f660d5d",
         "fd_hessian": "db6e59fb9b9041ef",
         "spectrum": "ab362531c282e88b",
     },
@@ -135,7 +138,7 @@ EVALUATION_DIGESTS = {
         "energy": "b664a4840a612a51",
         "breakdown": "67927094e47ee5db",
         "gradient": "00244e898fca83f5",
-        "hessian": "59be41db863b169e",
+        "hessian": "f5439325396a7dd9",
         "fd_hessian": "7787d13c7692bc95",
         "spectrum": "abdacdbec6519e0c",
     },
@@ -143,7 +146,7 @@ EVALUATION_DIGESTS = {
         "energy": "f3d8a90afb81ca49",
         "breakdown": "09c5adadebcfbd9b",
         "gradient": "154934f622128bf4",
-        "hessian": "6269c0debdc28108",
+        "hessian": "82bc4d87c9dd7170",
         "fd_hessian": "6176621ee8f547ae",
         "spectrum": "35a9bf60e7ad571c",
     },
@@ -155,13 +158,13 @@ def test_evaluation_digests(key):
     assert _evaluation_digests(*key) == EVALUATION_DIGESTS[key]
 
 
-def test_fd_digests_do_not_depend_on_the_blas_thread_count(child_env):
-    # the FD Hessian differences stacked gradients, matrix-matrix products
-    # that OpenBLAS may split across threads; the exact Hessian's digests
-    # do depend on the thread count (ROADMAP, Known defects) and stay out
+def test_evaluation_digests_do_not_depend_on_the_blas_thread_count(child_env):
+    # the stacked gradients of the FD Hessian are matrix-matrix products,
+    # which OpenBLAS may split across threads; the exact Hessian takes only
+    # matrix-vector products, so every digest must match at 1 and 2 threads
     script = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import test_bit_identity as t; "
-        "print(json.dumps({repr(key): t._fd_digests(*key) for key in t.EVALUATION_DIGESTS}))"
+        "print(json.dumps({repr(key): t._evaluation_digests(*key) for key in t.EVALUATION_DIGESTS}))"
     )
     found = []
     for threads in ("1", "2"):
@@ -170,6 +173,24 @@ def test_fd_digests_do_not_depend_on_the_blas_thread_count(child_env):
         assert proc.returncode == 0, proc.stderr
         found.append(json.loads(proc.stdout))
     assert found[0] == found[1]
+
+
+#: The digest keys, plus the two off-default parameter sets at N = 16 and 64.
+GEMM_CASES = [(*key, "defaults") for key in EVALUATION_DIGESTS] + [
+    (n, 0.0, "layers", off) for n in (16, 64) for off in ("off-default", "off-height")
+]
+
+
+@pytest.mark.parametrize("n, e, kind, point", GEMM_CASES, ids=str)
+def test_hessian_matches_the_gemm_form(n, e, kind, point):
+    # the product-to-sum gather against B^T diag(w d^2phi/du^2) B summed over
+    # the full grid: at most 12 eps of the largest entry was seen (N = 64),
+    # and the matrix is symmetric without a symmetrizing step
+    params = replace(ModelParams1D(**{"off-default": OFF_DEFAULT, "off-height": OFF_HEIGHT}.get(point, {})), e=e)
+    x = _vector(n, n + int(1000 * e), kind)
+    exact, reference = Evaluator(n, params).hessian(x), gemm_hessian(x, n, params)
+    assert np.max(np.abs(exact - reference)) <= 32 * np.finfo(float).eps * np.max(np.abs(reference))
+    assert np.array_equal(exact, exact.T)
 
 
 @pytest.fixture(scope="module")

@@ -318,8 +318,9 @@ class TestBatchOutputsUnchanged:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, child_env, threads):
-        # OpenBLAS rounds the exact Hessian's matrix-matrix products
-        # differently on 1 thread than on 2; no output may use them
+        # OpenBLAS may split the FD Hessian's stacked gradients, which are
+        # matrix-matrix products, across threads; the exact Hessian takes
+        # only matrix-vector products; either way no byte may change
         assert self.outputs(tmp_path, {**child_env, "OPENBLAS_NUM_THREADS": threads}) == self.DIGESTS
 
 

@@ -570,7 +570,7 @@ def _director_energy_gap(state: SpectralState, p: ModelParams1D) -> tuple[float,
     dn_dz = np.stack([-n2 * phi_z - np.cos(phi) * sin_t * theta_z, n1 * phi_z - np.sin(phi) * sin_t * theta_z,
                       cos_t * theta_z], axis=1)
     director = np.stack([n1, n2, n3], axis=1)
-    density = [oseen_frank_density_1d(n, dn, p.k1, p.k2, p.k3, 0.0, p.sigma) for n, dn in zip(director, dn_dz)]
+    density = [oseen_frank_density_1d(n, dn, p.k1, p.k2, p.k3, p.sigma) for n, dn in zip(director, dn_dz)]
     parts = energy(state, p)
     gap = quadrature(density, p.h) - (parts.elastic_theta + parts.chiral + p.k2 * p.sigma**2 * p.h)
     return gap, quadrature((p.k3 - p.k1) * sin_t * sin_t * theta_z * theta_z, p.h)

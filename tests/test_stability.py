@@ -214,10 +214,14 @@ class TestSpectrum:
                 assert report.morse_index == onset[p]
                 assert report.min_eigenvalue == pytest.approx(p.d - d_critical(p), abs=1e-12)
 
-    @pytest.mark.parametrize("t_val, morse", [(-10.5, 0), (-21.6, 3)], ids=["fig3-layered", "tilt-onset-saddle"])
+    @pytest.mark.parametrize(
+        "t_val, morse", [(-10.5, 0), (-21.6, 3), (-21.0, 2), (-22.0, 3)],
+        ids=["fig3-layered", "tilt-onset-saddle", "morse2-saddle", "morse3-saddle"],
+    )
     def test_lowest_eigenvalue_matches_the_exact_hessian(self, t_val, morse):
         # the eigenvalue that decides the Morse index, at N = 64: the fig3
-        # sweep's layered minimum and the tilt_onset sweep's untilted saddle
+        # sweep's layered minimum and the k = 0.025 untilted saddles around
+        # the tilt_onset sweep, of Morse index 2 at T = -21.0 and 3 below
         p = ModelParams1D().at_temperature(t_val)
         state, _ = minimize(seed_state("smectic-seed", p, 64), p)
         scale = 1.0 / np.sqrt(gram_diagonal(64, p.h))
@@ -234,13 +238,15 @@ class TestSpectrum:
 
     def test_non_finite_hessian_raises_solver_error(self, monkeypatch):
         # for one NaN pair off the diagonal eigvalsh returns NaNs instead of
-        # failing, which the report turned into a ValueError (exit 1, not 2)
+        # failing, which the report turned into a ValueError (exit 1, not 2);
+        # both Hessian routes return the pair, whichever one spectrum builds
         def not_finite(self, vec):
             h_mat = np.eye(vec.size)
             h_mat[0, 1] = h_mat[1, 0] = math.nan
             return h_mat
 
-        monkeypatch.setattr(Evaluator, "fd_hessian", not_finite)
+        for route in ("fd_hessian", "hessian"):
+            monkeypatch.setattr(Evaluator, route, not_finite)
         p = ModelParams1D()
         with pytest.raises(SolverError, match="Hessian is not finite"):
             spectrum(seed_state("cholesteric", p, 2), p)
