@@ -60,6 +60,12 @@ class EnergyBreakdown(NamedTuple):
 
 #: Base relative step of the finite-difference Hessian (:meth:`Evaluator.fd_hessian`).
 HESSIAN_FD_STEP = 1e-5
+#: Columns of the finite-difference Hessian per stacked gradient call.  At N = 64 a call costs
+#: mostly numpy's per-call overhead, which a block of 8 columns (32 probes) spreads: a tilted
+#: N = 64 Hessian took 7.6 ms against 14.3 ms with one column per call, 8.7 ms with 4, 7.5 ms
+#: with 16 and 8.4 ms with 32 (median of 15 calls, 2-core x86-64); 16 gains nothing over 8 and
+#: doubles the pointwise arrays that a block keeps alive.
+FD_BLOCK = 8
 
 
 @lru_cache(maxsize=32)
@@ -85,6 +91,33 @@ def _operators(grid: Grid, n: int) -> tuple[np.ndarray, ...]:
     return ops
 
 
+@lru_cache(maxsize=64)
+def _constant(length: int, value: float, negative: bool) -> np.ndarray:
+    """A read-only array of ``length`` copies of ``value``, one per key, shared by the evaluators that need it.
+
+    ``negative`` is the sign bit of ``value``: -0.0 == 0.0 and the two hash alike, so a key of the
+    value alone would hand the array of one zero to the other, and a product with it has the other sign.
+    """
+    out = np.full(length, value)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _product_to_sum(n: int, h: float) -> tuple[np.ndarray, ...]:
+    """The read-only tables of :meth:`Evaluator.hessian` at order N on a cell of height h.
+
+    The half-grid cosine and sine tables of frequencies 0 ... 2N+2, the gather indices |j - l|,
+    j + l and sign(l - j) for j, l = 0 ... N+1, and omega_j^2 = (2 pi j / h)^2.
+    """
+    cos_m, sin_m = (table[: 2 * n + 5] for table in _tables(4 * (n + 2), 2 * n + 2))
+    j = np.arange(n + 2)
+    out = (cos_m, sin_m, np.abs(j[:, None] - j), j[:, None] + j, np.sign(j - j[:, None]), ((TWO_PI / h) * j) ** 2)
+    for a in out[2:]:
+        a.setflags(write=False)
+    return out
+
+
 class Evaluator:
     """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
@@ -98,7 +131,8 @@ class Evaluator:
     are cached per (M, N, h) by :func:`_operators`, not built per evaluator:
     a sweep builds one evaluator per point and callers may keep many alive,
     so per-instance copies would grow the memory with the number kept.
-    Only :meth:`hessian` builds its trig table (about 0.55 MB at N = 64).
+    Only :meth:`hessian` builds its trig table (about 0.55 MB at N = 64) and
+    its gather indices, cached per (N, h) by :func:`_product_to_sum`.
 
     Only the nodes z_j, j = 0 ... M/2, are used.  theta and the cosine modes
     are even in z; rho, theta_z, rho_zz and the sine modes are odd.  Every
@@ -116,10 +150,13 @@ class Evaluator:
 
     At N = 64 an evaluation is about fifty numpy calls on 133-node arrays,
     so the overhead per call sets the cost.  The constant factors are
-    therefore stored once per parameter set as half-grid arrays, each
-    grouped as in the left-to-right expression it stands for: numpy
-    multiplies two arrays faster than an array by a Python float, with the
-    same IEEE products, bit for bit.
+    therefore half-grid arrays, each grouped as in the left-to-right
+    expression it stands for: numpy multiplies two arrays faster than an
+    array by a Python float, with the same IEEE products, bit for bit.  They
+    come from a small read-only cache keyed on (length, value, sign bit)
+    (:func:`_constant`), so the evaluators of one sweep share every array
+    that does not depend on the swept quantity: a temperature sweep's
+    evaluators differ only in their d arrays.
 
     The pointwise terms of the last vector evaluated are the one kept
     entry, so the gradient at an accepted line-search point reuses the
@@ -127,11 +164,11 @@ class Evaluator:
     bytes of the vector, so a caller may mutate the array it passed or build
     one with the same bytes anew and still get a fresh evaluation's result
     bit for bit (-0.0 and +0.0 differ in bytes).  :meth:`gradient` also
-    takes a (k, 2N+3) stack of vectors, one per row, with one matrix-matrix
-    product per block in place of the matrix-vector product; every
-    pointwise term is elementwise along the last axis, so the same code
-    serves both.  The finite-difference Hessian (:meth:`fd_hessian`) is a
-    plain stencil over such stacks.
+    takes a stack of vectors of any leading shape, with matrix-matrix
+    products in place of the matrix-vector product; every pointwise term is
+    elementwise along the last axis, so the same code serves both.  The
+    finite-difference Hessian (:meth:`fd_hessian`) is a plain stencil over
+    (b, 4, 2N+3) stacks, one per block of FD_BLOCK columns.
     """
 
     def __init__(self, n: int, params: ModelParams1D):
@@ -147,7 +184,7 @@ class Evaluator:
         cos2t0 = math.cos(p.theta0) ** 2
 
         def full(value: float) -> np.ndarray:
-            return np.full(half, value)
+            return _constant(half, value, math.copysign(1.0, value) < 0.0)
 
         self._q2, self._cos2t0, self._q2_cos2t0 = full(q2), full(cos2t0), full(q2 * cos2t0)
         self._k1, self._k2, self._k3 = full(p.k1), full(p.k2), full(p.k3)
@@ -224,12 +261,15 @@ class Evaluator:
     def gradient(self, vec: np.ndarray) -> np.ndarray:
         """Exact gradient of the discretized energy with respect to the coefficients.
 
-        ``vec`` is one coefficient vector, or a (k, 2N+3) stack of them with
-        the gradient of row i in row i.  Either way each block takes one
-        product with B and one with its adjoint: a matrix-vector product for
-        a vector, a matrix-matrix product for a stack, which rounds
-        differently, so a stacked row agrees with the gradient of that row
-        alone to rounding, not bit for bit.
+        ``vec`` is one coefficient vector, or a stack of them of any leading
+        shape (..., 2N+3) with the gradient of each row in its place.  Each
+        block takes one product with B and one with its adjoint: a
+        matrix-vector product for a vector, a matrix-matrix product for a
+        (k, 2N+3) stack, which rounds differently, so a stacked row agrees
+        with the gradient of that row alone to rounding, not bit for bit.
+        ``np.matmul`` takes a (b, k, 2N+3) stack as b separate (k, 2N+3)
+        products, so each slice has the bits of the gradient of that slice
+        alone.
         """
         theta, theta_z, _, cos_t, sin2, k3s2, rho, rho_zz, rho2, lay, cw = self._pointwise(vec)
         sin_2t = np.sin(theta + theta)
@@ -256,17 +296,24 @@ class Evaluator:
         delta = HESSIAN_FD_STEP * max(1, |vec|_inf), which cancels the
         leading O(delta^2) error exactly for the polynomial terms.  Each probe
         is vec + 0.0 with coefficient j moved, and the four probes of a
-        column are one stacked :meth:`gradient` call.
+        column are a (4, 2N+3) slice of a (b, 4, 2N+3) stack that takes the
+        b <= FD_BLOCK columns of one block in one :meth:`gradient` call, so
+        a Hessian makes ceil((2N+3) / FD_BLOCK) calls.  ``np.matmul`` takes
+        each slice as its own 4-row product, so every column has the bits
+        that a gradient call on its four probes alone gives.
         """
+        size = vec.size
         delta = HESSIAN_FD_STEP * max(1.0, float(np.max(np.abs(vec))))
         steps = np.array([delta, -delta, 2.0 * delta, -2.0 * delta])
-        probes = np.tile(vec + 0.0, (4, 1))
-        h_mat = np.empty((vec.size, vec.size))
-        for j in range(vec.size):
-            probes[:, j] = vec[j] + steps
+        rest = vec + 0.0
+        h_mat = np.empty((size, size))
+        for start in range(0, size, FD_BLOCK):
+            cols = np.arange(start, min(start + FD_BLOCK, size))
+            probes = np.tile(rest, (cols.size, 4, 1))
+            probes[np.arange(cols.size), :, cols] = vec[cols, None] + steps
             g = self.gradient(probes)
-            probes[:, j] = vec[j] + 0.0
-            h_mat[:, j] = (4.0 * ((g[0] - g[1]) / (2.0 * delta)) - (g[2] - g[3]) / (4.0 * delta)) / 3.0
+            c = (4.0 * ((g[:, 0] - g[:, 1]) / (2.0 * delta)) - (g[:, 2] - g[:, 3]) / (4.0 * delta)) / 3.0
+            h_mat[:, cols] = c.T
         return 0.5 * (h_mat + h_mat.T)
 
     def hessian(self, vec: np.ndarray) -> np.ndarray:
@@ -296,10 +343,7 @@ class Evaluator:
         phi_rq = (l1 + l2 * cos2t0 * sin2) * q2
         phi_qq = l1 + l2 * sin2 * sin2
 
-        cos_m, sin_m = (table[: self._half] for table in _tables(4 * (self.n + 2), 2 * self.n + 2))
-        j = np.arange(self.n + 2)
-        dif, tot, sign = np.abs(j[:, None] - j), j[:, None] + j, np.sign(j - j[:, None])
-        om2 = ((TWO_PI / p.h) * j) ** 2
+        cos_m, sin_m, dif, tot, sign, om2 = _product_to_sum(self.n, p.h)
 
         def gather(phi, table, a, b):  # (a T[|j - l|] + b T[j + l]) / 2 with T = (w phi) @ table
             t = (self.weights * phi) @ table

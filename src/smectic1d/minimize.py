@@ -65,7 +65,7 @@ def energy_slack(e: float) -> float:
     return 4.0 * FLOAT_EPS * max(1.0, abs(e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimizeReport:
     """Outcome of one minimization."""
 

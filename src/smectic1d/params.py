@@ -150,7 +150,7 @@ def map_to_oseen_frank(eta1: float, eta2: float, eta24: float, s_plus: float) ->
     return OFConstants(k1=k1, k2=k2, k3=k1, k4=k4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams1D:
     """Coefficients of the reduced one-dimensional free energy.
 
@@ -286,10 +286,11 @@ def theta_star(t: float, params: ModelParams1D) -> float:
 
 
 #: The largest truncation order N, a fixed bound so that a huge N fails alike on every machine: by
-#: tracemalloc a cholesteric ``spectrum`` peaks at about 260 (N+2)^2 bytes (1.3, 4.4 and 16.6 MiB
-#: at N = 64, 128 and 256), so N = 2000 needs 260 * 2002^2 bytes, about 1 GiB.  It bounds memory, not
-#: time: the finite-difference Hessian of a spectrum grows about as N^3 (0.02, 0.1, 0.5 and 3 s at
-#: N = 64, 128, 256 and 512 on a 2-core x86-64 machine), so a spectrum near N_MAX takes minutes.
+#: tracemalloc the first cholesteric ``spectrum`` of a process peaks at 1.9, 5.5, 17.9 and 66 MiB at
+#: N = 64, 128, 256 and 512, tending to 260 (N+2)^2 bytes, so N = 2000 needs 260 * 2002^2 bytes,
+#: about 1 GiB.  It bounds memory, not time: the finite-difference Hessian of a spectrum grows about as
+#: N^3 (0.009, 0.08, 0.37 and 2.7 s at N = 64, 128, 256 and 512 on a 2-core x86-64 machine), so a
+#: spectrum near N_MAX takes minutes.
 N_MAX = 2000
 
 
@@ -352,7 +353,7 @@ def format_config(config: RunConfig) -> str:
 
     ``parse_config(format_config(c))`` reproduces ``c`` exactly.
     """
-    values = {**vars(config.params), "N": config.n_modes}
+    values = {f.name: getattr(config.params, f.name) for f in fields(ModelParams1D)} | {"N": config.n_modes}
     return "".join(
         f"{key} = {values[key]:.17g}\n" if kind is float else f"{key} = {values[key]}\n"
         for key, kind in _CONFIG_TYPES.items()

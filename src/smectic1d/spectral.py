@@ -105,7 +105,7 @@ def analyze(values: np.ndarray, basis: str, grid: Grid, nmodes: int) -> np.ndarr
     raise ValueError(f"unknown basis {basis!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralState:
     """Galerkin coefficients of the tilt angle and the smectic order parameter.
 

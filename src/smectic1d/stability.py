@@ -66,8 +66,9 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
 
     Eigenvalues are Rayleigh quotients per unit L2 norm: the generalized
     problem H v = mu G v with the finite-difference coefficient Hessian H of
-    :meth:`Evaluator.fd_hessian` (one stacked gradient call per column, so
-    2N + 3 in all) and the diagonal Gram matrix G of the basis.
+    :meth:`Evaluator.fd_hessian` (one stacked gradient call per block of
+    ``FD_BLOCK`` = 8 columns, so ceil((2N+3) / 8) in all, 17 at N = 64) and
+    the diagonal Gram matrix G of the basis.
     ``eigvalsh`` returns them ascending.  Perturbations of the other parity
     (theta sines, rho cosines) are not checked: see :class:`StabilityReport`.
     At e != 0 a relaxed state is stationary only within the ansatz, because

@@ -80,7 +80,7 @@ def cooling_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     return t_start - abs(dt) * np.arange(count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One temperature point of a bifurcation diagram."""
 
@@ -94,7 +94,7 @@ class SweepRecord:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElasticRecord:
     """One elastic-constant point: mean tilt theta_c[0] of the relaxed state (the other cosine modes average to 0)."""
 
@@ -157,14 +157,13 @@ def sweep_temperature(
     records failed to converge.
     """
     params, n_modes = config.params, config.n_modes
+    # the seeds read only h, q and theta0, which no temperature changes
+    seeds = [seed_state(kind, params, n_modes) for kind in SWEEP_SEEDS]
     records: list[SweepRecord] = []
     warm: SpectralState | None = None
     for t_val in temperatures:
         params_t = params.at_temperature(float(t_val))
-        candidates: list[SpectralState] = []
-        if not cold_start and warm is not None:
-            candidates.append(warm)
-        candidates.extend(seed_state(kind, params_t, n_modes) for kind in SWEEP_SEEDS)
+        candidates = seeds if cold_start or warm is None else [warm, *seeds]
         state, energy_val, converged = _relax(candidates, params_t)
         morse = stability.spectrum(state, params_t).morse_index if record_morse else None
         if converged:
@@ -253,10 +252,11 @@ def elastic_sweep(config: RunConfig, values: list[float], vary: str) -> list[Ela
         points = [replace(params, k1=v, k2=v, k3=v) for v in values]
     else:
         points = [replace(params, lambda1=v, lambda2=v) for v in values]
+    # the seeds read only h, q and theta0, which neither axis changes
+    seeds = [seed_state(kind, params, n_modes) for kind in ELASTIC_SEEDS]
     records: list[ElasticRecord] = []
     for v, params_v in zip(values, points):
-        candidates = [seed_state(kind, params_v, n_modes) for kind in ELASTIC_SEEDS]
-        state, energy_val, converged = _relax(candidates, params_v)
+        state, energy_val, converged = _relax(seeds, params_v)
         records.append(
             ElasticRecord(
                 value=float(v),

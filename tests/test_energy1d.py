@@ -195,6 +195,20 @@ class TestGradient:
                 want = Evaluator(n, params).gradient(row)
                 assert np.max(np.abs(g_row - want)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_each_slice_of_a_3d_stack_is_the_gradient_of_that_slice(self, n):
+        # the blocks of the finite-difference Hessian are (b, 4, 2N+3) stacks:
+        # np.matmul takes each (4, 2N+3) slice as its own product, so a slice
+        # has the bits of a gradient call on that slice alone
+        rng = np.random.default_rng(6)
+        k = np.concatenate([np.arange(n + 2), np.arange(1, n + 2)])
+        for params in (ModelParams1D().with_d(-0.5), ModelParams1D(**OFF_DEFAULT), ModelParams1D(**OFF_HEIGHT)):
+            stack = 0.2 * rng.standard_normal((3, 4, 2 * n + 3)) / (1.0 + k)
+            got = Evaluator(n, params).gradient(stack)
+            assert got.shape == stack.shape
+            for block, g_block in zip(stack, got):
+                assert g_block.tobytes() == Evaluator(n, params).gradient(block).tobytes()
+
     def test_zero_at_trivial_state(self):
         p = ModelParams1D()
         g = gradient(seed_state("cholesteric", p, 64), p)
@@ -425,6 +439,23 @@ class TestSharedOperators:
             assert getattr(a, name) is not getattr(b, name)
         if n == 64:
             assert not np.array_equal(a._b_theta, b._b_theta)
+
+    def test_evaluators_at_two_temperatures_share_every_constant_but_d(self):
+        # the constant arrays come from one cache, so a temperature sweep's
+        # evaluators hold one copy of each array that does not depend on T
+        p = ModelParams1D()
+        a, b = Evaluator(64, p.at_temperature(-10.0)), Evaluator(64, p.at_temperature(-11.0))
+        for name in ("_k1", "_k2", "_k3", "_k1x2", "_lambda1", "_lambda2", "_l1x2", "_l2x2", "_chi0", "_chi1"):
+            assert getattr(a, name) is getattr(b, name), name
+            assert not getattr(a, name).flags.writeable
+        assert a._d is not b._d and not np.array_equal(a._d, b._d)
+
+    def test_signed_zero_constants_keep_their_sign(self):
+        # at sigma = 0 the chiral factors are -0.0 and +0.0, which compare and
+        # hash equal: a cache keyed on the value alone hands both the same array
+        ev = Evaluator(16, ModelParams1D(sigma=0.0))
+        assert np.all(np.signbit(ev._chi0))
+        assert not np.any(np.signbit(ev._chi1))
 
     def test_no_evaluator_owns_more_than_a_few_grid_vectors(self):
         p = ModelParams1D()

@@ -20,7 +20,7 @@ from smectic1d import (
 )
 from smectic1d.spectral import gram_diagonal
 from smectic1d.minimize import frozen_layer_state
-from smectic1d.energy1d import HESSIAN_FD_STEP
+from smectic1d.energy1d import FD_BLOCK, HESSIAN_FD_STEP
 
 from crosscheck import (
     OFF_DEFAULT,
@@ -118,6 +118,19 @@ class TestHessian:
             col_2 = (g[2] - g[3]) / (4.0 * delta)
             ref[:, j] = (4.0 * col_1 - col_2) / 3.0
         assert Evaluator(n, p).fd_hessian(x).tobytes() == (0.5 * (ref + ref.T)).tobytes()
+
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_gradient_call_per_block_of_columns(self, n, monkeypatch):
+        calls = []
+        original = Evaluator.gradient
+        monkeypatch.setattr(Evaluator, "gradient", lambda ev, x: calls.append(x.shape) or original(ev, x))
+        x = seed_state("smectic-seed", ModelParams1D(), n).pack()
+        Evaluator(n, ModelParams1D()).fd_hessian(x)
+        size = 2 * n + 3
+        assert len(calls) == -(-size // FD_BLOCK)
+        assert sum(shape[0] for shape in calls) == size
+        assert all(shape[1:] == (4, size) for shape in calls)
 
 
 class TestExactHessian:

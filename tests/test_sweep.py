@@ -344,3 +344,50 @@ class TestElasticSweep:
         with pytest.raises(ValueError, match="finite"):
             elastic_sweep(RunConfig(fig3_params.with_d(-5.0), n_modes=32), [0.025, math.nan], vary=vary)
         assert calls == []
+
+
+class TestFreshSeeds:
+    """Each sweep builds its fresh seeds once, and every point relaxes the seeds its own parameters give."""
+
+    @staticmethod
+    def _count_seeds(monkeypatch):
+        from smectic1d import sweep
+
+        built = []
+        original = sweep.seed_state
+        monkeypatch.setattr(sweep, "seed_state", lambda kind, *a: built.append(kind) or original(kind, *a))
+        return built
+
+    @pytest.mark.parametrize("cold_start", [False, True], ids=["warm", "cold"])
+    def test_temperature_sweep(self, fig3_params, monkeypatch, cold_start):
+        from smectic1d.sweep import SWEEP_SEEDS, _relax
+
+        config, temps = RunConfig(fig3_params, n_modes=16), [-10.3, -10.45, -10.6]
+        # the reference builds the seeds at each point, from that point's parameters
+        expected, warm = [], None
+        for t_val in temps:
+            p = fig3_params.at_temperature(t_val)
+            seeds = [seed_state(kind, p, 16) for kind in SWEEP_SEEDS]
+            state, energy_val, converged = _relax(seeds if cold_start or warm is None else [warm, *seeds], p)
+            warm = state if converged else warm
+            expected.append((energy_val, converged, float(np.max(state.theta_values())), float(np.max(state.rho_values()))))
+        built = self._count_seeds(monkeypatch)
+        records = sweep_temperature(config, temps, cold_start=cold_start)
+        assert sorted(built) == sorted(SWEEP_SEEDS)
+        plus = [(r.energy, r.converged, r.theta_max, r.delta_rho_max) for r in records if r.branch == "+"]
+        assert plus == expected
+
+    @pytest.mark.parametrize("vary", ["k", "lambda"])
+    def test_elastic_sweep(self, fig3_params, monkeypatch, vary):
+        from smectic1d.sweep import ELASTIC_SEEDS, _relax
+
+        p0, values = fig3_params.with_d(-5.0), [0.01, 0.05]
+        expected = []
+        for v in values:
+            p = replace(p0, **({"k1": v, "k2": v, "k3": v} if vary == "k" else {"lambda1": v, "lambda2": v}))
+            state, energy_val, converged = _relax([seed_state(kind, p, 16) for kind in ELASTIC_SEEDS], p)
+            expected.append((float(state.theta_c[0]), float(np.max(state.rho_values())), energy_val, converged))
+        built = self._count_seeds(monkeypatch)
+        records = elastic_sweep(RunConfig(p0, n_modes=16), values, vary=vary)
+        assert sorted(built) == sorted(ELASTIC_SEEDS)
+        assert [(r.theta_bar, r.delta_rho_max, r.energy, r.converged) for r in records] == expected
