@@ -91,33 +91,6 @@ def _operators(grid: Grid, n: int) -> tuple[np.ndarray, ...]:
     return ops
 
 
-@lru_cache(maxsize=64)
-def _constant(length: int, value: float, negative: bool) -> np.ndarray:
-    """A read-only array of ``length`` copies of ``value``, one per key, shared by the evaluators that need it.
-
-    ``negative`` is the sign bit of ``value``: -0.0 == 0.0 and the two hash alike, so a key of the
-    value alone would hand the array of one zero to the other, and a product with it has the other sign.
-    """
-    out = np.full(length, value)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=8)
-def _product_to_sum(n: int, h: float) -> tuple[np.ndarray, ...]:
-    """The read-only tables of :meth:`Evaluator.hessian` at order N on a cell of height h.
-
-    The half-grid cosine and sine tables of frequencies 0 ... 2N+2, the gather indices |j - l|,
-    j + l and sign(l - j) for j, l = 0 ... N+1, and omega_j^2 = (2 pi j / h)^2.
-    """
-    cos_m, sin_m = (table[: 2 * n + 5] for table in _tables(4 * (n + 2), 2 * n + 2))
-    j = np.arange(n + 2)
-    out = (cos_m, sin_m, np.abs(j[:, None] - j), j[:, None] + j, np.sign(j - j[:, None]), ((TWO_PI / h) * j) ** 2)
-    for a in out[2:]:
-        a.setflags(write=False)
-    return out
-
-
 class Evaluator:
     """Energy/gradient/Hessian evaluator over packed coefficient vectors.
 
@@ -131,8 +104,7 @@ class Evaluator:
     are cached per (M, N, h) by :func:`_operators`, not built per evaluator:
     a sweep builds one evaluator per point and callers may keep many alive,
     so per-instance copies would grow the memory with the number kept.
-    Only :meth:`hessian` builds its trig table (about 0.55 MB at N = 64) and
-    its gather indices, cached per (N, h) by :func:`_product_to_sum`.
+    Only :meth:`hessian` builds its trig table (about 0.55 MB at N = 64).
 
     Only the nodes z_j, j = 0 ... M/2, are used.  theta and the cosine modes
     are even in z; rho, theta_z, rho_zz and the sine modes are odd.  Every
@@ -150,13 +122,10 @@ class Evaluator:
 
     At N = 64 an evaluation is about fifty numpy calls on 133-node arrays,
     so the overhead per call sets the cost.  The constant factors are
-    therefore half-grid arrays, each grouped as in the left-to-right
-    expression it stands for: numpy multiplies two arrays faster than an
-    array by a Python float, with the same IEEE products, bit for bit.  They
-    come from a small read-only cache keyed on (length, value, sign bit)
-    (:func:`_constant`), so the evaluators of one sweep share every array
-    that does not depend on the swept quantity: a temperature sweep's
-    evaluators differ only in their d arrays.
+    therefore stored once per parameter set as half-grid arrays, each
+    grouped as in the left-to-right expression it stands for: numpy
+    multiplies two arrays faster than an array by a Python float, with the
+    same IEEE products, bit for bit.
 
     The pointwise terms of the last vector evaluated are the one kept
     entry, so the gradient at an accepted line-search point reuses the
@@ -184,7 +153,7 @@ class Evaluator:
         cos2t0 = math.cos(p.theta0) ** 2
 
         def full(value: float) -> np.ndarray:
-            return _constant(half, value, math.copysign(1.0, value) < 0.0)
+            return np.full(half, value)
 
         self._q2, self._cos2t0, self._q2_cos2t0 = full(q2), full(cos2t0), full(q2 * cos2t0)
         self._k1, self._k2, self._k3 = full(p.k1), full(p.k2), full(p.k3)
@@ -343,7 +312,10 @@ class Evaluator:
         phi_rq = (l1 + l2 * cos2t0 * sin2) * q2
         phi_qq = l1 + l2 * sin2 * sin2
 
-        cos_m, sin_m, dif, tot, sign, om2 = _product_to_sum(self.n, p.h)
+        cos_m, sin_m = (table[: self._half] for table in _tables(4 * (self.n + 2), 2 * self.n + 2))
+        j = np.arange(self.n + 2)
+        dif, tot, sign = np.abs(j[:, None] - j), j[:, None] + j, np.sign(j - j[:, None])
+        om2 = ((TWO_PI / p.h) * j) ** 2
 
         def gather(phi, table, a, b):  # (a T[|j - l|] + b T[j + l]) / 2 with T = (w phi) @ table
             t = (self.weights * phi) @ table

@@ -440,23 +440,6 @@ class TestSharedOperators:
         if n == 64:
             assert not np.array_equal(a._b_theta, b._b_theta)
 
-    def test_evaluators_at_two_temperatures_share_every_constant_but_d(self):
-        # the constant arrays come from one cache, so a temperature sweep's
-        # evaluators hold one copy of each array that does not depend on T
-        p = ModelParams1D()
-        a, b = Evaluator(64, p.at_temperature(-10.0)), Evaluator(64, p.at_temperature(-11.0))
-        for name in ("_k1", "_k2", "_k3", "_k1x2", "_lambda1", "_lambda2", "_l1x2", "_l2x2", "_chi0", "_chi1"):
-            assert getattr(a, name) is getattr(b, name), name
-            assert not getattr(a, name).flags.writeable
-        assert a._d is not b._d and not np.array_equal(a._d, b._d)
-
-    def test_signed_zero_constants_keep_their_sign(self):
-        # at sigma = 0 the chiral factors are -0.0 and +0.0, which compare and
-        # hash equal: a cache keyed on the value alone hands both the same array
-        ev = Evaluator(16, ModelParams1D(sigma=0.0))
-        assert np.all(np.signbit(ev._chi0))
-        assert not np.any(np.signbit(ev._chi1))
-
     def test_no_evaluator_owns_more_than_a_few_grid_vectors(self):
         p = ModelParams1D()
         ev = Evaluator(64, p)

@@ -391,3 +391,11 @@ class TestFreshSeeds:
         records = elastic_sweep(RunConfig(p0, n_modes=16), values, vary=vary)
         assert sorted(built) == sorted(ELASTIC_SEEDS)
         assert [(r.theta_bar, r.delta_rho_max, r.energy, r.converged) for r in records] == expected
+
+    def test_an_unrepresentable_layer_mode_is_refused_before_the_first_point(self, fig3_params):
+        # the seeds are built before the loop, so an empty sweep refuses them too
+        config = RunConfig(replace(fig3_params, q=8.0), n_modes=4)  # n0 = 8 > N+1 = 5
+        with pytest.raises(ValueError, match="representable"):
+            sweep_temperature(config, [])
+        with pytest.raises(ValueError, match="representable"):
+            elastic_sweep(config, [], vary="k")
