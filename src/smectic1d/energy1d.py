@@ -5,7 +5,7 @@ parameter rho(z) on the periodic cell [0, h], is
 
     F = int_0^h  k1 theta_z^2
               -  k2^2 sigma^2 cos^2(theta) / (k2 cos^2(theta) + k3 sin^2(theta))
-              +  (d/2) rho^2 - (e/3) rho^3 + (f/4) rho^4
+              +  (d/2) rho^2 + (f/4) rho^4
               +  lambda1 (rho_zz + q^2 rho)^2
               +  lambda2 (sin^2(theta) rho_zz + q^2 rho cos^2(theta0))^2   dz.
 
@@ -18,13 +18,12 @@ since minimizers and spectra are unaffected by the constant.
 Gradients are exact gradients of the discretized energy: grid-space
 variational derivative of the integrand followed by the adjoint transform.
 
-theta is a cosine series, even in z, and rho a sine series, odd in z.  The
-cubic term is odd in z, so it integrates to zero over the cell for every
-state of the ansatz, and the evaluator omits it: e enters no computation of
-this module.  Every other term is even in z, which lets the evaluator sum
-over half the grid (see :class:`Evaluator`).  The pointwise (strong-form)
-Euler-Lagrange residual, which keeps e, is a test-side cross-check of the
-gradient, in ``tests/crosscheck.py``.
+The parity ansatz (theta cosines, rho sines) makes int rho^3 dz vanish, so
+the reduced model has no cubic term e rho^3 and the reproduction covers
+e = 0.  Every term is even in z, which lets the evaluator sum over half the
+grid (see :class:`Evaluator`).  The pointwise (strong-form) Euler-Lagrange
+residual is a test-side cross-check of the gradient, in
+``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ class Evaluator:
     factors, so it is even in z, and the periodic trapezoid sum over all M
     nodes is the sum over the half grid with the weights (1, 2, ..., 2, 1) h/M
     (:attr:`weights`).  A term added to the functional must be even in z
-    too, or it needs the full grid: the odd cubic term e rho^3 is omitted.
+    too, or it needs the full grid.
 
     F's theta_z stiffness is k1, so F is, up to the constant -k2 sigma^2 h,
     the Oseen-Frank energy of the director of :func:`reconstruct_director`

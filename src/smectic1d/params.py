@@ -171,7 +171,6 @@ class ModelParams1D:
     q: float = 4.0
     h: float = TWO_PI
     d: float = -0.5
-    e: float = 0.0
     f: float = 10.0
     lambda1: float = 0.001
     lambda2: float = 0.001
@@ -188,7 +187,7 @@ class ModelParams1D:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ParamError(f"{name} must be nonnegative and finite, got {v}", name)
-        for name in ("sigma", "d", "e", "T2star"):
+        for name in ("sigma", "d", "T2star"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ParamError(f"{name} must be finite, got {v}", name)

@@ -31,11 +31,11 @@ TOL_EIG = 1e-8
 class StabilityReport:
     """Ascending mass-normalized Hessian eigenvalues at a state.
 
-    The eigenvalues live in the discretized (sine-restricted) perturbation
-    space of the ansatz: theta in cosines, rho in sines.  Perturbations of
-    the other parity (theta sines and rho cosines, which include the layer
-    translation) are not checked, so the Morse index, which counts the
-    eigenvalues below -TOL_EIG, can be higher in the full periodic space.
+    The eigenvalues live in the discretized perturbation space of the
+    ansatz (theta cosines, rho sines).  Perturbations of the other parity
+    (theta sines and rho cosines, which include the layer translation) are
+    not checked, so the Morse index, which counts the eigenvalues below
+    -TOL_EIG, can be higher in the full periodic space.
     On the k = 0.025 saddle branch at N = 16 it is 1 here against 3 there
     at T = -21.0, and 3 against 7 at T = -22.0.  No fig3 or ``tilt_sweep``
     record is affected.
@@ -62,7 +62,7 @@ class StabilityReport:
 
 
 def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
-    """Mass-normalized Hessian spectrum at a state, in the sine-restricted space.
+    """Mass-normalized Hessian spectrum at a state, in the ansatz space (theta cosines, rho sines).
 
     Eigenvalues are Rayleigh quotients per unit L2 norm: the generalized
     problem H v = mu G v with the finite-difference coefficient Hessian H of
@@ -71,11 +71,9 @@ def spectrum(state: SpectralState, params: ModelParams1D) -> StabilityReport:
     the diagonal Gram matrix G of the basis.
     ``eigvalsh`` returns them ascending.  Perturbations of the other parity
     (theta sines, rho cosines) are not checked: see :class:`StabilityReport`.
-    At e != 0 a relaxed state is stationary only within the ansatz, because
-    e rho^2 is even in z and so pushes on the rho cosines, which the basis
-    lacks.  A state whose cell height is not ``params.h`` raises
-    ValueError; a Hessian that overflows (coefficients near the float
-    limit) or a failed eigensolve raises SolverError.
+    A state whose cell height is not ``params.h`` raises ValueError; a
+    Hessian that overflows (coefficients near the float limit) or a failed
+    eigensolve raises SolverError.
     """
     _check_state(state, params)
     scale = 1.0 / np.sqrt(gram_diagonal(state.n, state.h))

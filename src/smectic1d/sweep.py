@@ -7,15 +7,13 @@ sweep walks a list of temperatures, in the CLI the cooling grid of
 minimizes from the previous converged state (warm start) plus fresh seeds,
 and keeps the lowest-energy converged result.  The sweep has two branches,
 the two signs of the layer pitchfork, rho and -rho.  The energy is even in
-rho: rho is a sine series, odd in z, so the cubic term e rho^3 integrates to
-zero over the cell; the evaluator omits it, so the energy does not depend on
-e at all.  So only the "+" branch is relaxed, and the "-" branch, read off
-it as its mirror image, is bit for bit what relaxing the "-" seed gives, at
-every e.  Transitions are read off the amplitude records: the layering
-onset from delta_rho_max, the tilt onset from theta_max, both refined by
-linear interpolation of the squared amplitude (the pitchfork normal form
-makes amplitude^2 linear in T).  The fit of the pitchfork exponent itself,
-which checks that law on a sweep, is test code in ``tests/crosscheck.py``.
+rho, so only the "+" branch is relaxed, and the "-" branch, read off it as
+its mirror image, is bit for bit what relaxing the "-" seed gives.
+Transitions are read off the amplitude records: the layering onset from
+delta_rho_max, the tilt onset from theta_max, both refined by linear
+interpolation of the squared amplitude (the pitchfork normal form makes
+amplitude^2 linear in T).  The fit of the pitchfork exponent itself, which
+checks that law on a sweep, is test code in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ relaxation and Hessian spectra.  The routes here reach the same quantities
 another way, so that a test can compare the two:
 
 - :func:`el_residual`: the strong-form Euler-Lagrange residuals on the grid,
-  pointwise and with the cubic term e rho^2, against the weak-form gradient
-  of :class:`smectic1d.Evaluator`.
+  pointwise and with an optional cubic coefficient e, against the weak-form
+  gradient of :class:`smectic1d.Evaluator`.
 - :func:`gemm_hessian`: the exact Hessian as the operator product
   B^T diag(w d^2phi/du^2) B over all M nodes, against the product-to-sum
   gather of :meth:`smectic1d.Evaluator.hessian`.
@@ -107,7 +107,7 @@ def _chi_prime(c: np.ndarray, s: np.ndarray, sin_2t: np.ndarray, k2: float, k3: 
     return (k2 * k2 * k3 * sigma * sigma) * sin_2t / (den * den)
 
 
-def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray, np.ndarray]:
+def el_residual(state: SpectralState, params: ModelParams1D, e: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Strong-form stationarity residuals on the grid.
 
     The residuals are the pointwise variational derivatives of the energy:
@@ -117,9 +117,12 @@ def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray
                   + 2 lambda1 (rho_zzzz + 2 q^2 rho_zz + q^4 rho)
                   + 2 lambda2 ( (sin^2(theta) W)_zz + q^2 cos^2(theta0) W )
 
-    with W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  Second derivatives
-    of products are taken spectrally (analysis up to the grid band limit);
-    at a converged minimizer both residuals vanish to solver tolerance.
+    with W = sin^2(theta) rho_zz + q^2 cos^2(theta0) rho.  ``e`` is the
+    coefficient of a cubic term -(e/3) rho^3 in the density, which the
+    library's reduced model lacks: over the ansatz int rho^3 dz = 0, but the
+    pointwise residual keeps -e rho^2.  Second derivatives of products are
+    taken spectrally (analysis up to the grid band limit); at a converged
+    minimizer both residuals vanish to solver tolerance.
     """
     _check_state(state, params)
     p = params
@@ -146,7 +149,7 @@ def el_residual(state: SpectralState, params: ModelParams1D) -> tuple[np.ndarray
     band = g.m // 2 - 1
     prod = sin2 * w_field  # odd in z: sine series
     prod_zz = synthesize_derivative(analyze(prod, "sine", g, band), "sine", g, 2)
-    r_rho = p.d * rho - p.e * rho2 + p.f * rho2 * rho \
+    r_rho = p.d * rho - e * rho2 + p.f * rho2 * rho \
         + 2.0 * p.lambda1 * (rho_zzzz + 2.0 * q2 * rho_zz + q2 * q2 * rho) \
         + 2.0 * p.lambda2 * (prod_zz + q2 * cos2t0 * w_field)
     return r_theta, r_rho

@@ -166,7 +166,7 @@ def test_criterion_03_spectrum_cross_check(fig3_params):
             rep = spectrum(seed_state("cholesteric", p, n_small), p)
             neg = sum(1 for m in analytic_cholesteric_spectrum(p, n_small + 1)
                       if m.kind == "rho_sin" and m.value < 0)
-            assert rep.morse_index == neg, f"d={p.d}: sine-restricted index mismatch"
+            assert rep.morse_index == neg, f"d={p.d}: ansatz-space (theta cosines, rho sines) index mismatch"
             base = p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4
             m0 = 1 if base + 2.0 * p.lambda1 * p.q**4 < 0 else 0
             assert morse_index_analytic(p) == 2 * neg + m0, f"d={p.d}: full-space index mismatch"

@@ -17,7 +17,7 @@ from smectic1d.cli import emit_svg, run
 def _write_fig3_config(tmp_path, **overrides):
     lines = {
         "k1": 0.025, "k2": 0.025, "k3": 0.025, "sigma": 4.0, "q": 4.0,
-        "h": 2.0 * math.pi, "d": -0.5, "e": 0.0, "f": 10.0,
+        "h": 2.0 * math.pi, "d": -0.5, "f": 10.0,
         "lambda1": 0.001, "lambda2": 0.001, "theta0": math.pi / 9,
         "alpha2": 1.0, "T2star": -10.0, "N": 64,
     }
@@ -123,10 +123,17 @@ class TestValidateParams:
         assert run(["validate-params", "--config", str(cfg2), "--echo"]) == 0
         assert capsys.readouterr().out == echoed
 
-    def test_unknown_config_key_exits_1(self, tmp_path):
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zeta = 1.0\n")
         assert run(["validate-params", "--config", str(path)]) == 1
+        # the reduced model has no cubic coefficient, so e is no key either
+        path.write_text("d = -0.5\ne = 0.05\n")
+        capsys.readouterr()
+        assert run(["validate-params", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config line 2: unknown key 'e'\n"
 
     @pytest.mark.parametrize("value", ["-inf", "-NaN", "inf"])
     def test_non_finite_value_exits_1_naming_it(self, capsys, value):

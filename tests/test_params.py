@@ -212,8 +212,7 @@ class TestConfig:
     def test_format_writes_every_key_in_order(self):
         text = pm.format_config(pm.RunConfig())
         assert [line.partition(" = ")[0] for line in text.splitlines()] == [
-            "k1", "k2", "k3", "sigma", "q", "h", "d", "e", "f", "lambda1", "lambda2", "theta0", "alpha2", "T2star",
-            "N",
+            "k1", "k2", "k3", "sigma", "q", "h", "d", "f", "lambda1", "lambda2", "theta0", "alpha2", "T2star", "N",
         ]
         assert text.endswith("\nN = 64\n")
 
