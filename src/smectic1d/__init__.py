@@ -28,7 +28,7 @@ _EXPORTS = {
             "validate_elastic_constants", "d_critical", "theta_star", "tilt_thresholds",
         ),
         "spectral": ("Grid", "SpectralState", "analyze", "default_grid", "synthesize"),
-        "energy1d": ("EnergyBreakdown", "Evaluator", "energy", "gradient", "reconstruct_director"),
+        "energy1d": ("EnergyBreakdown", "Evaluator", "energy", "reconstruct_director"),
         "minimize": ("MinimizeReport", "minimize", "seed_state"),
         "stability": ("StabilityReport", "spectrum"),
         "sweep": (

@@ -4,7 +4,7 @@ This is the only module with I/O side effects.  Subcommands:
 
 * ``validate-params``  check a configuration, print derived quantities
 * ``minimize``         relax a single state, optionally write a profile CSV
-* ``spectrum``         Hessian spectrum at a state, write a CSV
+* ``spectrum``         Hessian spectrum at a relaxed state, write a CSV
 * ``thresholds``       print the closed-form transition thresholds
 * ``sweep``            temperature sweep, write the bifurcation CSV
 * ``elastic-sweep``    sweep the elastic constants, write a CSV
@@ -357,13 +357,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
 
     config = _load_config(args)
     p = config.params
-    if args.at == "cholesteric":
-        state = seed_state("cholesteric", p, config.n_modes)
-    else:
-        state0 = seed_state(args.seed, p, config.n_modes)
-        state, report = minimize(state0, p)
-        if not report.converged:
-            raise SolverError("minimization did not reach the gradient tolerance")
+    # the cholesteric seed is a critical point, so it relaxes in 0 iterations, bit for bit
+    state, relaxed = minimize(seed_state(args.seed, p, config.n_modes), p)
+    if not relaxed.converged:
+        raise SolverError("minimization did not reach the gradient tolerance")
     report = stability.spectrum(state, p)
     text = _csv_text(["index", "eigenvalue"], [range(len(report.eigenvalues)), report.eigenvalues])
     if args.out:
@@ -492,10 +489,9 @@ def _parser() -> _Parser:
     sp.add_argument("--profile", help="write the relaxed profile CSV here")
     sp.set_defaults(func=_cmd_minimize)
 
-    sp = subs.add_parser("spectrum", help="Hessian spectrum at a state")
+    sp = subs.add_parser("spectrum", help="Hessian spectrum at a relaxed state")
     _add_config(sp)
-    sp.add_argument("--at", choices=("cholesteric", "minimizer"), default="cholesteric")
-    sp.add_argument("--seed", choices=SEED_KINDS, default="smectic-seed", help="seed when --at minimizer")
+    sp.add_argument("--seed", choices=SEED_KINDS, default="cholesteric", help="the seed relaxed first (%(default)s)")
     sp.add_argument("--out", help="spectrum CSV path (stdout when omitted)")
     sp.set_defaults(func=_cmd_spectrum)
 

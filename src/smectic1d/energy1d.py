@@ -41,7 +41,6 @@ __all__ = [
     "EnergyBreakdown",
     "Evaluator",
     "energy",
-    "gradient",
     "reconstruct_director",
 ]
 
@@ -341,12 +340,6 @@ def energy(state: SpectralState, params: ModelParams1D) -> EnergyBreakdown:
     """
     _check_state(state, params)
     return Evaluator(state.n, params).breakdown(state.pack())
-
-
-def gradient(state: SpectralState, params: ModelParams1D) -> np.ndarray:
-    """Gradient of the discretized energy with respect to (theta_c, rho_s)."""
-    _check_state(state, params)
-    return Evaluator(state.n, params).gradient(state.pack())
 
 
 def reconstruct_director(

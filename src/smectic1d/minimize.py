@@ -154,7 +154,8 @@ def minimize(
         If the cell height of ``state0`` is not ``params.h``, or
         ``evaluator`` was built for other parameters or another N.
     SolverError
-        If the energy is non-finite at the starting point.
+        If the energy is non-finite at the starting point, or a step is
+        needed and the preconditioner diagonal is not finite and positive.
     """
     _check_state(state0, params)
     ev = evaluator if evaluator is not None else Evaluator(state0.n, params)
@@ -165,17 +166,22 @@ def minimize(
     if not math.isfinite(e):
         raise SolverError("non-finite energy at the starting state")
     g = ev.gradient(x)
+    gnorm = float(np.abs(g).max())
     recent = deque([e], maxlen=MEMORY)
     best_x, best_e, best_g = x, e, g
 
-    dinv = 1.0 / _precondition_diagonal(state0.n, params)
+    # a diagonal that overflows (|d| near the float limit) or vanishes cannot scale a step: refused
+    # without numpy warnings, and only if a step is needed, so a critical seed comes back unchanged
+    with np.errstate(over="ignore", divide="ignore"):
+        dinv = 1.0 / _precondition_diagonal(state0.n, params)
+    if gnorm > TOL_GRAD and not np.all((dinv > 0.0) & (dinv < math.inf)):
+        raise SolverError("the preconditioner is not finite and positive at these parameters")
     neg_dinv = -dinv  # (-dinv) * g is -(dinv * g) exactly
     s_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
     step = STEP0
 
     iterations = 0
-    gnorm = float(np.abs(g).max())
     while gnorm > TOL_GRAD and iterations < MAX_ITERS:
         direction = neg_dinv * g
         restart = False

@@ -190,12 +190,13 @@ def _onset(seq: list[SweepRecord], amplitudes: list[float]) -> float | None:
     """Bracketed onset: the first amplitude >= EPS_DETECT after one below it.
 
     The zero crossing is refined by linear interpolation of the squared
-    amplitude in T (pitchfork normal form) and clamped to the bracket
-    [T of the first record at or above EPS_DETECT, T of the last record
-    below it], because a flat or bent amplitude curve extrapolates far past
-    it.  With no rise to interpolate (the crossing is at the last record,
-    or the amplitude after it is not larger) the bracket's midpoint is
-    returned.  None when no amplitude reaches EPS_DETECT or when the first
+    amplitude in T (pitchfork normal form).  On a cooling grid with a rising
+    amplitude it lies at or above T of the first record at or above
+    EPS_DETECT, so only the warm end of the bracket, T of the last record
+    below it, clamps it: a flat or bent amplitude curve extrapolates far
+    past that end.  With no rise to interpolate (the crossing is at the
+    last record, or the amplitude after it is not larger) the bracket's
+    midpoint is returned.  None when no amplitude reaches EPS_DETECT or when the first
     record already does (onset not bracketed).
     """
     idx = next((i for i, a in enumerate(amplitudes) if a >= EPS_DETECT), None)
@@ -205,7 +206,7 @@ def _onset(seq: list[SweepRecord], amplitudes: list[float]) -> float | None:
     t_above = seq[idx - 1].T
     if idx + 1 < len(seq) and amplitudes[idx + 1] > a_i:
         t_j, a_j = seq[idx + 1].T, amplitudes[idx + 1]
-        return min(max(t_i - a_i**2 * (t_j - t_i) / (a_j**2 - a_i**2), t_i), t_above)
+        return min(t_i - a_i**2 * (t_j - t_i) / (a_j**2 - a_i**2), t_above)
     return 0.5 * (t_above + t_i)
 
 
@@ -215,9 +216,10 @@ def detect_transitions(records: list[SweepRecord]) -> tuple[float | None, float 
     Records must be ordered by decreasing T.  The first record (largest T)
     with delta_rho_max >= EPS_DETECT marks the layering transition; the
     first with theta_max >= EPS_DETECT marks the tilt transition.  Both are
-    refined by linear interpolation of the squared amplitude against T and
-    lie inside their bracket; an onset at the last record, or one after
-    which the amplitude does not rise, is the bracket's midpoint.  A
+    refined by linear interpolation of the squared amplitude against T,
+    which cannot fall below the bracket's cold end and is clamped to its
+    warm end; an onset at the last record, or one after which the
+    amplitude does not rise, is the bracket's midpoint.  A
     transition is reported only when the sweep brackets it: None when it is
     absent from the swept range, and None when it is not bracketed because
     the first record is already past the threshold.

@@ -240,6 +240,19 @@ class TestModuleEntry:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("solver error: ")
 
+    @pytest.mark.parametrize("d", ["1e308", "-1e308"])
+    def test_minimize_at_an_extreme_d_refuses_before_stepping(self, child_env, d):
+        # the preconditioner overflowed: two numpy RuntimeWarnings before the
+        # report at d = 1e308, and at d = -1e308 a zero step on every mode,
+        # repeated for all MAX_ITERS iterations (36 s)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smectic1d", "minimize", "--d", d, "--n-modes", "4"], capture_output=True,
+            text=True, timeout=10, env=child_env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "solver error: the preconditioner is not finite and positive at these parameters\n"
+
     NUMPY_FREE = {
         "validate-params": ["validate-params"],
         "thresholds": ["thresholds", "--t", "2"],
@@ -430,7 +443,7 @@ class TestSpectrumCommand:
     def test_at_minimizer(self, tmp_path, capsys):
         cfg = _write_fig3_config(tmp_path, N=32)
         out_path = tmp_path / "spec.csv"
-        code = run(["spectrum", "--config", cfg, "--d", "-0.5", "--at", "minimizer", "--out", str(out_path)])
+        code = run(["spectrum", "--config", cfg, "--d", "-0.5", "--seed", "smectic-seed", "--out", str(out_path)])
         assert code == 0
         err = capsys.readouterr().err
         assert "morse_index = 0" in err
@@ -438,12 +451,28 @@ class TestSpectrumCommand:
     def test_unconverged_minimizer_exits_2_without_a_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(importlib.import_module("smectic1d.minimize"), "MAX_ITERS", 1)
         out_path = tmp_path / "spec.csv"
-        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5", "--at", "minimizer"]
+        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5", "--seed", "smectic-seed"]
         assert run([*argv, "--out", str(out_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "solver error: minimization did not reach the gradient tolerance\n"
         assert not out_path.exists()
+
+    def test_seed_names_the_relaxed_state(self, capsys):
+        # --seed was read only under the retired --at minimizer, so this
+        # printed the cholesteric spectrum
+        argv = ["spectrum", "--n-modes", "16", "--d", "-0.5"]
+        assert run(argv) == 0
+        cholesteric = capsys.readouterr()
+        assert run([*argv, "--seed", "conical-seed"]) == 0
+        conical = capsys.readouterr()
+        assert conical.out != cholesteric.out
+        assert "morse_index = 0" in conical.err
+        assert "morse_index = 2" in cholesteric.err
+
+    def test_at_is_not_an_option(self, capsys):
+        assert run(["spectrum", "--n-modes", "16", "--at", "minimizer"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --at minimizer\n"
 
     def test_stdout_without_out_matches_the_file(self, tmp_path, capsys):
         argv = ["spectrum", "--n-modes", "16", "--d", "-0.5"]

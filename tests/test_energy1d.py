@@ -11,7 +11,6 @@ from smectic1d import (
     SpectralState,
     default_grid,
     energy,
-    gradient,
     minimize,
     reconstruct_director,
     seed_state,
@@ -211,13 +210,13 @@ class TestGradient:
 
     def test_zero_at_trivial_state(self):
         p = ModelParams1D()
-        g = gradient(seed_state("cholesteric", p, 64), p)
+        g = Evaluator(64, p).gradient(seed_state("cholesteric", p, 64).pack())
         assert np.max(np.abs(g)) < 1e-12
 
     def test_single_mode_component(self):
         p = ModelParams1D().with_d(-0.5)
         t = 0.1
-        g = gradient(_single_mode_state(t, p), p)
+        g = Evaluator(64, p).gradient(_single_mode_state(t, p).pack())
         idx = (64 + 2) + (p.n0 - 1)
         expected = (p.d + 2.0 * p.lambda2 * p.q**4 * math.cos(p.theta0) ** 4) * t * p.h / 2.0 \
             + 3.0 * p.f * t**3 * p.h / 8.0

@@ -14,7 +14,6 @@ from smectic1d import (
     SpectralState,
     d_critical,
     energy,
-    gradient,
     minimize,
     seed_state,
 )
@@ -155,7 +154,7 @@ class TestMinimize:
         state, report = minimize(seed_state("smectic-seed", p, 64), p)
         assert report.converged
         # recompute the gradient independently of the solver's bookkeeping
-        g = gradient(state, p)
+        g = Evaluator(64, p).gradient(state.pack())
         assert float(np.max(np.abs(g))) <= TOL_GRAD
         assert float(np.max(np.abs(g))) == report.final_grad_norm
 
@@ -201,7 +200,7 @@ class TestMinimize:
         assert report.iterations == k
         assert report.final_energy == min(ev.history[: k + 1]) < ev.history[k]
         assert report.final_energy == Evaluator(64, p).energy(state.pack())
-        assert report.final_grad_norm == float(np.max(np.abs(gradient(state, p))))
+        assert report.final_grad_norm == float(np.max(np.abs(Evaluator(64, p).gradient(state.pack()))))
 
     def test_determinism(self):
         p = ModelParams1D().with_d(-0.5)
@@ -284,6 +283,22 @@ class TestMinimize:
         state = SpectralState.from_vector(vec, 16, p.h)
         with pytest.raises(SolverError):
             minimize(state, p)
+
+    @pytest.mark.parametrize("d", [1e308, -1e308], ids=["plus", "minus"])
+    def test_overflowing_preconditioner_is_refused_before_a_step(self, d):
+        p = ModelParams1D().with_d(d)
+        with pytest.raises(SolverError, match="preconditioner is not finite and positive"):
+            minimize(seed_state("smectic-seed", p, 4), p)
+
+    @pytest.mark.parametrize("d", [-0.5, 1e308], ids=["moderate", "overflowing"])
+    def test_critical_start_returns_unchanged_without_a_step(self, d):
+        # the cholesteric seed is a critical point: it comes back after 0
+        # iterations, bit for bit, even where the preconditioner overflows
+        p = ModelParams1D().with_d(d)
+        seed = seed_state("cholesteric", p, 16)
+        state, report = minimize(seed, p)
+        assert report.converged and report.iterations == 0
+        assert state.pack().tobytes() == seed.pack().tobytes()
 
     def test_energy_never_increases_against_start(self, monkeypatch):
         p = ModelParams1D().with_d(-0.8)
